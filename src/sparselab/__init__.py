@@ -69,7 +69,6 @@ from .nbwalk import (
 from .rng import RNG_ALGORITHM, derive_seed, make_generator
 from .spectral import (
     SpectralReport,
-    SymmetricMatrix,
     adjacency,
     laplacian,
     regular_clique_epsilon_oracle,

@@ -150,11 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _dispatch(args: argparse.Namespace) -> None:
     if args.command == "generate":
         graph = sample_regular_multigraph(args.n, args.d, args.seed)
-        if args.out is None or args.out == "-":
-            lines = [f"n {graph.n}"] + [f"{e.u} {e.v} {e.weight!r} {e.multiplicity}" for e in graph.edges()]
-            sys.stdout.write("\n".join(lines) + "\n")
-        else:
-            write_edge_list(graph, args.out)
+        write_edge_list(graph, sys.stdout if args.out is None or args.out == "-" else args.out)
         return
     if args.command == "cut-error":
         h = read_edge_list(args.h_file)

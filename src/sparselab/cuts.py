@@ -1,11 +1,15 @@
 """Cut values, cut-sparsification error, and per-size deviation profiles.
 
-Exhaustive measurements enumerate every unordered nonempty proper cut once:
-subsets are generated in binary-reflected Gray-code order over vertices
-1..n-1 with vertex 0 pinned inside, so each {S, V-S} pair is visited exactly
-once.  Cut values over a block of subsets are evaluated vectorized from the
-subset bitmasks; an incremental single-flip evaluator is provided as an
-independent cross-check path.
+Every exhaustive measurement reads one enumeration, ``_exhaustive_cuts``: it
+walks the subsets in binary-reflected Gray-code order over vertices 1..n-1
+with vertex 0 pinned inside, drops the full vertex set, and yields blocks of
+(bitmasks, subset sizes, cut values of each requested graph), so each
+unordered nonempty proper cut {S, V-S} is seen exactly once.  Two reducers
+fold the blocks: ``_WorstRatio`` keeps max |num/den - 1| and its first
+maximizer in visit order, and ``_SizeExtremes`` keeps the raw maximum and
+minimum cut per smaller-side size, from which the per-size deviation rows
+are derived once at the end.  An incremental single-flip evaluator is kept
+as an independent cross-check path.
 """
 
 from __future__ import annotations
@@ -150,19 +154,19 @@ class IncrementalCut:
 # -- vectorized subset enumeration --------------------------------------------
 
 
-def _gray_blocks(n: int, block_bits: int = _BLOCK_BITS):
-    """Yield (offset, bitmask-array) blocks covering all subsets with vertex 0 inside.
+def _gray_blocks(n: int):
+    """Yield bitmask-array blocks covering all subsets with vertex 0 inside.
 
     Bit v of a mask is membership of vertex v.  The sequence walks subsets in
     binary-reflected Gray-code order over vertices 1..n-1; masks include the
-    full vertex set once (consumers skip it via the popcount).
+    full vertex set once.
     """
     total = 1 << (n - 1)
-    step = min(total, 1 << block_bits)
+    step = min(total, 1 << _BLOCK_BITS)
     for start in range(0, total, step):
         idx = np.arange(start, min(start + step, total), dtype=np.uint64)
         gray = idx ^ (idx >> np.uint64(1))
-        yield start, (gray << np.uint64(1)) | np.uint64(1)
+        yield (gray << np.uint64(1)) | np.uint64(1)
 
 
 def _grouped_edges(graph: WeightedGraph) -> list[tuple[float, list[int], list[int]]]:
@@ -199,8 +203,109 @@ def _cut_values_block(groups, bits: list[np.ndarray]) -> np.ndarray:
     return acc
 
 
+def _exhaustive_cuts(n: int, *graphs: WeightedGraph, kside: int | None = None):
+    """Yield (masks, sizes, [cut values of each graph]) over every proper cut once.
+
+    Masks follow the Gray order of ``_gray_blocks`` with the full vertex set
+    dropped; sizes are the int64 popcounts of the masks.  With ``kside`` set,
+    only cuts whose smaller side has that size are kept, before any cut value
+    is computed.
+    """
+    groups = [_grouped_edges(g) for g in graphs]
+    for masks in _gray_blocks(n):
+        sizes = np.bitwise_count(masks).astype(np.int64)
+        keep = sizes < n if kside is None else np.minimum(sizes, n - sizes) == kside
+        if not keep.all():
+            masks, sizes = masks[keep], sizes[keep]
+            if not masks.size:
+                continue
+        bits = _membership_bits(masks, n)
+        cuts = [_cut_values_block(gr, bits) for gr in groups]
+        del bits, keep  # freed before the yield, so they never coexist with the next block's arrays
+        yield masks, sizes, cuts
+
+
 def _mask_to_subset(mask: int, n: int) -> tuple[int, ...]:
     return tuple(v for v in range(n) if (mask >> v) & 1)
+
+
+class _WorstRatio:
+    """Running max |num/den - 1| over blocks; the witness is the first maximizer in visit order."""
+
+    def __init__(self):
+        self.best = -1.0
+        self.mask = None
+        self.examined = 0
+
+    def add(self, masks: np.ndarray, num: np.ndarray, den: np.ndarray) -> None:
+        dev = np.abs(num / den - 1.0)
+        i = int(np.argmax(dev))
+        if dev[i] > self.best:
+            self.best = float(dev[i])
+            self.mask = int(masks[i])
+        self.examined += masks.size
+
+    def report(self, n: int) -> CutErrorReport:
+        return CutErrorReport(
+            epsilon=self.best,
+            witness=_mask_to_subset(self.mask, n),
+            mode="exhaustive",
+            subsets_examined=self.examined,
+            n=n,
+            lower_bound=False,
+        )
+
+
+class _SizeExtremes:
+    """Per smaller-side size k: raw max and min cut, first argmax mask, and count.
+
+    Deviations are derived once per k at the end: x -> x/ref - 1 is monotone
+    under rounding, so max(cut/ref - 1) == max(cut)/ref - 1 exactly.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        kmax = n // 2
+        self.hi = np.full(kmax + 1, -np.inf)
+        self.lo = np.full(kmax + 1, np.inf)
+        self.argmax: list[int | None] = [None] * (kmax + 1)
+        self.count = np.zeros(kmax + 1, dtype=np.int64)
+
+    def add(self, masks: np.ndarray, sizes: np.ndarray, cuts: np.ndarray) -> None:
+        ksides = np.minimum(sizes, self.n - sizes)
+        for k in range(1, self.n // 2 + 1):
+            sel = ksides == k
+            vals = cuts[sel]
+            if not vals.size:
+                continue
+            self.count[k] += vals.size
+            j = int(np.argmax(vals))
+            if vals[j] > self.hi[k]:
+                self.hi[k] = vals[j]
+                self.argmax[k] = int(masks[sel][j])
+            self.lo[k] = min(self.lo[k], vals.min())
+
+    def rows(self, refs: np.ndarray, argmax_cap: int) -> tuple[CutProfileRow, ...]:
+        n = self.n
+        rows = []
+        for k in range(1, n // 2 + 1):
+            sub = None
+            if k <= argmax_cap:
+                sub = _mask_to_subset(self.argmax[k], n)
+                if len(sub) != k:  # stored mask was the large side; report the smaller
+                    sub = tuple(v for v in range(n) if v not in sub)
+            rows.append(
+                CutProfileRow(
+                    k=k,
+                    alpha=k / n,
+                    max_dev=float(self.hi[k] / refs[k] - 1.0),
+                    min_dev=float(self.lo[k] / refs[k] - 1.0),
+                    argmax_subset=sub,
+                    subsets_examined=int(self.count[k]),
+                    mode="exhaustive",
+                )
+            )
+        return tuple(rows)
 
 
 def _require_same_vertices(h: WeightedGraph, g: WeightedGraph) -> None:
@@ -233,46 +338,23 @@ def cut_error_exhaustive(h: WeightedGraph, g: WeightedGraph, cap: int = EXHAUSTI
         raise SizeLimitError(f"n={n} exceeds exhaustive cap {cap}; use cut_error_sampled")
     _require_connected_reference(g)
 
-    groups_h = _grouped_edges(h)
     clique_w = uniform_clique_weight(g)
-    groups_g = None if clique_w is not None else _grouped_edges(g)
-
-    best = -1.0
-    best_mask = None
-    examined = 0
-    for _, masks in _gray_blocks(n):
-        sizes = np.bitwise_count(masks)
-        proper = sizes < n
-        bits = _membership_bits(masks, n)
-        cut_h = _cut_values_block(groups_h, bits)
+    graphs = (h,) if clique_w is not None else (h, g)
+    worst = _WorstRatio()
+    for masks, sizes, cuts in _exhaustive_cuts(n, *graphs):
         if clique_w is not None:
             sz = sizes.astype(np.float64)
             cut_g = clique_w * sz * (n - sz)
         else:
-            cut_g = _cut_values_block(groups_g, bits)
-        zero_ref = proper & (cut_g <= 0.0)
+            cut_g = cuts[1]
+        zero_ref = cut_g <= 0.0
         if zero_ref.any():
             bad = int(masks[np.argmax(zero_ref)])
             raise DegenerateInputError(
                 f"reference cut is zero for S={_mask_to_subset(bad, n)}; no finite relative error exists"
             )
-        dev = np.zeros(masks.shape)
-        np.divide(cut_h, cut_g, out=dev, where=proper)
-        dev = np.abs(dev - 1.0)
-        dev[~proper] = -np.inf
-        examined += int(proper.sum())
-        i = int(np.argmax(dev))
-        if dev[i] > best:
-            best = float(dev[i])
-            best_mask = int(masks[i])
-    return CutErrorReport(
-        epsilon=best,
-        witness=_mask_to_subset(best_mask, n),
-        mode="exhaustive",
-        subsets_examined=examined,
-        n=n,
-        lower_bound=False,
-    )
+        worst.add(masks, cuts[0], cut_g)
+    return worst.report(n)
 
 
 # -- sampled error -------------------------------------------------------------
@@ -437,49 +519,10 @@ def cut_profile(
         raise InvalidArgumentError("profile needs n >= 2")
     refs = _profile_references(n, d, reference)
     if n <= cap:
-        max_dev = np.full(kmax + 1, -np.inf)
-        min_dev = np.full(kmax + 1, np.inf)
-        argmax_mask = [None] * (kmax + 1)
-        counts = np.zeros(kmax + 1, dtype=np.int64)
-        groups_h = _grouped_edges(h)
-        for _, masks in _gray_blocks(n):
-            sizes = np.bitwise_count(masks).astype(np.int64)
-            cut_h = _cut_values_block(groups_h, _membership_bits(masks, n))
-            ksides = np.minimum(sizes, n - sizes)
-            for k in range(1, kmax + 1):
-                sel = ksides == k
-                if not sel.any():
-                    continue
-                dev = cut_h[sel] / refs[k] - 1.0
-                counts[k] += dev.size
-                mx = float(dev.max())
-                if mx > max_dev[k]:
-                    max_dev[k] = mx
-                    if k <= argmax_cap:
-                        argmax_mask[k] = int(masks[sel][int(np.argmax(dev))])
-                mn = float(dev.min())
-                if mn < min_dev[k]:
-                    min_dev[k] = mn
-        rows = []
-        for k in range(1, kmax + 1):
-            am = argmax_mask[k]
-            if am is not None:
-                sub = _mask_to_subset(am, n)
-                if len(sub) != k:  # stored mask was the large side; report the smaller
-                    sub = tuple(v for v in range(n) if v not in sub)
-                am = sub
-            rows.append(
-                CutProfileRow(
-                    k=k,
-                    alpha=k / n,
-                    max_dev=float(max_dev[k]),
-                    min_dev=float(min_dev[k]),
-                    argmax_subset=am,
-                    subsets_examined=int(counts[k]),
-                    mode="exhaustive",
-                )
-            )
-        return CutProfile(n=n, d=d, reference=reference, rows=tuple(rows))
+        extremes = _SizeExtremes(n)
+        for masks, sizes, (cut_h,) in _exhaustive_cuts(n, h):
+            extremes.add(masks, sizes, cut_h)
+        return CutProfile(n=n, d=d, reference=reference, rows=extremes.rows(refs, argmax_cap))
 
     rows = []
     for k in range(1, kmax + 1):
@@ -515,74 +558,15 @@ def regular_vs_clique_exhaustive(
     n = h_raw.n
     if n > EXHAUSTIVE_CAP:
         raise SizeLimitError(f"n={n} exceeds exhaustive cap {EXHAUSTIVE_CAP}")
-    kmax = n // 2
     refs = _profile_references(n, d, reference)
     scale = (n - 1) / d
-    groups_h = _grouped_edges(h_raw)
-
-    best = -1.0
-    best_mask = None
-    examined = 0
-    max_dev = np.full(kmax + 1, -np.inf)
-    min_dev = np.full(kmax + 1, np.inf)
-    argmax_mask = [None] * (kmax + 1)
-    counts = np.zeros(kmax + 1, dtype=np.int64)
-    for _, masks in _gray_blocks(n):
-        sizes = np.bitwise_count(masks).astype(np.int64)
-        proper = sizes < n
-        cut_h = _cut_values_block(groups_h, _membership_bits(masks, n))
+    worst = _WorstRatio()
+    extremes = _SizeExtremes(n)
+    for masks, sizes, (cut_h,) in _exhaustive_cuts(n, h_raw):
         sz = sizes.astype(np.float64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            err = np.abs(scale * cut_h / (sz * (n - sz)) - 1.0)
-        err[~proper] = -np.inf
-        examined += int(proper.sum())
-        i = int(np.argmax(err))
-        if err[i] > best:
-            best = float(err[i])
-            best_mask = int(masks[i])
-        ksides = np.minimum(sizes, n - sizes)
-        for k in range(1, kmax + 1):
-            sel = ksides == k
-            if not sel.any():
-                continue
-            dev = cut_h[sel] / refs[k] - 1.0
-            counts[k] += dev.size
-            mx = float(dev.max())
-            if mx > max_dev[k]:
-                max_dev[k] = mx
-                if k <= argmax_cap:
-                    argmax_mask[k] = int(masks[sel][int(np.argmax(dev))])
-            mn = float(dev.min())
-            if mn < min_dev[k]:
-                min_dev[k] = mn
-    error = CutErrorReport(
-        epsilon=best,
-        witness=_mask_to_subset(best_mask, n),
-        mode="exhaustive",
-        subsets_examined=examined,
-        n=n,
-        lower_bound=False,
-    )
-    rows = []
-    for k in range(1, kmax + 1):
-        am = argmax_mask[k]
-        if am is not None:
-            sub = _mask_to_subset(am, n)
-            if len(sub) != k:
-                sub = tuple(v for v in range(n) if v not in sub)
-            am = sub
-        rows.append(
-            CutProfileRow(
-                k=k,
-                alpha=k / n,
-                max_dev=float(max_dev[k]),
-                min_dev=float(min_dev[k]),
-                argmax_subset=am,
-                subsets_examined=int(counts[k]),
-                mode="exhaustive",
-            )
-        )
-    return error, CutProfile(n=n, d=d, reference=reference, rows=tuple(rows))
+        worst.add(masks, scale * cut_h, sz * (n - sz))
+        extremes.add(masks, sizes, cut_h)
+    return worst.report(n), CutProfile(n=n, d=d, reference=reference, rows=extremes.rows(refs, argmax_cap))
 
 
 def extreme_cuts_at_size(
@@ -599,17 +583,10 @@ def extreme_cuts_at_size(
     if exhaustive:
         if n > EXHAUSTIVE_CAP:
             raise SizeLimitError(f"n={n} exceeds exhaustive cap {EXHAUSTIVE_CAP}")
-        groups_h = _grouped_edges(h)
-        hi, lo = -np.inf, np.inf
-        for _, masks in _gray_blocks(n):
-            sizes = np.bitwise_count(masks).astype(np.int64)
-            sel = np.minimum(sizes, n - sizes) == k
-            if not sel.any():
-                continue
-            vals = _cut_values_block(groups_h, _membership_bits(masks[sel], n))
-            hi = max(hi, float(vals.max()))
-            lo = min(lo, float(vals.min()))
-        return hi, lo
+        extremes = _SizeExtremes(n)
+        for masks, sizes, (cut_h,) in _exhaustive_cuts(n, h, kside=k):
+            extremes.add(masks, sizes, cut_h)
+        return float(extremes.hi[k]), float(extremes.lo[k])
     if samples < 1:
         raise InvalidArgumentError("sampled extremes need at least one sample")
     subsets = _size_k_subsets(n, k, samples, make_generator(seed))

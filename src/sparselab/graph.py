@@ -12,6 +12,7 @@ construction; derived arrays are cached and safe to share across threads.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -356,12 +357,13 @@ def uniform_clique_weight(graph: WeightedGraph) -> float | None:
 # -- persistence ------------------------------------------------------------
 
 
-def write_edge_list(graph: WeightedGraph, path) -> None:
+def write_edge_list(graph: WeightedGraph, dest) -> None:
     """Plain-text edge list: header ``n <N>``, one ``u v weight mult`` line per bundle.
 
-    Weights are printed with the shortest decimal that round-trips exactly.
+    ``dest`` is a path or an open text stream.  Weights are printed with the
+    shortest decimal that round-trips exactly.
     """
-    with open(path, "w", encoding="utf-8") as fh:
+    with nullcontext(dest) if hasattr(dest, "write") else open(dest, "w", encoding="utf-8") as fh:
         fh.write(f"n {graph.n}\n")
         for e in graph.edges():
             fh.write(f"{e.u} {e.v} {e.weight!r} {e.multiplicity}\n")

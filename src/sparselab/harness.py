@@ -180,7 +180,11 @@ def run_separation(
         # Certificate view: unit-ish weighted degree against the 1/n clique.
         h_cert = collapse_multiedges(scale_weights(h_raw, (n - 1) / (d * n)))
         cert = nbwalk.certify_lower_bound(h_cert, g, d)
-        spec_clique = spectral.spectral_error(h_cert, make_clique(n, 1.0 / n))
+        if target == "clique":
+            # h_cert = h/n against the 1/n clique: the eigenproblem of h against the unit clique
+            spec_clique = spec_report
+        else:
+            spec_clique = spectral.spectral_error(h_cert, make_clique(n, 1.0 / n))
         records.append(
             {
                 "trial": t,

@@ -22,32 +22,6 @@ _KERNEL_SPLIT_RTOL = 1e-10  # eigenvalues of L_G below this (relative) are kerne
 _KERNEL_CONTAIN_RTOL = 1e-8  # tolerance for kernel(L_G) inside kernel(L_H)
 
 
-class SymmetricMatrix:
-    """Dense symmetric matrix; both triangles mirror one stored set of entries."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: np.ndarray):
-        a = np.asarray(values, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise InvalidArgumentError(f"expected a square matrix, got shape {a.shape}")
-        if not np.array_equal(a, a.T):
-            raise InvalidArgumentError("matrix is not exactly symmetric")
-        self.values = a
-
-    @classmethod
-    def from_triangle(cls, n: int, entries: dict[tuple[int, int], float]) -> "SymmetricMatrix":
-        a = np.zeros((n, n))
-        for (i, j), x in entries.items():
-            a[i, j] = x
-            a[j, i] = x
-        return cls(a)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-
 @dataclass(frozen=True)
 class SpectralReport:
     epsilon: float
@@ -67,26 +41,22 @@ class SpectralReport:
         }
 
 
-def laplacian(graph: WeightedGraph) -> SymmetricMatrix:
+def laplacian(graph: WeightedGraph) -> np.ndarray:
     """L = D - A with D the diagonal of weighted degrees; rows sum to zero exactly."""
     a = graph.weight_matrix()
     d = a.sum(axis=1)
     lap = -a
     lap[np.diag_indices(graph.n)] = d
-    return SymmetricMatrix(lap)
+    return lap
 
 
-def adjacency(graph: WeightedGraph) -> SymmetricMatrix:
-    return SymmetricMatrix(graph.weight_matrix())
-
-
-def _as_array(a) -> np.ndarray:
-    return a.values if isinstance(a, SymmetricMatrix) else np.asarray(a, dtype=np.float64)
+def adjacency(graph: WeightedGraph) -> np.ndarray:
+    return graph.weight_matrix()
 
 
 def symmetric_eigenvalues(a, cap: int = DENSE_CAP) -> np.ndarray:
     """All eigenvalues in ascending order (LAPACK dense solver)."""
-    arr = _as_array(a)
+    arr = np.asarray(a, dtype=np.float64)
     if arr.shape[0] > cap:
         raise SizeLimitError(f"n={arr.shape[0]} exceeds dense eigensolver cap {cap}")
     return np.linalg.eigvalsh(arr)
@@ -102,12 +72,14 @@ def spectral_error(h: WeightedGraph, g: WeightedGraph, method: str = "auto", cap
     if h.n != g.n:
         raise InvalidArgumentError(f"vertex sets differ: {h.n} vs {g.n}")
     n = h.n
+    if n < 2:
+        raise InvalidArgumentError("need at least 2 vertices for a spectral error")
     if n > cap:
         raise SizeLimitError(f"n={n} exceeds dense cap {cap}")
     if method not in ("auto", "whitening", "clique"):
         raise InvalidArgumentError(f"unknown method {method!r}")
 
-    lh = laplacian(h).values
+    lh = laplacian(h)
     # Gershgorin bound on ||L_H||: within a factor 2 of the true spectral norm.
     lh_norm = max(2.0 * float(h.weighted_degrees().max(initial=0.0)), np.finfo(float).tiny)
 
@@ -133,7 +105,7 @@ def spectral_error(h: WeightedGraph, g: WeightedGraph, method: str = "auto", cap
             method="clique",
         )
 
-    lg = laplacian(g).values
+    lg = laplacian(g)
     w, vecs = np.linalg.eigh(lg)
     scale = max(float(np.abs(w).max()), np.finfo(float).tiny)
     kernel = w <= _KERNEL_SPLIT_RTOL * scale

@@ -29,10 +29,13 @@ class TestGenerate:
     def test_odd_n_exits_2(self, tmp_path):
         assert run_cli(["generate", "--n", "9", "--d", "2", "--out", tmp_path / "x"]) == 2
 
-    def test_stdout_mode(self, capsys):
+    def test_stdout_mode(self, capsys, tmp_path):
         assert run_cli(["generate", "--n", "4", "--d", "1", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("n 4")
+        path = tmp_path / "g.edges"
+        assert run_cli(["generate", "--n", "4", "--d", "1", "--seed", "1", "--out", path]) == 0
+        assert out.encode("utf-8") == path.read_bytes()
 
 
 class TestCutError:
@@ -80,6 +83,13 @@ class TestSpectralAndCertify:
         write_edge_list(make_clique(4, 1.0), h)
         write_edge_list(WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)]), g)
         assert run_cli(["spectral-error", "--h-file", h, "--g-file", g]) == 4
+
+    def test_single_vertex_exits_2(self, tmp_path, capsys):
+        one = tmp_path / "one.edges"
+        one.write_text("n 1\n")
+        assert run_cli(["spectral-error", "--h-file", one, "--g-file", one]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_certify_emits_products(self, tmp_path):
         h = tmp_path / "h.edges"

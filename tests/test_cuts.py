@@ -1,9 +1,13 @@
 import math
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sparselab import cuts
 from sparselab.cuts import (
     REF_DENSITY,
     REF_EXPECTATION,
@@ -250,19 +254,119 @@ class TestExtremeCuts:
 
 
 def test_gray_visit_matches_incremental_stream():
-    # the vectorized enumerator and the incremental walker follow the same
-    # Gray sequence over vertices 1..n-1 with vertex 0 pinned inside
-    from sparselab.cuts import _cut_values_block, _gray_blocks, _grouped_edges, _membership_bits
-
+    # the block enumerator and the incremental walker follow the same Gray
+    # sequence over vertices 1..n-1 with vertex 0 pinned inside; the
+    # enumerator skips the full vertex set
+    n = 10
     rng = make_generator(55)
-    h = random_connected_graph(rng, 10, 15)
-    groups = _grouped_edges(h)
-    stream = []
-    for _, masks in _gray_blocks(10):
-        stream.extend(_cut_values_block(groups, _membership_bits(masks, 10)).tolist())
+    h = random_connected_graph(rng, n, 15)
+    masks, stream = [], []
+    for block, _, (cut_h,) in cuts._exhaustive_cuts(n, h):
+        masks.extend(block.tolist())
+        stream.extend(cut_h.tolist())
     inc = IncrementalCut(h, members=[0])
-    walked = [inc.cut]
-    for step in range(1, 2 ** 9):
-        v = (step & -step).bit_length()  # Gray flip over vertices 1..9
-        walked.append(inc.flip(v))
+    walked_masks, walked = [1], [inc.cut]
+    for step in range(1, 2 ** (n - 1)):
+        v = (step & -step).bit_length()  # Gray flip over vertices 1..n-1
+        cut = inc.flip(v)
+        mask = sum(1 << u for u in inc.members())
+        if mask != (1 << n) - 1:
+            walked_masks.append(mask)
+            walked.append(cut)
+    assert masks == walked_masks
     assert np.allclose(stream, walked, atol=1e-9)
+
+
+# -- properties of the one exhaustive enumeration ------------------------------
+
+# integer weights make exact ties, so first-in-visit-order rules are exercised
+_weights = st.one_of(st.integers(1, 3).map(float), st.floats(0.25, 4.0))
+# small blocks force the reducers to carry their state across many blocks
+_block_bits = st.sampled_from([1, 2, 3, cuts._BLOCK_BITS])
+_references = st.sampled_from([REF_DENSITY, REF_EXPECTATION])
+_examples = settings(max_examples=50, deadline=None)
+
+
+@st.composite
+def connected_graphs(draw, n=None):
+    """Random spanning tree plus extra edges on 2..10 vertices, positive weights."""
+    if n is None:
+        n = draw(st.integers(2, 10))
+    edges = {}
+    for v in range(1, n):
+        edges[(draw(st.integers(0, v - 1)), v)] = draw(_weights)
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), _weights), max_size=2 * n))
+    for u, v, w in extra:
+        if u != v:
+            edges[(min(u, v), max(u, v))] = w
+    return WeightedGraph(n, [(u, v, w) for (u, v), w in edges.items()])
+
+
+@st.composite
+def graph_pairs(draw):
+    h = draw(connected_graphs())
+    return h, draw(connected_graphs(h.n))
+
+
+def _close(x):
+    return pytest.approx(x, rel=1e-12, abs=1e-12)
+
+
+class TestExhaustiveProperties:
+    @_examples
+    @given(h=connected_graphs(), block_bits=_block_bits)
+    def test_generator_yields_each_proper_cut_once(self, h, block_bits):
+        n = h.n
+        seen = []
+        with mock.patch.object(cuts, "_BLOCK_BITS", block_bits):
+            for masks, sizes, (cut_h,) in cuts._exhaustive_cuts(n, h):
+                for m, size, c in zip(masks.tolist(), sizes.tolist(), cut_h.tolist()):
+                    subset = [v for v in range(n) if m >> v & 1]
+                    assert size == len(subset)
+                    assert c == _close(brute_cut(h, subset))
+                seen.extend(masks.tolist())
+        assert sorted(seen) == list(range(1, (1 << n) - 1, 2))  # bit 0 set, full set excluded
+
+    @_examples
+    @given(pair=graph_pairs(), clique_reference=st.booleans(), block_bits=_block_bits)
+    def test_cut_error_matches_brute_force(self, pair, clique_reference, block_bits):
+        h, g = pair
+        if clique_reference:
+            g = make_clique(h.n, 0.7)
+        with mock.patch.object(cuts, "_BLOCK_BITS", block_bits):
+            rep = cut_error_exhaustive(h, g)
+        expected, _ = brute_cut_error(h, g)
+        assert rep.epsilon == _close(expected)
+        assert rep.subsets_examined == 2 ** (h.n - 1) - 1
+        assert 0 in rep.witness
+        assert abs(brute_cut(h, rep.witness) / brute_cut(g, rep.witness) - 1.0) == _close(rep.epsilon)
+
+    @_examples
+    @given(h=connected_graphs(), d=st.integers(1, 9), reference=_references, block_bits=_block_bits)
+    def test_size_extremes_match_brute_force(self, h, d, reference, block_bits):
+        n = h.n
+        with mock.patch.object(cuts, "_BLOCK_BITS", block_bits):
+            prof = cut_profile(h, d, reference=reference, argmax_cap=n)
+            extremes = [extreme_cuts_at_size(h, k, exhaustive=True) for k in range(1, n // 2 + 1)]
+        assert [row.k for row in prof.rows] == list(range(1, n // 2 + 1))
+        for row, (hi, lo) in zip(prof.rows, extremes):
+            k = row.k
+            vals = [brute_cut(h, s) for s in combinations(range(n), k)]
+            ref = d * k * (n - k) / (n if reference == REF_DENSITY else n - 1)
+            assert (hi, lo) == (_close(max(vals)), _close(min(vals)))
+            assert row.max_dev == _close(max(vals) / ref - 1.0)
+            assert row.min_dev == _close(min(vals) / ref - 1.0)
+            assert row.subsets_examined == (math.comb(n, k) if 2 * k < n else math.comb(n, k) // 2)
+            assert len(row.argmax_subset) == k
+            assert brute_cut(h, row.argmax_subset) == _close(max(vals))
+
+    @_examples
+    @given(h=connected_graphs(), d=st.integers(1, 9), reference=_references, block_bits=_block_bits)
+    def test_combined_scan_matches_separate_paths(self, h, d, reference, block_bits):
+        n = h.n
+        with mock.patch.object(cuts, "_BLOCK_BITS", block_bits):
+            err, prof = regular_vs_clique_exhaustive(h, d, reference=reference)
+            separate = cut_error_exhaustive(scale_weights(h, (n - 1) / d), make_clique(n, 1.0))
+            assert prof == cut_profile(h, d, reference=reference)
+        assert err.epsilon == _close(separate.epsilon)
+        assert err.subsets_examined == separate.subsets_examined

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sparselab import spectral
 from sparselab.errors import InvalidArgumentError
 from sparselab.harness import (
     bounds_table_csv,
@@ -63,6 +64,19 @@ class TestSeparation:
             assert rec["eps_lb"] <= rec["eps_spec_clique"] + 1e-6
             assert rec["eps_spec_clique"] == pytest.approx(rec["eps_spec"], abs=1e-9)
             assert rec["identity_checks_ok"]
+
+    @pytest.mark.parametrize("target, solves_per_seed", [("clique", 1), ("parent", 2)])
+    def test_spectral_solves_per_seed(self, monkeypatch, target, solves_per_seed):
+        calls = []
+        solve = spectral.spectral_error
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "spectral_error", counting)
+        run_separation(16, 6, 3, seeds=2, g=2, master_seed=4, target=target)
+        assert len(calls) == 2 * solves_per_seed
 
     def test_sampled_mode(self):
         rep = run_separation(60, 8, 4, seeds=1, g=2, master_seed=1, cut_mode="sampled", samples_per_size=20)

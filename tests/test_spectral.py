@@ -8,7 +8,6 @@ from sparselab.errors import InvalidArgumentError, NotComparableError, SizeLimit
 from sparselab.graph import WeightedGraph, make_clique, make_cycle, sample_regular_multigraph, scale_weights
 from sparselab.rng import make_generator
 from sparselab.spectral import (
-    SymmetricMatrix,
     laplacian,
     regular_clique_epsilon_oracle,
     spectral_error,
@@ -21,12 +20,12 @@ from helpers import random_connected_graph
 class TestLaplacian:
     def test_row_sums_zero(self):
         g = sample_regular_multigraph(30, 5, seed=2)
-        lap = laplacian(g).values
+        lap = laplacian(g)
         assert np.all(lap.sum(axis=1) == 0.0)
 
     def test_quarter_clique_is_identity_minus_j_over_n(self):
         n = 6
-        lap = laplacian(make_clique(n, 1.0 / n)).values
+        lap = laplacian(make_clique(n, 1.0 / n))
         expected = np.eye(n) - np.ones((n, n)) / n
         assert np.allclose(lap, expected, atol=1e-15)
         eigs = symmetric_eigenvalues(lap)
@@ -43,7 +42,7 @@ class TestLaplacian:
     def test_quadratic_form_matches_edge_sum(self):
         rng = make_generator(12)
         g = random_connected_graph(rng, 15, 30)
-        lap = laplacian(g).values
+        lap = laplacian(g)
         us, vs, ws, _ = g.edge_arrays()
         for _ in range(20):
             x = rng.standard_normal(15)
@@ -78,12 +77,6 @@ class TestEigenvalues:
     def test_cap(self):
         with pytest.raises(SizeLimitError):
             symmetric_eigenvalues(np.zeros((5, 5)), cap=4)
-
-    def test_symmetric_matrix_wrapper_rejects_asymmetry(self):
-        with pytest.raises(InvalidArgumentError):
-            SymmetricMatrix(np.array([[0.0, 1.0], [1.0 + 1e-15, 0.0]]))
-        m = SymmetricMatrix.from_triangle(3, {(0, 1): 2.0, (1, 2): -1.0})
-        assert m.values[1, 0] == 2.0 and m.n == 3
 
 
 class TestSpectralError:
