@@ -1,13 +1,17 @@
 """Weighted undirected multigraphs and their generators.
 
-A :class:`WeightedGraph` stores each parallel bundle once, as a single edge
-record carrying accumulated weight and a multiplicity count.  This keeps the
-union-of-matchings model exact: sampling d perfect matchings can place the
-same vertex pair in several matchings, and cut and Laplacian computations
-must count that pair with its full accumulated weight.
+A :class:`WeightedGraph` is four numpy arrays ``(us, vs, ws, ms)``: one
+entry per bundle of parallel edges, with ``u < v``, the accumulated weight
+and the multiplicity, sorted by the key ``u*n + v``.  Every constructor
+validates and coalesces its input through one routine, which sums repeated
+pairs in input order.  This keeps the union-of-matchings model exact:
+sampling d perfect matchings can place the same vertex pair in several
+matchings, and cut and Laplacian computations must count that pair with its
+full accumulated weight.
 
 Vertex indices are 0-based everywhere.  Graphs are immutable values after
-construction; derived arrays are cached and safe to share across threads.
+construction: the arrays are read-only, and derived arrays are cached and
+safe to share across threads.
 """
 
 from __future__ import annotations
@@ -46,6 +50,46 @@ class DegreeReport:
     combinatorial_mean: float
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _coalesce(n: int, us, vs, ws, ms) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Validate edge records and merge repeated pairs into sorted bundles.
+
+    The first bad record raises InvalidArgumentError.  Weights and
+    multiplicities of a repeated pair are summed in input order (``bincount``
+    adds sequentially), so they equal a record-by-record accumulation bit for
+    bit; a pairwise reduction would not.
+    """
+    us = np.asarray(us, dtype=np.int64).ravel()
+    vs = np.asarray(vs, dtype=np.int64).ravel()
+    ws = np.asarray(ws, dtype=np.float64).ravel()
+    ms = np.ones(us.size, dtype=np.int64) if ms is None else np.asarray(ms, dtype=np.int64).ravel()
+    if not us.size == vs.size == ws.size == ms.size:
+        raise InvalidArgumentError(f"edge arrays differ in length: {us.size}, {vs.size}, {ws.size}, {ms.size}")
+    bad = np.stack([~((0 <= us) & (us < vs) & (vs < n)), ~(np.isfinite(ws) & (ws >= 0.0)), ms < 1])
+    if bad.any():
+        i = int(np.flatnonzero(bad.any(axis=0))[0])
+        u, v, w, m = int(us[i]), int(vs[i]), float(ws[i]), int(ms[i])
+        reason = (f"violates 0 <= u < v < n={n}", f"has invalid weight {w}", f"has multiplicity {m} < 1")
+        raise InvalidArgumentError(f"edge ({u}, {v}) {reason[int(np.argmax(bad[:, i]))]}")
+    keys, inv = np.unique(us * n + vs, return_inverse=True)
+    ws = np.bincount(inv, weights=ws, minlength=keys.size).astype(np.float64, copy=False)  # int64 when empty
+    ms = np.bincount(inv, weights=ms, minlength=keys.size).astype(np.int64)
+    return keys // n, keys % n, ws, ms
+
+
+def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(s, s+c) for each (s, c); vectorized."""
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    rep = np.repeat(starts - np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
+    return rep + np.arange(total, dtype=np.int64)
+
+
 class WeightedGraph:
     """Immutable weighted multigraph with bundled parallel edges.
 
@@ -54,12 +98,14 @@ class WeightedGraph:
     n : vertex count, positive.
     edges : iterable of (u, v, weight) or (u, v, weight, multiplicity).
         Repeated (u, v) pairs are accumulated into one bundle.
+        :meth:`from_arrays` takes the same data as columns.
     matchings : optional decomposition metadata, a sequence of perfect
         matchings (each a sequence of (u, v) pairs) whose union is the graph.
-        Kept by the random-regular generator so prefixes can be re-extracted.
+        Kept by the random-regular generator so prefixes can be re-extracted;
+        stored as a read-only int array of shape (matchings, n/2, 2).
     """
 
-    __slots__ = ("n", "matchings", "_bundles", "_arrays", "_csr", "_wdeg", "_cdeg")
+    __slots__ = ("n", "matchings", "_us", "_vs", "_ws", "_ms", "_csr", "_wdeg", "_cdeg")
 
     def __init__(
         self,
@@ -67,115 +113,98 @@ class WeightedGraph:
         edges: Iterable[tuple] = (),
         matchings: Sequence[Sequence[tuple[int, int]]] | None = None,
     ):
+        records = (rec if len(rec) == 4 else (*rec, 1) for rec in edges)
+        us, vs, ws, ms = list(zip(*records, strict=True)) or ((), (), (), ())
+        self._store(n, us, vs, ws, ms, matchings)
+
+    @classmethod
+    def from_arrays(cls, n: int, us, vs, ws, ms=None, matchings=None) -> WeightedGraph:
+        """Graph from edge columns; ``ms`` defaults to multiplicity 1 per record."""
+        graph = cls.__new__(cls)
+        graph._store(n, us, vs, ws, ms, matchings)
+        return graph
+
+    def _store(self, n, us, vs, ws, ms, matchings) -> None:
         if not isinstance(n, (int, np.integer)) or n <= 0:
             raise InvalidArgumentError(f"vertex count must be a positive integer, got {n!r}")
-        bundles: dict[tuple[int, int], tuple[float, int]] = {}
-        for rec in edges:
-            if len(rec) == 3:
-                u, v, w = rec
-                m = 1
-            else:
-                u, v, w, m = rec
-            u, v, m = int(u), int(v), int(m)
-            w = float(w)
-            if not (0 <= u < v < int(n)):
-                raise InvalidArgumentError(f"edge ({u}, {v}) violates 0 <= u < v < n={n}")
-            if w < 0.0 or not np.isfinite(w):
-                raise InvalidArgumentError(f"edge ({u}, {v}) has invalid weight {w}")
-            if m < 1:
-                raise InvalidArgumentError(f"edge ({u}, {v}) has multiplicity {m} < 1")
-            old = bundles.get((u, v))
-            if old is None:
-                bundles[(u, v)] = (w, m)
-            else:
-                bundles[(u, v)] = (old[0] + w, old[1] + m)
         self.n = int(n)
-        self._bundles = dict(sorted(bundles.items()))
+        self._us, self._vs, self._ws, self._ms = map(_readonly, _coalesce(self.n, us, vs, ws, ms))
         self.matchings = (
-            tuple(tuple((int(a), int(b)) if a < b else (int(b), int(a)) for a, b in mt) for mt in matchings)
-            if matchings is not None
-            else None
+            _readonly(np.sort(np.asarray(matchings, dtype=np.int64), axis=-1)) if matchings is not None else None
         )
-        self._arrays = None
-        self._csr = None
-        self._wdeg = None
-        self._cdeg = None
+        self._csr = self._wdeg = self._cdeg = None
 
     # -- basic views --------------------------------------------------------
 
     def edges(self) -> Iterator[Edge]:
-        for (u, v), (w, m) in self._bundles.items():
+        for u, v, w, m in zip(self._us.tolist(), self._vs.tolist(), self._ws.tolist(), self._ms.tolist()):
             yield Edge(u, v, w, m)
 
     @property
     def num_bundles(self) -> int:
-        return len(self._bundles)
+        return self._us.size
 
     @property
     def total_weight(self) -> float:
-        return float(sum(w for w, _ in self._bundles.values()))
+        return float(self._ws.sum())
 
     @property
     def is_simple(self) -> bool:
-        return all(m == 1 for _, m in self._bundles.values())
+        return bool(np.all(self._ms == 1))
 
     def bundle(self, u: int, v: int) -> tuple[float, int]:
         """(weight, multiplicity) of the bundle between u and v, or (0.0, 0)."""
-        if u > v:
-            u, v = v, u
-        return self._bundles.get((u, v), (0.0, 0))
+        key = min(u, v) * self.n + max(u, v)
+        keys = self._us * self.n + self._vs
+        i = int(np.searchsorted(keys, key))
+        if i < keys.size and keys[i] == key:
+            return float(self._ws[i]), int(self._ms[i])
+        return 0.0, 0
 
     def weight(self, u: int, v: int) -> float:
         return self.bundle(u, v)[0]
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(us, vs, weights, multiplicities) in sorted bundle order, cached."""
-        if self._arrays is None:
-            if self._bundles:
-                us = np.fromiter((u for u, _ in self._bundles), dtype=np.int64, count=len(self._bundles))
-                vs = np.fromiter((v for _, v in self._bundles), dtype=np.int64, count=len(self._bundles))
-                ws = np.fromiter((w for w, _ in self._bundles.values()), dtype=np.float64, count=len(self._bundles))
-                ms = np.fromiter((m for _, m in self._bundles.values()), dtype=np.int64, count=len(self._bundles))
-            else:
-                us = np.empty(0, dtype=np.int64)
-                vs = np.empty(0, dtype=np.int64)
-                ws = np.empty(0, dtype=np.float64)
-                ms = np.empty(0, dtype=np.int64)
-            self._arrays = (us, vs, ws, ms)
-        return self._arrays
+        """(us, vs, weights, multiplicities) in sorted bundle order; read-only."""
+        return self._us, self._vs, self._ws, self._ms
+
+    def _vertex_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-vertex sum of a bundle quantity over both endpoints."""
+        deg = np.zeros(self.n, dtype=values.dtype)
+        np.add.at(deg, self._us, values)
+        np.add.at(deg, self._vs, values)
+        return deg
 
     def weighted_degrees(self) -> np.ndarray:
         if self._wdeg is None:
-            us, vs, ws, _ = self.edge_arrays()
-            deg = np.zeros(self.n)
-            np.add.at(deg, us, ws)
-            np.add.at(deg, vs, ws)
-            self._wdeg = deg
+            self._wdeg = self._vertex_sums(self._ws)
         return self._wdeg
 
     def combinatorial_degrees(self) -> np.ndarray:
         if self._cdeg is None:
-            us, vs, _, ms = self.edge_arrays()
-            deg = np.zeros(self.n, dtype=np.int64)
-            np.add.at(deg, us, ms)
-            np.add.at(deg, vs, ms)
-            self._cdeg = deg
+            self._cdeg = self._vertex_sums(self._ms)
         return self._cdeg
 
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Bundle adjacency as (indptr, neighbor, weight) arrays, cached."""
+        """Adjacency as (indptr, neighbor, weight) arrays, cached.
+
+        Zero-weight bundles are left out: they carry no cut weight, no walk
+        mass and no connectivity.
+        """
         if self._csr is None:
-            us, vs, ws, _ = self.edge_arrays()
+            positive = self._ws > 0
+            us, vs, ws = self._us[positive], self._vs[positive], self._ws[positive]
             src = np.concatenate([us, vs])
-            dst = np.concatenate([vs, us])
-            wgt = np.concatenate([ws, ws])
             order = np.argsort(src, kind="stable")
-            src, dst, wgt = src[order], dst[order], wgt[order]
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.add.at(indptr, src + 1, 1)
-            np.cumsum(indptr, out=indptr)
-            self._csr = (indptr, dst, wgt)
+            dst = np.concatenate([vs, us])[order]
+            wgt = np.concatenate([ws, ws])[order]
+            self._csr = (np.searchsorted(src[order], np.arange(self.n + 1)), dst, wgt)
         return self._csr
+
+    def neighbors(self, vertices: np.ndarray) -> np.ndarray:
+        """Concatenated :meth:`csr` neighbor lists of the given vertices, in order."""
+        indptr, nbr, _ = self.csr()
+        return nbr[_concat_ranges(indptr[vertices], indptr[vertices + 1] - indptr[vertices])]
 
     def weight_matrix(self) -> np.ndarray:
         """Dense symmetric matrix of bundle weights (zero diagonal)."""
@@ -188,10 +217,10 @@ class WeightedGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedGraph):
             return NotImplemented
-        return self.n == other.n and self._bundles == other._bundles
+        return self.n == other.n and all(map(np.array_equal, self.edge_arrays(), other.edge_arrays()))
 
     def __hash__(self):
-        return hash((self.n, tuple(self._bundles.items())))
+        return hash((self.n, *(a.tobytes() for a in self.edge_arrays())))
 
     def __repr__(self) -> str:
         return f"WeightedGraph(n={self.n}, bundles={self.num_bundles}, total_weight={self.total_weight:g})"
@@ -206,7 +235,8 @@ def make_clique(n: int, weight: float) -> WeightedGraph:
         raise InvalidArgumentError(f"clique needs n >= 2, got {n}")
     if not weight > 0:
         raise InvalidArgumentError(f"clique weight must be positive, got {weight}")
-    return WeightedGraph(n, ((u, v, weight) for u in range(n) for v in range(u + 1, n)))
+    us, vs = np.triu_indices(n, 1)
+    return WeightedGraph.from_arrays(n, us, vs, np.full(us.size, float(weight)))
 
 
 def make_cycle(n: int, weight: float = 1.0) -> WeightedGraph:
@@ -215,8 +245,9 @@ def make_cycle(n: int, weight: float = 1.0) -> WeightedGraph:
         raise InvalidArgumentError(f"cycle needs n >= 3, got {n}")
     if not weight > 0:
         raise InvalidArgumentError(f"cycle weight must be positive, got {weight}")
-    edges = [(i, i + 1, weight) for i in range(n - 1)] + [(0, n - 1, weight)]
-    return WeightedGraph(n, edges)
+    us = np.append(np.arange(n - 1), 0)
+    vs = np.append(np.arange(1, n), n - 1)
+    return WeightedGraph.from_arrays(n, us, vs, np.full(n, float(weight)))
 
 
 def sample_matching_partners(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -245,14 +276,20 @@ def sample_regular_multigraph(n: int, d: int, seed: int) -> WeightedGraph:
     if d < 1:
         raise InvalidArgumentError(f"degree must be >= 1, got {d}")
     rng = make_generator(seed)
-    matchings = []
-    edges = []
-    for _ in range(d):
-        partner = sample_matching_partners(rng, n)
-        pairs = [(u, int(partner[u])) for u in range(n) if u < partner[u]]
-        matchings.append(pairs)
-        edges.extend((u, v, 1.0, 1) for u, v in pairs)
-    return WeightedGraph(n, edges, matchings=matchings)
+    return union_of_matchings(np.stack([sample_matching_partners(rng, n) for _ in range(d)]))
+
+
+def union_of_matchings(partners: np.ndarray) -> WeightedGraph:
+    """Unit-weight union of perfect matchings given as partner arrays, one row each.
+
+    The matchings are kept as decomposition metadata.
+    """
+    d, n = partners.shape
+    lower = np.arange(n) < partners
+    us = np.broadcast_to(np.arange(n), partners.shape)[lower]
+    vs = partners[lower]
+    matchings = np.stack([us, vs], axis=-1).reshape(d, n // 2, 2)
+    return WeightedGraph.from_arrays(n, us, vs, np.ones(us.size), matchings=matchings)
 
 
 def scale_weights(graph: WeightedGraph, c: float) -> WeightedGraph:
@@ -263,7 +300,8 @@ def scale_weights(graph: WeightedGraph, c: float) -> WeightedGraph:
     """
     if not c > 0:
         raise InvalidArgumentError(f"scale factor must be positive, got {c}")
-    return WeightedGraph(graph.n, ((e.u, e.v, e.weight * c, e.multiplicity) for e in graph.edges()))
+    us, vs, ws, ms = graph.edge_arrays()
+    return WeightedGraph.from_arrays(graph.n, us, vs, ws * c, ms)
 
 
 def first_matchings_subgraph(graph: WeightedGraph, d: int) -> WeightedGraph:
@@ -273,8 +311,8 @@ def first_matchings_subgraph(graph: WeightedGraph, d: int) -> WeightedGraph:
     if not 1 <= d <= len(graph.matchings):
         raise InvalidArgumentError(f"prefix length {d} not in [1, {len(graph.matchings)}]")
     prefix = graph.matchings[:d]
-    edges = [(u, v, 1.0, 1) for mt in prefix for u, v in mt]
-    return WeightedGraph(graph.n, edges, matchings=prefix)
+    us, vs = prefix.reshape(-1, 2).T
+    return WeightedGraph.from_arrays(graph.n, us, vs, np.ones(us.size), matchings=prefix)
 
 
 def collapse_multiedges(graph: WeightedGraph) -> WeightedGraph:
@@ -282,7 +320,8 @@ def collapse_multiedges(graph: WeightedGraph) -> WeightedGraph:
 
     Cut values and Laplacian quadratic forms are unchanged.
     """
-    return WeightedGraph(graph.n, ((e.u, e.v, e.weight, 1) for e in graph.edges()))
+    us, vs, ws, _ = graph.edge_arrays()
+    return WeightedGraph.from_arrays(graph.n, us, vs, ws)
 
 
 def degree_report(graph: WeightedGraph) -> DegreeReport:
@@ -303,43 +342,29 @@ def degree_report(graph: WeightedGraph) -> DegreeReport:
 # -- structure queries ------------------------------------------------------
 
 
+def bfs_depths(graph: WeightedGraph, start: int, radius: int | None = None) -> np.ndarray:
+    """Breadth-first depth from start through positive-weight bundles, up to
+    the radius (unbounded if None); vertices not reached are -1."""
+    depth = np.full(graph.n, -1, dtype=np.int64)
+    depth[start] = 0
+    frontier = np.array([start], dtype=np.int64)
+    level = 0
+    while frontier.size and (radius is None or level < radius):
+        level += 1
+        flat = graph.neighbors(frontier)
+        frontier = np.unique(flat[depth[flat] < 0])
+        depth[frontier] = level
+    return depth
+
+
 def is_connected(graph: WeightedGraph) -> bool:
     """Connectivity through positive-weight bundles."""
-    n = graph.n
-    if n == 1:
-        return True
-    indptr, nbr, wgt = graph.csr()
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    frontier = [0]
-    reached = 1
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for j in range(indptr[u], indptr[u + 1]):
-                if wgt[j] > 0 and not seen[nbr[j]]:
-                    seen[nbr[j]] = True
-                    reached += 1
-                    nxt.append(int(nbr[j]))
-        frontier = nxt
-    return reached == n
+    return len(connected_component(graph)) == graph.n
 
 
 def connected_component(graph: WeightedGraph, start: int = 0) -> list[int]:
     """Sorted vertex list of the positive-weight component containing start."""
-    indptr, nbr, wgt = graph.csr()
-    seen = np.zeros(graph.n, dtype=bool)
-    seen[start] = True
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for j in range(indptr[u], indptr[u + 1]):
-                if wgt[j] > 0 and not seen[nbr[j]]:
-                    seen[nbr[j]] = True
-                    nxt.append(int(nbr[j]))
-        frontier = nxt
-    return [int(v) for v in np.flatnonzero(seen)]
+    return [int(v) for v in np.flatnonzero(bfs_depths(graph, start) >= 0)]
 
 
 def uniform_clique_weight(graph: WeightedGraph) -> float | None:
@@ -372,7 +397,7 @@ def write_edge_list(graph: WeightedGraph, dest) -> None:
 def read_edge_list(path) -> WeightedGraph:
     """Inverse of :func:`write_edge_list`; raises ParseError with line numbers."""
     n = None
-    edges = []
+    records = []
     seen: set[tuple[int, int]] = set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -407,7 +432,8 @@ def read_edge_list(path) -> WeightedGraph:
             if (u, v) in seen:
                 raise ParseError(f"duplicate pair ({u}, {v})", lineno)
             seen.add((u, v))
-            edges.append((u, v, w, m))
+            records.append((u, v, w, m))
     if n is None:
         raise ParseError("missing 'n <count>' header")
-    return WeightedGraph(n, edges)
+    us, vs, ws, ms = zip(*records) if records else ((), (), (), ())
+    return WeightedGraph.from_arrays(n, us, vs, ws, ms)

@@ -58,6 +58,8 @@ def run_clique_sparsify(
     """
     if n % 2 != 0:
         raise InvalidArgumentError(f"matching model needs even n, got {n}")
+    if d < 1:
+        raise InvalidArgumentError(f"degree must be >= 1, got {d}")
     if cut_mode not in ("exhaustive", "sampled"):
         raise InvalidArgumentError(f"unknown cut mode {cut_mode!r}")
     if cut_mode == "exhaustive" and n > cuts.EXHAUSTIVE_CAP:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .bounds import TailBound, phi_matching, tail_bound_generic
 from .errors import InvalidArgumentError
-from .graph import WeightedGraph, sample_matching_partners
+from .graph import WeightedGraph, sample_matching_partners, union_of_matchings
 from .rng import derive_seed, make_generator
 
 
@@ -54,10 +54,7 @@ class RevealTrace:
         return self.z.size
 
     def to_graph(self) -> WeightedGraph:
-        edges = []
-        for partner in self.matchings:
-            edges.extend((u, p, 1.0, 1) for u, p in enumerate(partner) if u < p)
-        return WeightedGraph(self.n, edges)
+        return union_of_matchings(np.array(self.matchings, dtype=np.int64))
 
     def step_rows(self):
         """Iterator of (ell, z, w, x, y, a, b, quad_char) for CSV export."""

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError, UnsupportedInputError
-from .graph import WeightedGraph, is_connected
+from .graph import WeightedGraph, bfs_depths, is_connected
 
 FIRST_STEP_WEIGHT = "weight"  # first edge chosen proportionally to weight
 FIRST_STEP_UNIFORM = "uniform"  # first edge uniform over incident edges
@@ -176,7 +176,7 @@ class CertificateReport:
 
 
 class _EdgeSpace:
-    """Directed-edge arrays of a simple graph, shared by all walk queries."""
+    """Directed-edge arrays of a simple graph's positive-weight bundles, shared by all walk queries."""
 
     __slots__ = ("n", "m2", "src", "dst", "w", "rev", "wdeg", "deg", "eu", "ev", "ew", "dead", "denom")
 
@@ -184,6 +184,8 @@ class _EdgeSpace:
         if not graph.is_simple:
             raise UnsupportedInputError("walks need a simple graph; collapse multiedges first")
         us, vs, ws, _ = graph.edge_arrays()
+        positive = ws > 0
+        us, vs, ws = us[positive], vs[positive], ws[positive]
         self.n = graph.n
         self.eu, self.ev, self.ew = us, vs, ws
         self.src = np.concatenate([us, vs])
@@ -315,42 +317,18 @@ def test_vectors(graph: WeightedGraph, r: int, g: int, first_step: str = FIRST_S
 # -- pseudo-girth -----------------------------------------------------------------
 
 
-def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenation of arange(s, s+c) for each (s, c); vectorized."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    rep = np.repeat(starts - np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
-    return rep + np.arange(total, dtype=np.int64)
-
-
-def _ball_depths(indptr, nbr, r: int, radius: int, n: int) -> np.ndarray:
-    """BFS depth of every vertex within the radius; unreachable marked -1."""
-    depth = np.full(n, -1, dtype=np.int64)
-    depth[r] = 0
-    frontier = np.array([r], dtype=np.int64)
-    for level in range(1, radius + 1):
-        flat = nbr[_concat_ranges(indptr[frontier], indptr[frontier + 1] - indptr[frontier])]
-        fresh = np.unique(flat[depth[flat] < 0])
-        if fresh.size == 0:
-            break
-        depth[fresh] = level
-        frontier = fresh
-    return depth
-
-
-def _ball_edges(indptr, nbr, depth: np.ndarray, radius: int) -> tuple[int, int]:
+def _ball_edges(graph: WeightedGraph, depth: np.ndarray, radius: int) -> tuple[int, int]:
     """(vertices, edges) of the subgraph induced by depth <= radius."""
     members = np.flatnonzero((depth >= 0) & (depth <= radius))
-    flat = nbr[_concat_ranges(indptr[members], indptr[members + 1] - indptr[members])]
-    d = depth[flat]
+    d = depth[graph.neighbors(members)]
     deg_sum = int(((d >= 0) & (d <= radius)).sum())
     return members.size, deg_sum // 2
 
 
-def _pseudo_girth_scan(graph: WeightedGraph, g: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """One BFS per root: (acyclic-at-g flags, acyclic-at-2g flags, max ball-g size).
+def _pseudo_girth_scan(graph: WeightedGraph, g: int, violating_cap: int) -> tuple[PseudoGirthReport, np.ndarray]:
+    """One BFS per root: the report, and the flags of roots whose radius-g ball is acyclic.
 
+    Balls grow through positive-weight bundles only (see :func:`bfs_depths`).
     Each ball is connected, so the induced subgraph is acyclic exactly when
     its edge count is one less than its vertex count.
     """
@@ -359,33 +337,31 @@ def _pseudo_girth_scan(graph: WeightedGraph, g: int) -> tuple[np.ndarray, np.nda
     if not graph.is_simple:
         raise UnsupportedInputError("pseudo-girth needs a simple graph; collapse multiedges first")
     n = graph.n
-    indptr, nbr, _ = graph.csr()
     flags_g = np.zeros(n, dtype=bool)
     flags_2g = np.zeros(n, dtype=bool)
     bmax = 0
     for r in range(n):
-        depth = _ball_depths(indptr, nbr, r, 2 * g, n)
-        verts_g, edges_g = _ball_edges(indptr, nbr, depth, g)
-        verts_2g, edges_2g = _ball_edges(indptr, nbr, depth, 2 * g)
+        depth = bfs_depths(graph, r, 2 * g)
+        verts_g, edges_g = _ball_edges(graph, depth, g)
+        verts_2g, edges_2g = _ball_edges(graph, depth, 2 * g)
         bmax = max(bmax, verts_g)
         flags_g[r] = edges_g == verts_g - 1
         flags_2g[r] = edges_2g == verts_2g - 1
-    return flags_g, flags_2g, bmax
+    report = PseudoGirthReport(
+        g=g,
+        n=n,
+        acyclic_g=int(flags_g.sum()),
+        acyclic_2g=int(flags_2g.sum()),
+        F=n - int(flags_2g.sum()),
+        B=bmax,
+        violating=tuple(int(r) for r in np.flatnonzero(~flags_2g)[:violating_cap]),
+    )
+    return report, flags_g
 
 
 def pseudo_girth(graph: WeightedGraph, g: int, violating_cap: int = 32) -> PseudoGirthReport:
     """Cycle-free-ball counts at radii g and 2g, and the largest radius-g ball."""
-    flags_g, flags_2g, bmax = _pseudo_girth_scan(graph, g)
-    violating = [int(r) for r in np.flatnonzero(~flags_2g)[:violating_cap]]
-    return PseudoGirthReport(
-        g=g,
-        n=graph.n,
-        acyclic_g=int(flags_g.sum()),
-        acyclic_2g=int(flags_2g.sum()),
-        F=graph.n - int(flags_2g.sum()),
-        B=bmax,
-        violating=tuple(violating),
-    )
+    return _pseudo_girth_scan(graph, g, violating_cap)[0]
 
 
 # -- the certificate ----------------------------------------------------------------
@@ -418,16 +394,7 @@ def certify_lower_bound(
         raise InvalidArgumentError("certificate needs a connected graph")
     n = graph.n
     space = _EdgeSpace(graph)
-    vprime, v2g, bmax = _pseudo_girth_scan(graph, g)
-    pg = PseudoGirthReport(
-        g=g,
-        n=n,
-        acyclic_g=int(vprime.sum()),
-        acyclic_2g=int(v2g.sum()),
-        F=n - int(v2g.sum()),
-        B=bmax,
-        violating=tuple(int(r) for r in np.flatnonzero(~v2g)[:32]),
-    )
+    pg, vprime = _pseudo_girth_scan(graph, g, violating_cap=32)
 
     eu, ev, ew = space.eu, space.ev, space.ew
     wdeg = space.wdeg
@@ -467,6 +434,8 @@ def certify_lower_bound(
     if x_lk <= 0.0:
         raise DegenerateInputError("X.L_K is not positive; certificate ratio undefined")
     ratio = (x_lh / x_lk) * (y_lk / y_lh)
+    if not np.isfinite(ratio):
+        raise DegenerateInputError(f"certificate ratio is {ratio}; walk products are not finite")
     eps_lb = max(0.0, (ratio - 1.0) / (ratio + 1.0))
 
     base = n * (g + 1.0)
@@ -496,7 +465,7 @@ def certify_lower_bound(
         y_dot_j_ok=y_j <= yj_cap + 1e-6,
     )
 
-    cdeg = graph.combinatorial_degrees()
+    cdeg = space.deg
     sqrt_d = float(np.sqrt(d))
     max_w = float(ew.max()) if ew.size else 0.0
     assumptions = AssumptionChecks(

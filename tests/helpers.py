@@ -42,6 +42,20 @@ def erf_inv_bisect(y: float, lo: float = -8.0, hi: float = 8.0, iters: int = 200
     return (lo + hi) / 2.0
 
 
+def dict_coalesce(records) -> list[tuple[int, int, float, int]]:
+    """Bundles (u, v, weight, multiplicity) of 3- or 4-tuple records, sorted by (u, v).
+
+    The dict accumulation the graph used before it stored arrays: repeated
+    pairs are summed in input order, one record at a time.
+    """
+    bundles: dict[tuple[int, int], tuple[float, int]] = {}
+    for rec in records:
+        u, v, w, m = rec if len(rec) == 4 else (*rec, 1)
+        old = bundles.get((u, v))
+        bundles[(u, v)] = (float(w), int(m)) if old is None else (old[0] + float(w), old[1] + int(m))
+    return [(u, v, w, m) for (u, v), (w, m) in sorted(bundles.items())]
+
+
 def brute_cut(graph: WeightedGraph, subset) -> float:
     inside = set(subset)
     total = 0.0

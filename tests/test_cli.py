@@ -100,6 +100,14 @@ class TestSpectralAndCertify:
         assert rep["epsilon_lb"] > 0.0
         assert set(rep["products"]) == {"x_dot_lh", "x_dot_lk", "y_dot_lh", "y_dot_lk", "y_dot_dh", "ymx_dot_ah"}
 
+    def test_certify_ignores_zero_weight_bundle(self, tmp_path, capsys):
+        h = tmp_path / "h.edges"
+        write_edge_list(WeightedGraph(5, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (0, 4, 0.0)]), h)
+        assert run_cli(["certify", "--h-file", h, "--g", "2", "--d", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "NaN" not in out and "Infinity" not in out
+        assert json.loads(out)["identity_checks_ok"] is True
+
     def test_certify_disconnected_exits_2(self, tmp_path):
         h = tmp_path / "h.edges"
         write_edge_list(WeightedGraph(6, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0)]), h)
@@ -161,6 +169,10 @@ class TestExperimentsCli:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "seed,k,alpha,max_dev,min_dev,mode,samples"
         assert len(lines) == 7  # one seed, six sizes
+
+    def test_clique_sparsify_zero_degree_exits_2(self, capsys):
+        assert run_cli(["clique-sparsify", "--n", "8", "--d", "0"]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_separation_smoke(self, tmp_path):
         out = tmp_path / "sep.json"

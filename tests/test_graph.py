@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparselab.errors import InvalidArgumentError, ParseError, UnsupportedInputError
 from sparselab.graph import (
@@ -20,7 +23,7 @@ from sparselab.graph import (
 from sparselab.cuts import cut_value
 from sparselab.rng import derive_seed, make_generator
 
-from helpers import random_connected_graph
+from helpers import dict_coalesce, random_connected_graph
 
 
 class TestWeightedGraph:
@@ -239,3 +242,56 @@ class TestPersistence:
 def test_is_connected():
     assert is_connected(make_clique(5, 1.0))
     assert not is_connected(WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)]))
+    assert not is_connected(WeightedGraph(2, [(0, 1, 0.0)]))  # zero-weight bundles do not connect
+
+
+# -- coalescing against the dict accumulation ----------------------------------
+
+# dyadic weights sum exactly; arbitrary ones make the summation order visible
+_weights = st.one_of(st.integers(0, 64).map(lambda k: k / 8), st.floats(0.0, 1e6))
+
+
+@st.composite
+def edge_records(draw):
+    """(n, records): 3- and 4-tuples over few pairs, so pairs repeat."""
+    n = draw(st.integers(2, 8))
+    pair = st.tuples(st.integers(0, n - 2), st.integers(1, n - 1)).filter(lambda p: p[0] < p[1])
+    record = st.one_of(
+        st.tuples(pair, _weights).map(lambda r: (*r[0], r[1])),
+        st.tuples(pair, _weights, st.integers(1, 5)).map(lambda r: (*r[0], r[1], r[2])),
+    )
+    return n, draw(st.lists(record, max_size=30))
+
+
+def _columns(records):
+    us, vs, ws, ms = zip(*[r if len(r) == 4 else (*r, 1) for r in records]) if records else ((), (), (), ())
+    return list(us), list(vs), list(ws), list(ms)
+
+
+class TestCoalesceProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(data=edge_records())
+    def test_matches_dict_accumulation(self, data):
+        n, records = data
+        g = WeightedGraph(n, records)
+        assert [(e.u, e.v, e.weight, e.multiplicity) for e in g.edges()] == dict_coalesce(records)
+        us, vs, ws, ms = g.edge_arrays()
+        assert (us.dtype, vs.dtype, ws.dtype, ms.dtype) == (np.int64, np.int64, np.float64, np.int64)
+        assert np.all(np.diff(us * n + vs) > 0)
+        assert WeightedGraph.from_arrays(n, *_columns(records)) == g
+
+    @pytest.mark.parametrize(
+        "bad",
+        [(1, 1, 1.0, 1), (2, 1, 1.0, 1), (-1, 1, 1.0, 1), (0, 9, 1.0, 1), (0, 1, -0.5, 1),
+         (0, 1, math.nan, 1), (0, 1, math.inf, 1), (0, 1, 1.0, 0), (0, 1, 1.0, -2)],
+    )
+    @settings(max_examples=20, deadline=None)
+    @given(data=edge_records(), where=st.integers(0, 30))
+    def test_bad_records_raise(self, bad, data, where):
+        n, records = data
+        records = records[:where] + [bad] + records[where:]
+        pair = f"({bad[0]}, {bad[1]})"
+        with pytest.raises(InvalidArgumentError, match=re.escape(pair)):
+            WeightedGraph(n, records)
+        with pytest.raises(InvalidArgumentError, match=re.escape(pair)):
+            WeightedGraph.from_arrays(n, *_columns(records))

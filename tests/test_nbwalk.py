@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sparselab.errors import InvalidArgumentError, UnsupportedInputError
+from sparselab.errors import DegenerateInputError, InvalidArgumentError, UnsupportedInputError
 from sparselab.graph import (
     WeightedGraph,
     collapse_multiedges,
@@ -296,6 +296,23 @@ class TestCertificate:
         spec = spectral_error(h, make_clique(n, 1.0 / n))
         assert 0.0 < cert.epsilon_lb <= spec.epsilon
         assert cert.epsilon_lb == pytest.approx(0.37771360892681277, abs=1e-12)
+
+    def test_zero_weight_bundle_is_ignored(self):
+        # a 5-cycle whose closing edge has weight 0 is the 5-vertex path to
+        # every walk and every ball; the 0-weight edge must never reach the
+        # walk's leave-one-out division
+        path = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)]
+        cycle = WeightedGraph(5, path + [(0, 4, 0.0)])
+        for g in (1, 2, 3):
+            with np.errstate(all="raise"):
+                cert = certify_lower_bound(cycle, g, 2.0)
+            assert math.isfinite(cert.ratio) and cert.identity_checks.ok
+            assert cert == certify_lower_bound(WeightedGraph(5, path), g, 2.0)
+        assert pseudo_girth(cycle, 2) == pseudo_girth(WeightedGraph(5, path), 2)
+
+    def test_non_finite_ratio_is_degenerate(self):
+        with np.errstate(all="ignore"), pytest.raises(DegenerateInputError):
+            certify_lower_bound(make_cycle(6, 1e308), 1, 2.0)
 
     def test_errors(self):
         with pytest.raises(InvalidArgumentError):
