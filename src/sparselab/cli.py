@@ -33,7 +33,11 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _emit_json(report: dict, out: str | None) -> None:
-    _write_output(json.dumps(report, sort_keys=True, indent=2), out)
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:  # NaN or infinity: JSON has no such numbers
+        raise DegenerateInputError(f"report holds a non-finite number: {exc}") from exc
+    _write_output(text, out)
 
 
 def _parse_sizes(text: str) -> list[int]:

@@ -203,18 +203,18 @@ def _cut_values_block(groups, bits: list[np.ndarray]) -> np.ndarray:
     return acc
 
 
-def _exhaustive_cuts(n: int, *graphs: WeightedGraph, kside: int | None = None):
+def _exhaustive_cuts(n: int, *graphs: WeightedGraph, ksides: Sequence[int] | None = None):
     """Yield (masks, sizes, [cut values of each graph]) over every proper cut once.
 
     Masks follow the Gray order of ``_gray_blocks`` with the full vertex set
-    dropped; sizes are the int64 popcounts of the masks.  With ``kside`` set,
-    only cuts whose smaller side has that size are kept, before any cut value
-    is computed.
+    dropped; sizes are the int64 popcounts of the masks.  With ``ksides`` set,
+    only cuts whose smaller side has one of those sizes are kept, before any
+    cut value is computed.
     """
     groups = [_grouped_edges(g) for g in graphs]
     for masks in _gray_blocks(n):
         sizes = np.bitwise_count(masks).astype(np.int64)
-        keep = sizes < n if kside is None else np.minimum(sizes, n - sizes) == kside
+        keep = sizes < n if ksides is None else np.isin(np.minimum(sizes, n - sizes), ksides)
         if not keep.all():
             masks, sizes = masks[keep], sizes[keep]
             if not masks.size:
@@ -569,6 +569,20 @@ def regular_vs_clique_exhaustive(
     return worst.report(n), CutProfile(n=n, d=d, reference=reference, rows=extremes.rows(refs, argmax_cap))
 
 
+def extreme_cuts_at_sizes(h: WeightedGraph, ks: Sequence[int]) -> list[tuple[float, float]]:
+    """(max, min) cut value over subsets of each size in ks, from one exhaustive enumeration."""
+    n = h.n
+    for k in ks:
+        if not 1 <= k <= n // 2:
+            raise InvalidArgumentError(f"size {k} not in [1, n/2]")
+    if n > EXHAUSTIVE_CAP:
+        raise SizeLimitError(f"n={n} exceeds exhaustive cap {EXHAUSTIVE_CAP}")
+    extremes = _SizeExtremes(n)
+    for masks, sizes, (cut_h,) in _exhaustive_cuts(n, h, ksides=ks):
+        extremes.add(masks, sizes, cut_h)
+    return [(float(extremes.hi[k]), float(extremes.lo[k])) for k in ks]
+
+
 def extreme_cuts_at_size(
     h: WeightedGraph,
     k: int,
@@ -577,16 +591,11 @@ def extreme_cuts_at_size(
     seed: int = 0,
 ) -> tuple[float, float]:
     """(max, min) cut value over subsets of size k, exhaustive or sampled."""
+    if exhaustive:
+        return extreme_cuts_at_sizes(h, [k])[0]
     n = h.n
     if not 1 <= k <= n // 2:
         raise InvalidArgumentError(f"size {k} not in [1, n/2]")
-    if exhaustive:
-        if n > EXHAUSTIVE_CAP:
-            raise SizeLimitError(f"n={n} exceeds exhaustive cap {EXHAUSTIVE_CAP}")
-        extremes = _SizeExtremes(n)
-        for masks, sizes, (cut_h,) in _exhaustive_cuts(n, h, kside=k):
-            extremes.add(masks, sizes, cut_h)
-        return float(extremes.hi[k]), float(extremes.lo[k])
     if samples < 1:
         raise InvalidArgumentError("sampled extremes need at least one sample")
     subsets = _size_k_subsets(n, k, samples, make_generator(seed))

@@ -39,6 +39,11 @@ def _median(xs) -> float:
     return float(statistics.median(xs))
 
 
+def _require_seeds(seeds: int) -> None:
+    if seeds < 1:
+        raise InvalidArgumentError(f"need at least one seed, got {seeds}")
+
+
 # -- clique sparsification --------------------------------------------------------
 
 
@@ -60,6 +65,7 @@ def run_clique_sparsify(
         raise InvalidArgumentError(f"matching model needs even n, got {n}")
     if d < 1:
         raise InvalidArgumentError(f"degree must be >= 1, got {d}")
+    _require_seeds(seeds)
     if cut_mode not in ("exhaustive", "sampled"):
         raise InvalidArgumentError(f"unknown cut mode {cut_mode!r}")
     if cut_mode == "exhaustive" and n > cuts.EXHAUSTIVE_CAP:
@@ -156,6 +162,7 @@ def run_separation(
         raise InvalidArgumentError(f"matching model needs even n, got {n}")
     if d > big_degree:
         raise InvalidArgumentError(f"prefix degree {d} exceeds parent degree {big_degree}")
+    _require_seeds(seeds)
     if target not in ("clique", "parent"):
         raise InvalidArgumentError(f"unknown target {target!r}")
     if cut_mode not in ("auto", "exhaustive", "sampled"):
@@ -318,24 +325,34 @@ def run_concentration(
         raise InvalidArgumentError(f"matching model needs even n, got {n}")
     if mode not in ("auto", "exhaustive", "sampled"):
         raise InvalidArgumentError(f"unknown mode {mode!r}")
+    _require_seeds(seeds)
     exhaustive = mode == "exhaustive" or (mode == "auto" and n <= cuts.EXHAUSTIVE_CAP)
     if mode == "exhaustive" and n > cuts.EXHAUSTIVE_CAP:
         raise InvalidArgumentError(f"exhaustive mode needs n <= {cuts.EXHAUSTIVE_CAP}")
-    per_alpha = []
+    ks = []
     for alpha in alphas:
         if not 0.0 < alpha <= 0.5:
             raise InvalidArgumentError(f"alpha must lie in (0, 1/2], got {alpha}")
         k = round(alpha * n)
         if k < 1:
             raise InvalidArgumentError(f"alpha*n < 1 is degenerate (alpha={alpha}, n={n})")
-        maxima = []
-        for t in range(seeds):
-            seed = derive_seed(master_seed, t)
-            h = sample_regular_multigraph(n, d, seed)
-            top, _ = cuts.extreme_cuts_at_size(
-                h, k, exhaustive=exhaustive, samples=samples_per_seed, seed=derive_seed(seed, k)
-            )
-            maxima.append(top / n)
+        ks.append(k)
+    # one graph per seed serves every alpha; exhaustive mode enumerates its cuts once
+    tops: list[list[float]] = [[] for _ in ks]
+    for t in range(seeds if ks else 0):
+        seed = derive_seed(master_seed, t)
+        h = sample_regular_multigraph(n, d, seed)
+        if exhaustive:
+            extremes = cuts.extreme_cuts_at_sizes(h, ks)
+        else:
+            extremes = [
+                cuts.extreme_cuts_at_size(h, k, exhaustive=False, samples=samples_per_seed, seed=derive_seed(seed, k))
+                for k in ks
+            ]
+        for column, (top, _) in zip(tops, extremes):
+            column.append(top / n)
+    per_alpha = []
+    for alpha, k, maxima in zip(alphas, ks, tops):
         mean = sum(maxima) / len(maxima)
         checks = []
         for factor in eps_factors:

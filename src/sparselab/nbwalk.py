@@ -3,14 +3,18 @@ lower-bound certificate.
 
 The walk state lives on directed edges: from directed edge (u, v) the walk
 moves to (v, w) for each neighbor w != u with probability w_{v,w}/(w(v) -
-w_{v,u}).  A step is one sparse pass over the directed edge list, so a
-g-step table costs O(g m) and never enumerates paths.  Mass that reaches a
-degree-one vertex has nowhere to go and is tracked as deficiency rather
-than renormalized away.
+w_{v,u}), the weighted non-backtracking (Hashimoto) operator.  Walks from a
+fixed block of roots advance together, and each keeps only the directed
+edges that carry its mass, so a step costs time in proportion to the
+walks' support, not to the edge count, and never enumerates paths.  Mass
+that reaches a degree-one vertex has nowhere to go and is tracked as
+deficiency rather than renormalized away.  Pseudo-girth balls grow the same
+way, a block of roots per pass, one frontier level at a time.
 
 The certificate aggregates, over every root r, the alternating and plain
 square-root sums of the walk tables (f_r and h_r) and their quadratic forms
-against L_H, the 1/n-weighted clique Laplacian, D_H and A_H.  The matrices
+against L_H, the 1/n-weighted clique Laplacian, D_H and A_H; each root's
+forms are dense O(m) sums, added in ascending root order.  The matrices
 X = sum f_r f_r' and Y = sum h_r h_r' are PSD by construction, so for any
 graph that is an eps spectral sparsifier of the weighted clique,
 
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError, UnsupportedInputError
-from .graph import WeightedGraph, bfs_depths, is_connected
+from .graph import WeightedGraph, _concat_ranges, is_connected
 
 FIRST_STEP_WEIGHT = "weight"  # first edge chosen proportionally to weight
 FIRST_STEP_UNIFORM = "uniform"  # first edge uniform over incident edges
@@ -172,13 +176,70 @@ class CertificateReport:
         }
 
 
-# -- directed-edge walk engine ---------------------------------------------------
+# -- block engine ------------------------------------------------------------------
+
+# Roots per block = _BLOCK_CELLS // max(n, directed edges), at least one.
+# A root's ball frontier, walk state or f/h row holds at most that width, so
+# a block's arrays stay near this many cells: 2^16 cells kept the peak memory
+# of a certificate within 1 MB of a one-root-at-a-time pass, and larger
+# blocks were no faster.  Blocks are visited in ascending root order.
+_BLOCK_CELLS = 1 << 16
+
+
+def _root_blocks(n: int, width: int):
+    """Consecutive blocks of the roots 0..n-1, each an int64 array."""
+    step = max(1, _BLOCK_CELLS // max(n, width))
+    return (np.arange(lo, min(lo + step, n)) for lo in range(0, n, step))
+
+
+def _fan_out(indptr: np.ndarray, owners: np.ndarray, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, slot) for every CSR slot of every item, in input order."""
+    counts = indptr[items + 1] - indptr[items]
+    return np.repeat(owners, counts), _concat_ranges(indptr[items], counts)
+
+
+def _leave_one_out_sums(n: int, dst: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """denom[e] = total weight at dst(e) excluding e itself.
+
+    Built as prefix + suffix sums of the incident weights, in edge order,
+    rather than wdeg - w, which cancels catastrophically when one edge
+    dominates a vertex's weighted degree.  Each vertex's sums run
+    sequentially from its first and from its last edge; one pass of the loop
+    handles position j of every vertex with more than j edges.
+    """
+    order = np.argsort(dst, kind="stable")
+    ws = w[order]
+    deg = np.bincount(dst, minlength=n)
+    indptr = np.concatenate(([0], np.cumsum(deg)))
+    tall = np.argsort(-deg, kind="stable")  # vertices by falling degree
+    neg_deg = -deg[tall]
+    pre = np.zeros_like(ws)
+    suf = np.zeros_like(ws)
+    for j in range(1, int(deg.max(initial=0))):
+        vs = tall[: np.searchsorted(neg_deg, -j)]  # the vertices with more than j edges
+        i = indptr[vs] + j
+        pre[i] = pre[i - 1] + ws[i - 1]
+        i = indptr[vs + 1] - 1 - j
+        suf[i] = suf[i + 1] + ws[i + 1]
+    denom = np.empty_like(ws)
+    denom[order] = pre + suf
+    return denom
 
 
 class _EdgeSpace:
-    """Directed-edge arrays of a simple graph's positive-weight bundles, shared by all walk queries."""
+    """Directed edges of a simple graph's positive-weight bundles, shared by all walk queries.
 
-    __slots__ = ("n", "m2", "src", "dst", "w", "rev", "wdeg", "deg", "eu", "ev", "ew", "dead", "denom")
+    Directed edge ids follow the bundles: id b is us[b] -> vs[b] and id m + b
+    its reverse.  The arrays are stored by slot, sorted by source and then
+    by id, so each vertex's out-edges are one CSR range.  Because bundles are
+    sorted by (u, v), the in-edges of a vertex come in the same order by slot
+    as by id: both sort them by source.
+    """
+
+    __slots__ = (
+        "n", "m2", "dst", "w", "rev", "denom", "dead", "dead_pos", "num_dead",
+        "out_ptr", "wdeg", "deg", "eu", "ev", "ew",
+    )
 
     def __init__(self, graph: WeightedGraph):
         if not graph.is_simple:
@@ -186,71 +247,70 @@ class _EdgeSpace:
         us, vs, ws, _ = graph.edge_arrays()
         positive = ws > 0
         us, vs, ws = us[positive], vs[positive], ws[positive]
-        self.n = graph.n
+        n, m = graph.n, len(us)
+        self.n, self.m2 = n, 2 * m
         self.eu, self.ev, self.ew = us, vs, ws
-        self.src = np.concatenate([us, vs])
-        self.dst = np.concatenate([vs, us])
-        self.w = np.concatenate([ws, ws])
-        m = len(us)
-        self.m2 = 2 * m
-        self.rev = np.concatenate([np.arange(m, 2 * m), np.arange(0, m)])
+        src = np.concatenate([us, vs])
+        dst = np.concatenate([vs, us])
+        w = np.concatenate([ws, ws])
         self.wdeg = graph.weighted_degrees()
-        self.deg = np.zeros(self.n, dtype=np.int64)
-        np.add.at(self.deg, self.src, 1)
-        self.dead = self.deg[self.dst] == 1  # walk mass entering a leaf cannot continue
-        self.denom = self._leave_one_out_sums()
+        self.deg = np.bincount(src, minlength=n)
+        dead = self.deg[dst] == 1  # walk mass entering a leaf cannot continue
+        order = np.argsort(src, kind="stable")
+        slot = np.empty_like(order)
+        slot[order] = np.arange(2 * m)
+        self.dst, self.w, self.dead = dst[order], w[order], dead[order]
+        self.rev = slot[np.concatenate([np.arange(m, 2 * m), np.arange(0, m)])[order]]
+        self.denom = _leave_one_out_sums(n, dst, w)[order]
+        self.dead_pos = (np.cumsum(dead) - 1)[order]  # rank of a dead edge among the dead edges, by id
+        self.num_dead = int(dead.sum())
+        self.out_ptr = np.concatenate(([0], np.cumsum(self.deg)))
 
-    def _leave_one_out_sums(self) -> np.ndarray:
-        """denom[e] = total weight at dst(e) excluding e itself.
 
-        Built as prefix + suffix sums of the incident weights rather than
-        wdeg - w, which cancels catastrophically when one edge dominates a
-        vertex's weighted degree.
-        """
-        order = np.argsort(self.dst, kind="stable")
-        ws = self.w[order]
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.add.at(indptr, self.dst + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        denom_sorted = np.empty_like(ws)
-        for v in range(self.n):
-            lo, hi = int(indptr[v]), int(indptr[v + 1])
-            if lo == hi:
-                continue
-            wv = ws[lo:hi]
-            pre = np.concatenate(([0.0], np.cumsum(wv[:-1])))
-            suf = np.concatenate((np.cumsum(wv[:0:-1])[::-1], [0.0]))
-            denom_sorted[lo:hi] = pre + suf
-        denom = np.empty_like(ws)
-        denom[order] = denom_sorted
-        return denom
+def _walk_levels(space: _EdgeSpace, roots: np.ndarray, g: int, first_step: str):
+    """Yield, for ell = 1..g, the (roots, n) panel of ell-step vertex
+    probabilities and each root's walk mass lost to dead ends before step ell.
 
-    def start(self, root: int, first_step: str) -> np.ndarray:
-        p = np.zeros(self.m2)
-        out = self.src == root
-        if first_step == FIRST_STEP_WEIGHT:
-            p[out] = self.w[out] / self.wdeg[root]
-        elif first_step == FIRST_STEP_UNIFORM:
-            p[out] = 1.0 / int(out.sum())
-        else:
-            raise InvalidArgumentError(f"unknown first-step rule {first_step!r}")
-        return p
-
-    def step(self, p: np.ndarray) -> tuple[np.ndarray, float]:
-        """Advance the directed-edge distribution once; returns (new p, lost mass).
-
-        Mass on an edge into a degree-one vertex cannot continue and is lost.
-        """
-        lost = float(p[self.dead].sum())
+    The state is a sparse list of (root, directed edge, probability) entries
+    in (root, slot) order, so vertex sums add the same terms in the same
+    order as a dense pass over all directed edges.  One step applies the
+    weighted Hashimoto (non-backtracking) operator: from (u, v) to (v, x),
+    x != u, with probability w_vx / (w(v) - w_vu).  Mass on an edge into a
+    degree-one vertex cannot continue and is lost.
+    """
+    n, m2, nr = space.n, space.m2, roots.size
+    ridx, s = _fan_out(space.out_ptr, np.arange(nr), roots)
+    if first_step == FIRST_STEP_WEIGHT:
+        p = space.w[s] / space.wdeg[roots][ridx]
+    elif first_step == FIRST_STEP_UNIFORM:
+        p = 1.0 / space.deg[roots][ridx]
+    else:
+        raise InvalidArgumentError(f"unknown first-step rule {first_step!r}")
+    lost = np.zeros(nr)
+    for ell in range(1, g + 1):
+        at = ridx * n + space.dst[s]
+        yield np.bincount(at, weights=p, minlength=nr * n).reshape(nr, n), lost
+        if ell == g:
+            return
+        dead = space.dead[s]
+        if space.num_dead:
+            # each root's loss is summed over the row of all dead edges in id order, as a dense pass sums it
+            stuck = np.zeros((nr, space.num_dead))
+            stuck[ridx[dead], space.dead_pos[s[dead]]] = p[dead]
+            lost = lost + stuck.sum(axis=1)
         contrib = np.zeros_like(p)
-        np.divide(p, self.denom, out=contrib, where=~self.dead)
-        q = np.bincount(self.dst, weights=contrib, minlength=self.n)
-        newp = self.w * (q[self.src] - contrib[self.rev])
-        np.maximum(newp, 0.0, out=newp)  # guard rounding at exact cancellations
-        return newp, lost
-
-    def marginal(self, p: np.ndarray) -> np.ndarray:
-        return np.bincount(self.dst, weights=p, minlength=self.n)
+        np.divide(p, space.denom[s], out=contrib, where=~dead)
+        q = np.bincount(at, weights=contrib, minlength=nr * n)
+        hot = np.flatnonzero(q)  # (root, vertex) cells that pass mass on
+        cell, nxt = _fan_out(space.out_ptr, hot, hot % n)
+        nxt_r = cell // n
+        keys = ridx * m2 + s
+        want = nxt_r * m2 + space.rev[nxt]
+        back = np.minimum(np.searchsorted(keys, want), keys.size - 1)  # the reverse edge's entry, if any
+        back_contrib = np.where(keys[back] == want, contrib[back], 0.0)
+        p = space.w[nxt] * (q[cell] - back_contrib)
+        np.maximum(p, 0.0, out=p)  # guard rounding at exact cancellations
+        ridx, s = nxt_r, nxt
 
 
 def _walk_checks(graph: WeightedGraph, r: int, g: int) -> None:
@@ -267,86 +327,98 @@ def nb_walk_probabilities(
 ) -> WalkTable:
     """Vertex-visit probabilities of the ell-step walk for every ell in [0, g]."""
     _walk_checks(graph, r, g)
-    space = _EdgeSpace(graph)
     tables = [{int(r): 1.0}]
     deficiency = [0.0]
-    if g >= 1:
-        p = space.start(r, first_step)
-        lost = 0.0
-        for _ in range(g):
-            marg = space.marginal(p)
-            nz = np.flatnonzero(marg)
-            tables.append({int(v): float(marg[v]) for v in nz})
-            deficiency.append(lost)
-            p, newly_lost = space.step(p)
-            lost += newly_lost
+    for marg, lost in _walk_levels(_EdgeSpace(graph), np.array([r]), g, first_step):
+        row = marg[0]
+        tables.append({int(v): float(row[v]) for v in np.flatnonzero(row)})
+        deficiency.append(float(lost[0]))
     return WalkTable(root=r, horizon=g, tables=tuple(tables), deficiency=tuple(deficiency))
 
 
-def _vectors_from_space(space: _EdgeSpace, r: int, g: int, first_step: str) -> tuple[np.ndarray, np.ndarray, float]:
-    """(f_r, h_r, mass deficit): the deficit sums, over ell in [1, g], the walk
-    mass already lost to dead ends by step ell; it is zero on min-degree-2 graphs."""
-    f = np.zeros(space.n)
-    h = np.zeros(space.n)
-    f[r] = 1.0
-    h[r] = 1.0
-    deficit = 0.0
-    if g >= 1:
-        p = space.start(r, first_step)
-        lost_cum = 0.0
-        sign = -1.0
-        for ell in range(1, g + 1):
-            s = np.sqrt(space.marginal(p))
-            f += sign * s
-            h += s
-            deficit += lost_cum
-            sign = -sign
-            if ell < g:
-                p, newly_lost = space.step(p)
-                lost_cum += newly_lost
+def _vector_panels(space: _EdgeSpace, roots: np.ndarray, g: int, first_step: str):
+    """(F, H, deficit): rows f_r and h_r for each root, and the sum over
+    ell in [1, g] of the walk mass already lost by step ell (zero on
+    min-degree-2 graphs)."""
+    f = np.zeros((roots.size, space.n))
+    f[np.arange(roots.size), roots] = 1.0
+    h = f.copy()
+    deficit = np.zeros(roots.size)
+    sign = -1.0
+    for marg, lost in _walk_levels(space, roots, g, first_step):
+        s = np.sqrt(marg)
+        f += sign * s
+        h += s
+        deficit += lost
+        sign = -sign
     return f, h, deficit
 
 
 def test_vectors(graph: WeightedGraph, r: int, g: int, first_step: str = FIRST_STEP_WEIGHT) -> TestVectors:
     """f_r(v) = sum_ell (-1)^ell sqrt(Pr_ell[v]) and h_r(v) = sum_ell sqrt(Pr_ell[v])."""
     _walk_checks(graph, r, g)
-    f, h, _ = _vectors_from_space(_EdgeSpace(graph), r, g, first_step)
-    return TestVectors(root=r, horizon=g, f=f, h=h)
+    f, h, _ = _vector_panels(_EdgeSpace(graph), np.array([r]), g, first_step)
+    return TestVectors(root=r, horizon=g, f=f[0], h=h[0])
 
 
 # -- pseudo-girth -----------------------------------------------------------------
 
 
-def _ball_edges(graph: WeightedGraph, depth: np.ndarray, radius: int) -> tuple[int, int]:
-    """(vertices, edges) of the subgraph induced by depth <= radius."""
-    members = np.flatnonzero((depth >= 0) & (depth <= radius))
-    d = depth[graph.neighbors(members)]
-    deg_sum = int(((d >= 0) & (d <= radius)).sum())
-    return members.size, deg_sum // 2
-
-
 def _pseudo_girth_scan(graph: WeightedGraph, g: int, violating_cap: int) -> tuple[PseudoGirthReport, np.ndarray]:
-    """One BFS per root: the report, and the flags of roots whose radius-g ball is acyclic.
+    """The report, and the flags of roots whose radius-g ball is acyclic.
 
-    Balls grow through positive-weight bundles only (see :func:`bfs_depths`).
-    Each ball is connected, so the induced subgraph is acyclic exactly when
-    its edge count is one less than its vertex count.
+    The balls of a block of roots grow level by level through positive-weight
+    bundles.  Expanding level L counts each root's edges from level L down to
+    L-1 once and its edges inside level L twice, so after it the half-edge
+    count covers the radius-L ball.  Each ball is connected, so it is
+    acyclic exactly when its edge count is one less than its vertex count.
+    A root whose radius-g ball has a cycle stops growing: its radius-2g ball
+    contains that cycle.
     """
     if g < 0:
         raise InvalidArgumentError(f"radius must be nonnegative, got {g}")
     if not graph.is_simple:
         raise UnsupportedInputError("pseudo-girth needs a simple graph; collapse multiedges first")
     n = graph.n
+    indptr, nbr, _ = graph.csr()
     flags_g = np.zeros(n, dtype=bool)
     flags_2g = np.zeros(n, dtype=bool)
     bmax = 0
-    for r in range(n):
-        depth = bfs_depths(graph, r, 2 * g)
-        verts_g, edges_g = _ball_edges(graph, depth, g)
-        verts_2g, edges_2g = _ball_edges(graph, depth, 2 * g)
-        bmax = max(bmax, verts_g)
-        flags_g[r] = edges_g == verts_g - 1
-        flags_2g[r] = edges_2g == verts_2g - 1
+    depth = stamp = None
+    for roots in _root_blocks(n, nbr.size):
+        nr = roots.size
+        if depth is None:  # scratch by root * n + vertex, sized by the first (largest) block
+            depth = np.full(nr * n, -1, dtype=np.int64)  # -1 outside the balls; reset after each block
+            stamp = np.empty(nr * n, dtype=np.int64)
+        front = np.arange(nr) * n + roots
+        depth[front] = 0
+        seen = [front]
+        verts = np.ones(nr, dtype=np.int64)
+        half = np.zeros(nr, dtype=np.int64)
+        for level in range(2 * g + 1):
+            cell, slot = _fan_out(indptr, front // n, front % n)
+            keys = cell * n + nbr[slot]
+            dk = depth[keys]
+            if level:
+                half += 2 * np.bincount(cell[dk == level - 1], minlength=nr) + np.bincount(cell[dk == level], minlength=nr)
+            acyclic = half == 2 * (verts - 1)
+            if level == g:
+                flags_g[roots] = acyclic
+                bmax = max(bmax, int(verts.max()))
+            if level == 2 * g:
+                flags_2g[roots] = acyclic
+                break
+            grow = dk < 0
+            if level >= g:
+                grow &= flags_g[roots][cell]
+            new = keys[grow]
+            pick = np.arange(new.size)
+            stamp[new] = pick
+            front = new[stamp[new] == pick]  # one entry per new (root, vertex)
+            depth[front] = level + 1
+            seen.append(front)
+            verts += np.bincount(front // n, minlength=nr)
+        depth[np.concatenate(seen)] = -1
     report = PseudoGirthReport(
         g=g,
         n=n,
@@ -365,6 +437,73 @@ def pseudo_girth(graph: WeightedGraph, g: int, violating_cap: int = 32) -> Pseud
 
 
 # -- the certificate ----------------------------------------------------------------
+
+
+def _running_sums(totals: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """totals[i] + terms[i, 0] + terms[i, 1] + ..., added left to right."""
+    return np.cumsum(np.column_stack([totals, terms]), axis=1)[:, -1]
+
+
+def _block_forms(space: _EdgeSpace, f: np.ndarray, h: np.ndarray, deficit: np.ndarray) -> np.ndarray:
+    """Per-root terms of the certificate's totals, one column per row of the f/h panels.
+
+    Rows: f'L_H f, h'L_H h, f'L_K f, h'L_K h, h'D_H h, h'A_H h - f'A_H f,
+    |f|^2, |h|^2, (1'h)^2 and the mass deficit.  Each is the sum or BLAS dot
+    product over the root's row that the root-by-root expression
+    ``(ew * df * df).sum()`` or ``f @ f`` computes, so the values are the same
+    bit for bit.
+    """
+    n, eu, ev, ew = space.n, space.eu, space.ev, space.ew
+    nf2 = np.vecdot(f, f)
+    nh2 = np.vecdot(h, h)
+    sf = f.sum(axis=1)
+    sh = h.sum(axis=1)
+    # four (roots, m) buffers, reused: a ends as f[eu] * f[ev], b as ew * (h[eu] * h[ev] - a)
+    a, b, c = f.take(eu, axis=1), f.take(ev, axis=1), np.empty((f.shape[0], eu.size))
+    np.subtract(a, b, out=c)
+    t = ew * c
+    t *= c
+    f_lh = t.sum(axis=1)
+    a *= b
+    h.take(eu, axis=1, out=b, mode="clip")
+    h.take(ev, axis=1, out=t, mode="clip")
+    np.subtract(b, t, out=c)
+    b *= t
+    np.multiply(ew, c, out=t)
+    t *= c
+    h_lh = t.sum(axis=1)
+    b -= a
+    b *= ew
+    return np.stack([
+        f_lh,
+        h_lh,
+        nf2 - sf * sf / n,
+        nh2 - sh * sh / n,
+        np.vecdot(space.wdeg, h * h),
+        2.0 * b.sum(axis=1),
+        nf2,
+        nh2,
+        sh * sh,
+        deficit,
+    ])
+
+
+def _certificate_sums(space: _EdgeSpace, g: int, first_step: str, vprime: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """The certificate's totals (see :func:`_block_forms`), summed root by
+    root in ascending order, the worst V' norm deviation and the largest
+    squared norm."""
+    totals = np.zeros(10)
+    worst_vprime_dev = worst_norm_sq = 0.0
+    for roots in _root_blocks(space.n, space.m2):
+        f, h, deficit = _vector_panels(space, roots, g, first_step)
+        terms = _block_forms(space, f, h, deficit)
+        totals = _running_sums(totals, terms)
+        nf2, nh2 = terms[6], terms[7]
+        expected = (g + 1) - deficit
+        devs = np.maximum(np.abs(nf2 - expected), np.abs(nh2 - expected))[vprime[roots]]
+        worst_vprime_dev = max(worst_vprime_dev, float(devs.max(initial=0.0)))
+        worst_norm_sq = max(worst_norm_sq, float(nf2.max()), float(nh2.max()))
+    return totals, worst_vprime_dev, worst_norm_sq
 
 
 def certify_lower_bound(
@@ -396,38 +535,9 @@ def certify_lower_bound(
     space = _EdgeSpace(graph)
     pg, vprime = _pseudo_girth_scan(graph, g, violating_cap=32)
 
-    eu, ev, ew = space.eu, space.ev, space.ew
-    wdeg = space.wdeg
-
-    x_lh = x_lk = y_lh = y_lk = y_dh = ymx_ah = 0.0
-    trace_x = trace_y = y_j = 0.0
-    worst_vprime_dev = 0.0
-    worst_norm_sq = 0.0
-    total_loss = 0.0
-    for r in range(n):
-        f, h, deficit = _vectors_from_space(space, r, g, first_step)
-        df = f[eu] - f[ev]
-        dh = h[eu] - h[ev]
-        f_lh = float((ew * df * df).sum())
-        h_lh = float((ew * dh * dh).sum())
-        nf2 = float(f @ f)
-        nh2 = float(h @ h)
-        sf = float(f.sum())
-        sh = float(h.sum())
-        x_lh += f_lh
-        y_lh += h_lh
-        x_lk += nf2 - sf * sf / n
-        y_lk += nh2 - sh * sh / n
-        y_dh += float(wdeg @ (h * h))
-        ymx_ah += 2.0 * float((ew * (h[eu] * h[ev] - f[eu] * f[ev])).sum())
-        trace_x += nf2
-        trace_y += nh2
-        y_j += sh * sh
-        total_loss += deficit
-        if vprime[r]:
-            expected = (g + 1) - deficit
-            worst_vprime_dev = max(worst_vprime_dev, abs(nf2 - expected), abs(nh2 - expected))
-        worst_norm_sq = max(worst_norm_sq, nf2, nh2)
+    totals, worst_vprime_dev, worst_norm_sq = _certificate_sums(space, g, first_step, vprime)
+    x_lh, y_lh, x_lk, y_lk, y_dh, ymx_ah, trace_x, trace_y, y_j, total_loss = map(float, totals)
+    ew, wdeg = space.ew, space.wdeg
 
     if y_lh <= 0.0:
         raise DegenerateInputError("Y.L_H is not positive; certificate ratio undefined")

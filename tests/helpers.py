@@ -12,7 +12,8 @@ from itertools import combinations
 
 import numpy as np
 
-from sparselab.graph import WeightedGraph
+from sparselab.graph import WeightedGraph, bfs_depths
+from sparselab.nbwalk import FIRST_STEP_UNIFORM, FIRST_STEP_WEIGHT, PseudoGirthReport
 
 
 def erf_series(x: float, terms: int = 120) -> float:
@@ -117,3 +118,187 @@ def random_weighted_graph(rng: np.random.Generator, n: int, density: float) -> W
             if rng.random() < density:
                 edges.append((u, v, float(rng.uniform(0.1, 3.0))))
     return WeightedGraph(n, edges)
+
+
+# -- per-root walk and pseudo-girth oracles -------------------------------------------
+#
+# The one-root-at-a-time certificate engine that the block engine in
+# sparselab.nbwalk replaced: dense walks over every directed edge in id order,
+# one BFS per root, and per-root accumulation of the quadratic forms.  The
+# block engine must agree with these bit for bit.
+
+
+class OracleEdgeSpace:
+    """Dense directed-edge walk: edge b is us[b] -> vs[b], edge m + b its reverse."""
+
+    def __init__(self, n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray, wdeg: np.ndarray):
+        self.n = n
+        self.src = np.concatenate([us, vs])
+        self.dst = np.concatenate([vs, us])
+        self.w = np.concatenate([ws, ws])
+        m = len(us)
+        self.m2 = 2 * m
+        self.rev = np.concatenate([np.arange(m, 2 * m), np.arange(0, m)])
+        self.wdeg = wdeg
+        self.deg = np.zeros(n, dtype=np.int64)
+        np.add.at(self.deg, self.src, 1)
+        self.dead = self.deg[self.dst] == 1
+        self.denom = self._leave_one_out_sums()
+
+    @classmethod
+    def of(cls, graph: WeightedGraph) -> "OracleEdgeSpace":
+        us, vs, ws, _ = graph.edge_arrays()
+        positive = ws > 0
+        return cls(graph.n, us[positive], vs[positive], ws[positive], graph.weighted_degrees())
+
+    def _leave_one_out_sums(self) -> np.ndarray:
+        order = np.argsort(self.dst, kind="stable")
+        ws = self.w[order]
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.add.at(indptr, self.dst + 1, 1)
+        np.cumsum(indptr, out=indptr)
+        denom_sorted = np.empty_like(ws)
+        for v in range(self.n):
+            lo, hi = int(indptr[v]), int(indptr[v + 1])
+            if lo == hi:
+                continue
+            wv = ws[lo:hi]
+            pre = np.concatenate(([0.0], np.cumsum(wv[:-1])))
+            suf = np.concatenate((np.cumsum(wv[:0:-1])[::-1], [0.0]))
+            denom_sorted[lo:hi] = pre + suf
+        denom = np.empty_like(ws)
+        denom[order] = denom_sorted
+        return denom
+
+    def start(self, root: int, first_step: str) -> np.ndarray:
+        p = np.zeros(self.m2)
+        out = self.src == root
+        if first_step == FIRST_STEP_WEIGHT:
+            p[out] = self.w[out] / self.wdeg[root]
+        elif first_step == FIRST_STEP_UNIFORM:
+            p[out] = 1.0 / int(out.sum())
+        else:
+            raise ValueError(first_step)
+        return p
+
+    def step(self, p: np.ndarray) -> tuple[np.ndarray, float]:
+        lost = float(p[self.dead].sum())
+        contrib = np.zeros_like(p)
+        np.divide(p, self.denom, out=contrib, where=~self.dead)
+        q = np.bincount(self.dst, weights=contrib, minlength=self.n)
+        newp = self.w * (q[self.src] - contrib[self.rev])
+        np.maximum(newp, 0.0, out=newp)
+        return newp, lost
+
+    def marginal(self, p: np.ndarray) -> np.ndarray:
+        return np.bincount(self.dst, weights=p, minlength=self.n)
+
+
+def walk_tables_oracle(graph: WeightedGraph, r: int, g: int, first_step: str):
+    """(tables, deficiency) of the walk from r, one dense step at a time."""
+    space = OracleEdgeSpace.of(graph)
+    tables = [{int(r): 1.0}]
+    deficiency = [0.0]
+    if g >= 1:
+        p = space.start(r, first_step)
+        lost = 0.0
+        for _ in range(g):
+            marg = space.marginal(p)
+            tables.append({int(v): float(marg[v]) for v in np.flatnonzero(marg)})
+            deficiency.append(lost)
+            p, newly_lost = space.step(p)
+            lost += newly_lost
+    return tuple(tables), tuple(deficiency)
+
+
+def vectors_oracle(space: OracleEdgeSpace, r: int, g: int, first_step: str):
+    """(f_r, h_r, mass deficit) of one root."""
+    f = np.zeros(space.n)
+    h = np.zeros(space.n)
+    f[r] = 1.0
+    h[r] = 1.0
+    deficit = 0.0
+    if g >= 1:
+        p = space.start(r, first_step)
+        lost_cum = 0.0
+        sign = -1.0
+        for ell in range(1, g + 1):
+            s = np.sqrt(space.marginal(p))
+            f += sign * s
+            h += s
+            deficit += lost_cum
+            sign = -sign
+            if ell < g:
+                p, newly_lost = space.step(p)
+                lost_cum += newly_lost
+    return f, h, deficit
+
+
+def certificate_sums_oracle(space, g: int, first_step: str, vprime: np.ndarray):
+    """Drop-in for ``nbwalk._certificate_sums``: the same totals, root by root."""
+    n, eu, ev, ew, wdeg = space.n, space.eu, space.ev, space.ew, space.wdeg
+    dense = OracleEdgeSpace(n, eu, ev, ew, wdeg)
+    x_lh = x_lk = y_lh = y_lk = y_dh = ymx_ah = 0.0
+    trace_x = trace_y = y_j = 0.0
+    worst_vprime_dev = 0.0
+    worst_norm_sq = 0.0
+    total_loss = 0.0
+    for r in range(n):
+        f, h, deficit = vectors_oracle(dense, r, g, first_step)
+        df = f[eu] - f[ev]
+        dh = h[eu] - h[ev]
+        f_lh = float((ew * df * df).sum())
+        h_lh = float((ew * dh * dh).sum())
+        nf2 = float(f @ f)
+        nh2 = float(h @ h)
+        sf = float(f.sum())
+        sh = float(h.sum())
+        x_lh += f_lh
+        y_lh += h_lh
+        x_lk += nf2 - sf * sf / n
+        y_lk += nh2 - sh * sh / n
+        y_dh += float(wdeg @ (h * h))
+        ymx_ah += 2.0 * float((ew * (h[eu] * h[ev] - f[eu] * f[ev])).sum())
+        trace_x += nf2
+        trace_y += nh2
+        y_j += sh * sh
+        total_loss += deficit
+        if vprime[r]:
+            expected = (g + 1) - deficit
+            worst_vprime_dev = max(worst_vprime_dev, abs(nf2 - expected), abs(nh2 - expected))
+        worst_norm_sq = max(worst_norm_sq, nf2, nh2)
+    totals = np.array([x_lh, y_lh, x_lk, y_lk, y_dh, ymx_ah, trace_x, trace_y, y_j, total_loss])
+    return totals, worst_vprime_dev, worst_norm_sq
+
+
+def _ball_edges(graph: WeightedGraph, depth: np.ndarray, radius: int) -> tuple[int, int]:
+    """(vertices, edges) of the subgraph induced by depth <= radius."""
+    members = np.flatnonzero((depth >= 0) & (depth <= radius))
+    d = depth[graph.neighbors(members)]
+    deg_sum = int(((d >= 0) & (d <= radius)).sum())
+    return members.size, deg_sum // 2
+
+
+def pseudo_girth_scan_oracle(graph: WeightedGraph, g: int, violating_cap: int):
+    """Drop-in for ``nbwalk._pseudo_girth_scan``: one BFS to radius 2g per root."""
+    n = graph.n
+    flags_g = np.zeros(n, dtype=bool)
+    flags_2g = np.zeros(n, dtype=bool)
+    bmax = 0
+    for r in range(n):
+        depth = bfs_depths(graph, r, 2 * g)
+        verts_g, edges_g = _ball_edges(graph, depth, g)
+        verts_2g, edges_2g = _ball_edges(graph, depth, 2 * g)
+        bmax = max(bmax, verts_g)
+        flags_g[r] = edges_g == verts_g - 1
+        flags_2g[r] = edges_2g == verts_2g - 1
+    report = PseudoGirthReport(
+        g=g,
+        n=n,
+        acyclic_g=int(flags_g.sum()),
+        acyclic_2g=int(flags_2g.sum()),
+        F=n - int(flags_2g.sum()),
+        B=bmax,
+        violating=tuple(int(r) for r in np.flatnonzero(~flags_2g)[:violating_cap]),
+    )
+    return report, flags_g

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sparselab import harness
 from sparselab.cli import main
 from sparselab.graph import WeightedGraph, make_clique, make_cycle, read_edge_list, write_edge_list
 
@@ -190,6 +191,33 @@ class TestExperimentsCli:
         assert code == 0
         rep = json.loads(out.read_text())
         assert rep["per_alpha"][0]["k"] == 8
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["clique-sparsify", "--n", "8", "--d", "2"],
+        ["concentration", "--n", "16", "--alphas", "0.5", "--d", "4"],
+        ["separation", "--n", "16", "--big-degree", "6", "--d", "3"],
+    ],
+    ids=lambda args: args[0],
+)
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_no_seeds_exits_2(args, seeds, capsys):
+    assert run_cli([*args, "--seeds", seeds]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: need at least one seed") and "Traceback" not in err
+
+
+def test_non_finite_report_exits_4(graph_files, tmp_path, monkeypatch, capsys):
+    h, g = graph_files
+    monkeypatch.setattr(harness, "run_spectral_error", lambda h, g: {"epsilon": float("nan")})
+    out = tmp_path / "rep.json"
+    assert run_cli(["spectral-error", "--h-file", h, "--g-file", g, "--out", out]) == 4
+    assert not out.exists()
+    assert run_cli(["spectral-error", "--h-file", h, "--g-file", g]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "non-finite" in captured.err
 
 
 class TestReplayDeterminism:

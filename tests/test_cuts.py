@@ -17,6 +17,7 @@ from sparselab.cuts import (
     cut_profile,
     cut_value,
     extreme_cuts_at_size,
+    extreme_cuts_at_sizes,
     interior_edge_weight,
     regular_vs_clique_exhaustive,
 )
@@ -348,6 +349,8 @@ class TestExhaustiveProperties:
         with mock.patch.object(cuts, "_BLOCK_BITS", block_bits):
             prof = cut_profile(h, d, reference=reference, argmax_cap=n)
             extremes = [extreme_cuts_at_size(h, k, exhaustive=True) for k in range(1, n // 2 + 1)]
+            ks = list(range(n // 2, 0, -2))  # one enumeration for several sizes, in any order
+            assert extreme_cuts_at_sizes(h, ks) == [extremes[k - 1] for k in ks]
         assert [row.k for row in prof.rows] == list(range(1, n // 2 + 1))
         for row, (hi, lo) in zip(prof.rows, extremes):
             k = row.k

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sparselab import spectral
+from sparselab import cuts, harness, spectral
 from sparselab.errors import InvalidArgumentError
 from sparselab.harness import (
     bounds_table_csv,
@@ -132,6 +132,20 @@ class TestConcentration:
             run_concentration(20, [0.01], 4, seeds=2)
         with pytest.raises(InvalidArgumentError):
             run_concentration(20, [0.7], 4, seeds=2)
+
+    @pytest.mark.parametrize("mode, n", [("exhaustive", 16), ("sampled", 40)])
+    def test_one_graph_per_seed_serves_every_alpha(self, monkeypatch, mode, n):
+        samples = []
+        real_sample = harness.sample_regular_multigraph
+        monkeypatch.setattr(harness, "sample_regular_multigraph", lambda *a: samples.append(a) or real_sample(*a))
+        enumerations = []
+        real_enumerate = cuts._exhaustive_cuts
+        monkeypatch.setattr(cuts, "_exhaustive_cuts", lambda *a, **k: enumerations.append(a) or real_enumerate(*a, **k))
+        both = run_concentration(n, [0.25, 0.5], 4, seeds=3, master_seed=4, mode=mode, samples_per_seed=20)
+        assert len(samples) == 3
+        assert len(enumerations) == (3 if mode == "exhaustive" else 0)
+        apart = [run_concentration(n, [a], 4, seeds=3, master_seed=4, mode=mode, samples_per_seed=20) for a in (0.25, 0.5)]
+        assert both["per_alpha"] == [rep["per_alpha"][0] for rep in apart]
 
     def test_sampled_mode_larger_n(self):
         rep = run_concentration(100, [0.5], 8, seeds=5, master_seed=2, samples_per_seed=50)

@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparselab.errors import DegenerateInputError, InvalidArgumentError, UnsupportedInputError
 from sparselab.graph import (
@@ -13,13 +16,26 @@ from sparselab.graph import (
     scale_weights,
 )
 from sparselab import nbwalk
-from sparselab.nbwalk import certify_lower_bound, nb_walk_probabilities, pseudo_girth
+from sparselab.nbwalk import (
+    FIRST_STEP_UNIFORM,
+    FIRST_STEP_WEIGHT,
+    certify_lower_bound,
+    nb_walk_probabilities,
+    pseudo_girth,
+)
 
 walk_vectors = nbwalk.test_vectors  # aliased so pytest does not collect it
 from sparselab.rng import derive_seed, make_generator
 from sparselab.spectral import spectral_error
 
-from helpers import random_connected_graph
+from helpers import (
+    OracleEdgeSpace,
+    certificate_sums_oracle,
+    pseudo_girth_scan_oracle,
+    random_connected_graph,
+    vectors_oracle,
+    walk_tables_oracle,
+)
 
 
 class TestWalkProbabilities:
@@ -331,3 +347,98 @@ def test_first_step_open_choice_changes_tables_not_soundness():
     for rule in ("weight", "uniform"):
         cert = certify_lower_bound(h, 2, 3.0, first_step=rule)
         assert cert.epsilon_lb <= spec.epsilon + 1e-6
+
+
+# -- the block engine against the per-root oracles ------------------------------
+
+_weights = st.one_of(st.integers(1, 3).map(float), st.floats(1e-3, 1e3))
+_first_steps = st.sampled_from([FIRST_STEP_WEIGHT, FIRST_STEP_UNIFORM])
+# blocks of 1, 2 or 3 roots put ball frontiers and walk states on both sides of block edges
+_roots_per_block = st.sampled_from([1, 2, 3])
+_examples = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def walk_graphs(draw, connected=True):
+    """Simple weighted graphs on 3..12 vertices: a positive-weight spanning
+    tree when connected (so leaves are common), plus extra edges, some of
+    weight 0."""
+    n = draw(st.integers(3, 12))
+    edges = {}
+    if connected:
+        for v in range(1, n):
+            edges[(draw(st.integers(0, v - 1)), v)] = draw(_weights)
+    extra_weight = st.one_of(st.just(0.0), _weights)
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), extra_weight), max_size=2 * n))
+    for u, v, w in extra:
+        if u != v:
+            edges.setdefault((min(u, v), max(u, v)), w)
+    return WeightedGraph(n, [(u, v, w) for (u, v), w in edges.items()])
+
+
+def _blocks_of(graph, roots):
+    """Patch the block constant so that blocks hold the given number of roots."""
+    _, _, ws, _ = graph.edge_arrays()
+    width = max(graph.n, 2 * int((ws > 0).sum()))
+    return mock.patch.object(nbwalk, "_BLOCK_CELLS", roots * width)
+
+
+def _per_root():
+    """Patch the certificate to run on the one-root-at-a-time oracles."""
+    return mock.patch.multiple(
+        nbwalk, _certificate_sums=certificate_sums_oracle, _pseudo_girth_scan=pseudo_girth_scan_oracle
+    )
+
+
+def _certify(*args, **kwargs):
+    try:
+        return certify_lower_bound(*args, **kwargs)
+    except DegenerateInputError as exc:
+        return type(exc)
+
+
+class TestBlockEngineProperties:
+    @_examples
+    @given(graph=walk_graphs(), g=st.integers(1, 3), first_step=_first_steps, roots=_roots_per_block)
+    def test_certificate_equals_per_root_oracle(self, graph, g, first_step, roots):
+        with _blocks_of(graph, roots):
+            block = _certify(graph, g, 3.0, first_step=first_step)
+        with _per_root():
+            oracle = _certify(graph, g, 3.0, first_step=first_step)
+        assert block == oracle
+
+    @_examples
+    @given(graph=st.one_of(walk_graphs(), walk_graphs(connected=False)), g=st.integers(0, 3), roots=_roots_per_block)
+    def test_pseudo_girth_equals_per_root_bfs(self, graph, g, roots):
+        with _blocks_of(graph, roots):
+            report, flags = nbwalk._pseudo_girth_scan(graph, g, 32)
+        oracle_report, oracle_flags = pseudo_girth_scan_oracle(graph, g, 32)
+        assert report == oracle_report
+        assert np.array_equal(flags, oracle_flags)
+
+    @_examples
+    @given(graph=walk_graphs(), g=st.integers(0, 3), first_step=_first_steps, data=st.data())
+    def test_walk_tables_and_vectors_equal_dense_walk(self, graph, g, first_step, data):
+        r = data.draw(st.integers(0, graph.n - 1))
+        wt = nb_walk_probabilities(graph, r, g, first_step)
+        assert (wt.tables, wt.deficiency) == walk_tables_oracle(graph, r, g, first_step)
+        tv = walk_vectors(graph, r, g, first_step)
+        f, h, _ = vectors_oracle(OracleEdgeSpace.of(graph), r, g, first_step)
+        assert np.array_equal(tv.f, f) and np.array_equal(tv.h, h)
+
+    @pytest.mark.parametrize("first_step", [FIRST_STEP_WEIGHT, FIRST_STEP_UNIFORM])
+    def test_default_blocks_equal_per_root_oracle(self, first_step):
+        # many roots per block at the default constant: a tree-like graph and a
+        # 6-cycle whose vertex 0 holds 40 leaves (mass is lost, and a root's
+        # loss sums many dead edges), and a collapsed regular graph (no loss)
+        rng = make_generator(5)
+        pendant = random_connected_graph(rng, 150, 60)
+        cycle = [(i, i + 1, 1.0) for i in range(5)] + [(0, 5, 1.0)]
+        broom = WeightedGraph(46, cycle + [(0, v, float(rng.uniform(0.1, 2.0))) for v in range(6, 46)])
+        regular = collapse_multiedges(sample_regular_multigraph(300, 4, seed=8))
+        for graph in (pendant, broom, regular):
+            block = certify_lower_bound(graph, 3, 4.0, first_step=first_step)
+            with _per_root():
+                oracle = certify_lower_bound(graph, 3, 4.0, first_step=first_step)
+            assert block == oracle
+            assert (block.identity_checks.total_mass_loss > 0.0) == (graph is not regular)
