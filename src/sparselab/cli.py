@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from . import bounds, harness, martingale
+from . import harness
 from .errors import (
     DegenerateInputError,
     InvalidArgumentError,
@@ -181,9 +181,8 @@ def _dispatch(args: argparse.Namespace) -> None:
             _emit_json({"rows": rows}, args.out)
         return
     if args.command == "martingale":
-        report = harness.run_martingale(args.n, args.k, args.d, args.seed, args.trials, args.delta)
+        report, trace = harness.run_martingale(args.n, args.k, args.d, args.seed, args.trials, args.delta)
         if args.trace_out:
-            trace = martingale.simulate_reveal(args.n, args.k, args.d, args.seed)
             lines = ["ell,z,w,x,y,a,b,quad_char"]
             lines += [",".join(repr(x) for x in row) for row in trace.step_rows()]
             _write_output("\n".join(lines) + "\n", args.trace_out)

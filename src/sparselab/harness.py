@@ -446,7 +446,10 @@ def run_martingale(
     seed: int,
     trials: int,
     delta: float | None,
-) -> dict:
+) -> tuple[dict, martingale.RevealTrace]:
+    """The martingale report and the reveal trace it summarises.  The tail runs
+    first, so an input outside the tail bound's domain fails before any sampling."""
+    tail = martingale.empirical_tail(n, k, d, delta, trials, seed) if delta is not None and trials > 0 else None
     trace = martingale.simulate_reveal(n, k, d, seed)
     out = _base_report(
         "martingale",
@@ -459,8 +462,7 @@ def run_martingale(
         "max_abs_increment": float(abs(trace.y).max()),
         "terminal_quad_char": float(trace.quad_char[-1]),
     }
-    if delta is not None and trials > 0:
-        tail = martingale.empirical_tail(n, k, d, delta, trials, seed)
+    if tail is not None:
         out["empirical_tail"] = {
             "delta": tail.delta,
             "trials": tail.trials,
@@ -470,4 +472,4 @@ def run_martingale(
             "sample_mean_interior": tail.sample_mean_interior,
             "analytic_bound": tail.bound.value,
         }
-    return out
+    return out, trace

@@ -12,6 +12,9 @@ matching contributes phi(k, n).
 
 Because the conditional expectations are exact, the martingale property and
 increment bounds can be checked exactly on every step of every trace.
+
+The d matchings of a trace or a tail trial come from one call, as a (d, n)
+partner table; each tail trial counts its interior edges on it in one step.
 """
 
 from __future__ import annotations
@@ -47,28 +50,19 @@ class RevealTrace:
     a: np.ndarray  # unmatched S-vertices in the current matching, after the reveal
     b: np.ndarray  # unmatched vertices overall in the current matching, after the reveal
     quad_char: np.ndarray  # running sum of exact conditional indicator variances
-    matchings: tuple[tuple[int, ...], ...]  # realized partner array per matching
+    matchings: np.ndarray  # read-only (d, n) partner table, one row per matching
 
     @property
     def steps(self) -> int:
         return self.z.size
 
     def to_graph(self) -> WeightedGraph:
-        return union_of_matchings(np.array(self.matchings, dtype=np.int64))
+        return union_of_matchings(self.matchings)
 
     def step_rows(self):
-        """Iterator of (ell, z, w, x, y, a, b, quad_char) for CSV export."""
-        for i in range(self.steps):
-            yield (
-                i + 1,
-                int(self.z[i]),
-                int(self.w[i]),
-                float(self.x[i]),
-                float(self.y[i]),
-                int(self.a[i]),
-                int(self.b[i]),
-                float(self.quad_char[i]),
-            )
+        """Iterator of (ell, z, w, x, y, a, b, quad_char) for CSV export, as Python scalars."""
+        columns = (self.z, self.w, self.x, self.y, self.a, self.b, self.quad_char)
+        return zip(range(1, self.steps + 1), *(c.tolist() for c in columns))
 
 
 def _check_domain(n: int, k: int, d: int) -> None:
@@ -86,21 +80,18 @@ def simulate_reveal(n: int, k: int, d: int, seed: int) -> RevealTrace:
     """Sample d matchings and walk the reveal schedule with exact expectations."""
     _check_domain(n, k, d)
     rng = make_generator(seed)
-    partners = [sample_matching_partners(rng, n) for _ in range(d)]
+    partners = sample_matching_partners(rng, n, d)
+    partners.setflags(write=False)
 
     steps = d * (k - 1)
-    z_arr = np.empty(steps, dtype=np.int64)
     w_arr = np.empty(steps, dtype=np.int64)
     x_arr = np.empty(steps)
-    y_arr = np.empty(steps)
     a_arr = np.empty(steps, dtype=np.int64)
     b_arr = np.empty(steps, dtype=np.int64)
-    qc_arr = np.empty(steps)
+    var_arr = np.empty(steps)
 
     phi_full = phi_matching(k, n)
     x0 = d * phi_full
-    x_prev = x0
-    qc = 0.0
     revealed_total = 0  # inside-S edges revealed in completed and current matchings
     ell = 0
     for m, partner in enumerate(partners):
@@ -108,14 +99,13 @@ def simulate_reveal(n: int, k: int, d: int, seed: int) -> RevealTrace:
         matched = np.zeros(n, dtype=bool)
         future = (d - m - 1) * phi_full
         for i in range(k - 1):
+            z = int(partner[i])
             if matched[i]:
                 # Partner already known from an earlier reveal in this matching;
                 # nothing new is learned and the increment is zero.
-                z = int(partner[i])
                 w = 0
                 var = 0.0
             else:
-                z = int(partner[i])
                 matched[i] = True
                 matched[z] = True
                 w = 1 if z < k else 0
@@ -130,20 +120,15 @@ def simulate_reveal(n: int, k: int, d: int, seed: int) -> RevealTrace:
                 else:
                     a -= 1
                 b -= 2
-            x_now = revealed_total + phi_matching(a, b) + future
-            z_arr[ell] = z
             w_arr[ell] = w
-            x_arr[ell] = x_now
-            y_arr[ell] = x_now - x_prev
+            x_arr[ell] = revealed_total + phi_matching(a, b) + future
             a_arr[ell] = a
             b_arr[ell] = b
-            qc += var
-            qc_arr[ell] = qc
-            x_prev = x_now
+            var_arr[ell] = var
             ell += 1
         # After the last query of a matching at most one S-vertex is unmatched,
-        # so phi(a, b) = 0 and x_prev already equals the realized count plus
-        # the untouched matchings' expectation; nothing to close out.
+        # so phi(a, b) = 0 and the last x already equals the realized count
+        # plus the untouched matchings' expectation; nothing to close out.
 
     return RevealTrace(
         n=n,
@@ -151,20 +136,15 @@ def simulate_reveal(n: int, k: int, d: int, seed: int) -> RevealTrace:
         d=d,
         seed=seed,
         x0=x0,
-        z=z_arr,
+        z=partners[:, : k - 1].flatten(),  # the queried vertices' partners, in reveal order
         w=w_arr,
         x=x_arr,
-        y=y_arr,
+        y=np.diff(x_arr, prepend=x0),
         a=a_arr,
         b=b_arr,
-        quad_char=qc_arr,
-        matchings=tuple(tuple(int(p) for p in partner) for partner in partners),
+        quad_char=np.cumsum(var_arr),
+        matchings=partners,
     )
-
-
-def interior_count(partners, k: int) -> int:
-    """Realized number of matching edges inside {0..k-1} across all matchings."""
-    return int(sum(int((p[:k] < k).sum()) for p in partners) // 2)
 
 
 @dataclass(frozen=True)
@@ -192,13 +172,16 @@ def empirical_tail(n: int, k: int, d: int, delta: float, trials: int, seed: int)
         raise InvalidArgumentError(f"need at least one trial, got {trials}")
     if not delta > 0:
         raise InvalidArgumentError(f"need delta > 0, got {delta}")
+    # The bound's own domain checks run before any trial is sampled.
+    bound = tail_bound_generic(n, k, d, delta)
     expected = math.comb(k, 2) * d / (n - 1.0)
     threshold = delta * expected
     exceed = 0
     total = 0
     for t in range(trials):
         rng = make_generator(derive_seed(seed, t))
-        e = interior_count([sample_matching_partners(rng, n) for _ in range(d)], k)
+        # matching edges inside S: partner pairs with both ends below k
+        e = int((sample_matching_partners(rng, n, d)[:, :k] < k).sum()) // 2
         total += e
         if abs(e - expected) >= threshold:
             exceed += 1
@@ -212,7 +195,7 @@ def empirical_tail(n: int, k: int, d: int, delta: float, trials: int, seed: int)
         empirical_prob=exceed / trials,
         expected_interior=expected,
         sample_mean_interior=total / trials,
-        bound=tail_bound_generic(n, k, d, delta),
+        bound=bound,
     )
 
 

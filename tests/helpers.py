@@ -14,6 +14,7 @@ import numpy as np
 
 from sparselab.graph import WeightedGraph, bfs_depths
 from sparselab.nbwalk import FIRST_STEP_UNIFORM, FIRST_STEP_WEIGHT, PseudoGirthReport
+from sparselab.rng import derive_seed, make_generator
 
 
 def erf_series(x: float, terms: int = 120) -> float:
@@ -302,3 +303,32 @@ def pseudo_girth_scan_oracle(graph: WeightedGraph, g: int, violating_cap: int):
         violating=tuple(int(r) for r in np.flatnonzero(~flags_2g)[:violating_cap]),
     )
     return report, flags_g
+
+
+# -- one-matching sampler oracle ----------------------------------------------------
+#
+# The sampler that the batched (d, n) partner table in sparselab.graph replaced:
+# one ``rng.permutation(n)`` per matching.  d calls on one generator must give
+# the batched table row for row and leave the generator in the same state.
+
+
+def sample_matching_oracle(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Partner array of one uniform perfect matching: shuffle, pair consecutive entries."""
+    perm = rng.permutation(n)
+    partner = np.empty(n, dtype=np.int64)
+    partner[perm[0::2]] = perm[1::2]
+    partner[perm[1::2]] = perm[0::2]
+    return partner
+
+
+def empirical_tail_oracle(n: int, k: int, d: int, delta: float, trials: int, seed: int):
+    """(exceedances, total interior count) of ``empirical_tail``, one matching at a time."""
+    expected = math.comb(k, 2) * d / (n - 1.0)
+    exceed = total = 0
+    for t in range(trials):
+        rng = make_generator(derive_seed(seed, t))
+        e = sum(int((sample_matching_oracle(rng, n)[:k] < k).sum()) for _ in range(d)) // 2
+        total += e
+        if abs(e - expected) >= delta * expected:
+            exceed += 1
+    return exceed, total

@@ -216,7 +216,7 @@ class TestPhiMatching:
         trials = 10 ** 5
         total = 0
         for _ in range(trials):
-            partner = sample_matching_partners(rng, 10)
+            partner = sample_matching_partners(rng, 10, 1)[0]
             total += int((partner[:3] < 3).sum()) // 2
         assert total / trials == pytest.approx(phi_matching(3, 10), abs=0.01)
 

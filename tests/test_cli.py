@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sparselab import harness
+from sparselab import harness, martingale
 from sparselab.cli import main
 from sparselab.graph import WeightedGraph, make_clique, make_cycle, read_edge_list, write_edge_list
 
@@ -155,6 +155,34 @@ class TestMartingaleCli:
 
     def test_bad_domain_exits_2(self):
         assert run_cli(["martingale", "--n", "9", "--k", "2", "--d", "1"]) == 2
+
+    def test_tail_bound_domain_fails_before_sampling(self, monkeypatch, capsys):
+        # k = n/2 simulates fine but has no tail bound: the run must stop
+        # before any trial, not after 10^5 of them.
+        calls = []
+        sampler = martingale.sample_matching_partners
+        monkeypatch.setattr(martingale, "sample_matching_partners", lambda *a: calls.append(a) or sampler(*a))
+        code = run_cli([
+            "martingale", "--n", "20", "--k", "10", "--d", "4",
+            "--trials", "100000", "--delta", "0.3", "--seed", "1",
+        ])
+        assert code == 2
+        assert "k < n/2" in capsys.readouterr().err
+        assert calls == []
+
+    def test_trace_out_simulates_once(self, tmp_path, monkeypatch):
+        calls = []
+        simulate = martingale.simulate_reveal
+        monkeypatch.setattr(martingale, "simulate_reveal", lambda *a: calls.append(a) or simulate(*a))
+        trace = tmp_path / "trace.csv"
+        code = run_cli([
+            "martingale", "--n", "40", "--k", "10", "--d", "3", "--seed", "2",
+            "--out", tmp_path / "m.json", "--trace-out", trace,
+        ])
+        assert code == 0
+        assert calls == [(40, 10, 3, 2)]
+        rows = simulate(40, 10, 3, 2).step_rows()
+        assert trace.read_text().splitlines()[1:] == [",".join(repr(x) for x in r) for r in rows]
 
 
 class TestExperimentsCli:

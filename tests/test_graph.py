@@ -1,11 +1,13 @@
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparselab import graph
 from sparselab.errors import InvalidArgumentError, ParseError, UnsupportedInputError
 from sparselab.graph import (
     WeightedGraph,
@@ -15,15 +17,17 @@ from sparselab.graph import (
     is_connected,
     make_clique,
     read_edge_list,
+    sample_matching_partners,
     sample_regular_multigraph,
     scale_weights,
     uniform_clique_weight,
+    union_of_matchings,
     write_edge_list,
 )
 from sparselab.cuts import cut_value
 from sparselab.rng import derive_seed, make_generator
 
-from helpers import dict_coalesce, random_connected_graph
+from helpers import dict_coalesce, random_connected_graph, sample_matching_oracle
 
 
 class TestWeightedGraph:
@@ -117,6 +121,32 @@ class TestRegularSampler:
         expected = math.comb(d, 2) * (n / 2) / (n - 1)
         sigma = math.sqrt(expected / seeds)  # Poisson-scale fluctuation of the mean
         assert abs(mean - expected) < 5 * sigma
+
+
+class TestMatchingSampler:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        half=st.integers(1, 200), d=st.integers(1, 20), seed=st.integers(0, 2 ** 64 - 1),
+        cells=st.sampled_from([1, 7, 300, graph._SHUFFLE_CELLS]),
+    )
+    def test_table_equals_one_matching_at_a_time(self, half, d, seed, cells):
+        # small cell counts split the table into blocks of rows, one shuffle call each
+        n = 2 * half
+        batched, oracle = make_generator(seed), make_generator(seed)
+        with mock.patch.object(graph, "_SHUFFLE_CELLS", cells):
+            table = sample_matching_partners(batched, n, d)
+        assert table.shape == (d, n) and table.dtype == np.int64
+        assert np.array_equal(table, np.stack([sample_matching_oracle(oracle, n) for _ in range(d)]))
+        assert batched.bit_generator.state == oracle.bit_generator.state
+        # each row is a fixed-point-free involution: a perfect matching
+        assert np.all(table != np.arange(n))
+        assert np.array_equal(np.take_along_axis(table, table, axis=1), np.broadcast_to(np.arange(n), (d, n)))
+
+    def test_regular_multigraph_is_union_of_oracle_matchings(self):
+        rng = make_generator(11)
+        partners = np.stack([sample_matching_oracle(rng, 100) for _ in range(7)])
+        g, expected = sample_regular_multigraph(100, 7, seed=11), union_of_matchings(partners)
+        assert g == expected and np.array_equal(g.matchings, expected.matchings)
 
 
 class TestScaleWeights:

@@ -7,9 +7,10 @@ from sparselab.bounds import phi_matching
 from sparselab.cuts import interior_edge_weight
 from sparselab.errors import InvalidArgumentError
 from sparselab.martingale import binomial_tail_ge, empirical_tail, simulate_reveal
-from sparselab.rng import derive_seed
+from sparselab.rng import derive_seed, make_generator
 
 from helpers import check_reveal_invariants as check_increment_bounds
+from helpers import empirical_tail_oracle, sample_matching_oracle
 
 
 class TestSimulateReveal:
@@ -80,6 +81,15 @@ class TestSimulateReveal:
         with pytest.raises(InvalidArgumentError):
             simulate_reveal(12, 7, 1, seed=0)
 
+    def test_matchings_are_a_read_only_partner_table(self):
+        tr = simulate_reveal(40, 10, 3, seed=5)
+        rng = make_generator(5)
+        assert tr.matchings.shape == (3, 40) and tr.matchings.dtype == np.int64
+        assert np.array_equal(tr.matchings, np.stack([sample_matching_oracle(rng, 40) for _ in range(3)]))
+        with pytest.raises(ValueError):
+            tr.matchings[0, 0] = 1
+        assert np.array_equal(tr.z[:9], tr.matchings[0, :9])
+
     def test_deterministic(self):
         a = simulate_reveal(40, 10, 3, seed=123)
         b = simulate_reveal(40, 10, 3, seed=123)
@@ -104,6 +114,13 @@ class TestEmpiricalTail:
         out = empirical_tail(200, 2, 16, delta=2.0, trials=10, seed=3)
         assert out.bound.regime == "generic"
         assert 0.0 < out.bound.value <= 2.0
+
+    @pytest.mark.parametrize("n, k, d", [(200, 2, 16), (40, 10, 3), (20, 9, 4), (8, 3, 1)])
+    def test_matches_one_matching_oracle(self, n, k, d):
+        out = empirical_tail(n, k, d, delta=0.5, trials=400, seed=17)
+        exceed, total = empirical_tail_oracle(n, k, d, 0.5, 400, 17)
+        assert (out.exceedances, out.sample_mean_interior) == (exceed, total / 400)
+        assert total > 0
 
     def test_reproducible(self):
         a = empirical_tail(40, 4, 3, delta=1.0, trials=500, seed=9)
