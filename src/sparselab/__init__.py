@@ -1,7 +1,8 @@
 """sparselab: a laboratory for cut and spectral sparsification of dense graphs.
 
 Measurement modules (cuts, spectral, nbwalk, martingale, bounds) operate on
-the shared WeightedGraph value type; the harness module wires them into
+the shared WeightedGraph value type, and cuts and spectral also take a
+Clique value as the reference; the harness module wires them into
 seeded, replayable experiments behind the ``sparselab`` CLI.
 """
 
@@ -42,6 +43,7 @@ from .errors import (
     UnsupportedInputError,
 )
 from .graph import (
+    Clique,
     DegreeReport,
     Edge,
     WeightedGraph,
@@ -67,13 +69,6 @@ from .nbwalk import (
     test_vectors,
 )
 from .rng import RNG_ALGORITHM, derive_seed, make_generator
-from .spectral import (
-    SpectralReport,
-    adjacency,
-    laplacian,
-    regular_clique_epsilon_oracle,
-    spectral_error,
-    symmetric_eigenvalues,
-)
+from .spectral import SpectralReport, laplacian, spectral_error
 
 __version__ = "0.1.0"

@@ -19,7 +19,9 @@ from .errors import (
     SparselabError,
     UnsupportedInputError,
 )
-from .graph import read_edge_list, sample_regular_multigraph, write_edge_list
+from .graph import (
+    Clique, WeightedGraph, read_edge_list, sample_regular_multigraph, uniform_clique_weight, write_edge_list,
+)
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -38,6 +40,14 @@ def _emit_json(report: dict, out: str | None) -> None:
     except ValueError as exc:  # NaN or infinity: JSON has no such numbers
         raise DegenerateInputError(f"report holds a non-finite number: {exc}") from exc
     _write_output(text, out)
+
+
+def _read_reference(path: str) -> WeightedGraph | Clique:
+    """The --g-file graph; a complete graph of one positive weight becomes a Clique,
+    so the measurements take its closed forms."""
+    g = read_edge_list(path)
+    w = uniform_clique_weight(g)
+    return g if w is None else Clique(g.n, w)
 
 
 def _parse_sizes(text: str) -> list[int]:
@@ -158,7 +168,7 @@ def _dispatch(args: argparse.Namespace) -> None:
         return
     if args.command == "cut-error":
         h = read_edge_list(args.h_file)
-        g = read_edge_list(args.g_file)
+        g = _read_reference(args.g_file)
         exhaustive = args.exhaustive or args.samples is None
         sizes = args.sizes if args.sizes is not None else sorted({min(2 ** j, h.n // 2) for j in range(2, max(3, h.n.bit_length()))})
         report = harness.run_cut_error(h, g, exhaustive, args.samples or 0, sizes, args.seed)
@@ -166,7 +176,7 @@ def _dispatch(args: argparse.Namespace) -> None:
         return
     if args.command == "spectral-error":
         h = read_edge_list(args.h_file)
-        g = read_edge_list(args.g_file)
+        g = _read_reference(args.g_file)
         _emit_json(harness.run_spectral_error(h, g), args.out)
         return
     if args.command == "certify":

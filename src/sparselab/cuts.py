@@ -8,8 +8,10 @@ unordered nonempty proper cut {S, V-S} is seen exactly once.  Two reducers
 fold the blocks: ``_WorstRatio`` keeps max |num/den - 1| and its first
 maximizer in visit order, and ``_SizeExtremes`` keeps the raw maximum and
 minimum cut per smaller-side size, from which the per-size deviation rows
-are derived once at the end.  An incremental single-flip evaluator is kept
-as an independent cross-check path.
+are derived once at the end.
+
+A reference is a :class:`WeightedGraph` or a :class:`Clique`; a clique's
+cuts come from its closed form w*k*(n-k), so it is never enumerated.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError, SizeLimitError
-from .graph import WeightedGraph, connected_component, is_connected, uniform_clique_weight
+from .graph import Clique, WeightedGraph, connected_component, is_connected
 from .rng import derive_seed, make_generator
 
 EXHAUSTIVE_CAP = 30
@@ -117,38 +119,6 @@ def interior_edge_weight(graph: WeightedGraph, subset: Iterable[int]) -> float:
     us, vs, ws, _ = graph.edge_arrays()
     inside = mask[us] & mask[vs]
     return float(ws[inside].sum())
-
-
-class IncrementalCut:
-    """Cut value maintained under single-vertex flips in O(degree) time.
-
-    Used as the independent cross-check for the vectorized enumeration: the
-    two paths must agree to float accumulation error.
-    """
-
-    def __init__(self, graph: WeightedGraph, members: Iterable[int] = ()):
-        self._indptr, self._nbr, self._wgt = graph.csr()
-        self._in = np.zeros(graph.n, dtype=bool)
-        self.cut = 0.0
-        for v in members:
-            self.flip(v)
-
-    def flip(self, v: int) -> float:
-        lo, hi = self._indptr[v], self._indptr[v + 1]
-        nbrs = self._nbr[lo:hi]
-        ws = self._wgt[lo:hi]
-        inside = self._in[nbrs]
-        entering = not self._in[v]
-        if entering:
-            # edges to outside vertices start crossing, edges to inside stop
-            self.cut += float(ws[~inside].sum()) - float(ws[inside].sum())
-        else:
-            self.cut += float(ws[inside].sum()) - float(ws[~inside].sum())
-        self._in[v] = entering
-        return self.cut
-
-    def members(self) -> tuple[int, ...]:
-        return tuple(int(v) for v in np.flatnonzero(self._in))
 
 
 # -- vectorized subset enumeration --------------------------------------------
@@ -308,15 +278,13 @@ class _SizeExtremes:
         return tuple(rows)
 
 
-def _require_same_vertices(h: WeightedGraph, g: WeightedGraph) -> None:
+def _require_same_vertices(h: WeightedGraph, g: WeightedGraph | Clique) -> None:
     if h.n != g.n:
         raise InvalidArgumentError(f"vertex sets differ: {h.n} vs {g.n}")
 
 
-def _require_connected_reference(g: WeightedGraph) -> None:
-    if uniform_clique_weight(g) is not None:  # complete graphs are connected
-        return
-    if not is_connected(g):
+def _require_connected_reference(g: WeightedGraph | Clique) -> None:
+    if not isinstance(g, Clique) and not is_connected(g):
         comp = connected_component(g, 0)
         witness = comp if len(comp) <= g.n // 2 else sorted(set(range(g.n)) - set(comp))
         raise DegenerateInputError(
@@ -324,7 +292,7 @@ def _require_connected_reference(g: WeightedGraph) -> None:
         )
 
 
-def cut_error_exhaustive(h: WeightedGraph, g: WeightedGraph, cap: int = EXHAUSTIVE_CAP) -> CutErrorReport:
+def cut_error_exhaustive(h: WeightedGraph, g: WeightedGraph | Clique, cap: int = EXHAUSTIVE_CAP) -> CutErrorReport:
     """Exact worst relative cut deviation max_S |cut_H(S)/cut_G(S) - 1|.
 
     Visits all 2^(n-1) - 1 unordered nonempty proper cuts.  The witness is
@@ -338,15 +306,11 @@ def cut_error_exhaustive(h: WeightedGraph, g: WeightedGraph, cap: int = EXHAUSTI
         raise SizeLimitError(f"n={n} exceeds exhaustive cap {cap}; use cut_error_sampled")
     _require_connected_reference(g)
 
-    clique_w = uniform_clique_weight(g)
-    graphs = (h,) if clique_w is not None else (h, g)
+    clique = isinstance(g, Clique)
+    graphs = (h,) if clique else (h, g)
     worst = _WorstRatio()
     for masks, sizes, cuts in _exhaustive_cuts(n, *graphs):
-        if clique_w is not None:
-            sz = sizes.astype(np.float64)
-            cut_g = clique_w * sz * (n - sz)
-        else:
-            cut_g = cuts[1]
+        cut_g = g.cut(sizes.astype(np.float64)) if clique else cuts[1]
         zero_ref = cut_g <= 0.0
         if zero_ref.any():
             bad = int(masks[np.argmax(zero_ref)])
@@ -360,17 +324,17 @@ def cut_error_exhaustive(h: WeightedGraph, g: WeightedGraph, cap: int = EXHAUSTI
 # -- sampled error -------------------------------------------------------------
 
 
-def _pair_scan(h: WeightedGraph, g: WeightedGraph, clique_w: float | None, row_block: int = 1024):
+def _pair_scan(h: WeightedGraph, g: WeightedGraph | Clique, row_block: int = 1024):
     """Best deviation over all singleton and pair cuts, via closed forms.
 
     cut({u}) is the weighted degree; cut({u, v}) = deg(u) + deg(v) - 2 w(u, v).
-    A uniform-clique reference uses cut values w*k*(n-k) directly, never
-    materializing its dense weight matrix.
+    A clique reference uses its cut values w*k*(n-k) directly.
     Returns (best deviation, witness subset, number of subsets examined).
     """
     n = h.n
+    clique = isinstance(g, Clique)
     dh = h.weighted_degrees()
-    dg = np.full(n, clique_w * (n - 1)) if clique_w is not None else g.weighted_degrees()
+    dg = np.full(n, g.cut(1)) if clique else g.weighted_degrees()
     if np.any(dg <= 0):
         v = int(np.argmax(dg <= 0))
         raise DegenerateInputError(f"reference cut is zero for S=({v},); no finite relative error exists")
@@ -380,16 +344,11 @@ def _pair_scan(h: WeightedGraph, g: WeightedGraph, clique_w: float | None, row_b
     examined = n
     if n >= 3:  # pairs are proper subsets only when n >= 3
         wh = h.weight_matrix()
-        pair_ref = clique_w * 2 * (n - 2) if clique_w is not None else None
-        wg = None if clique_w is not None else g.weight_matrix()
-        dgv = None if clique_w is not None else g.weighted_degrees()
+        wg = None if clique else g.weight_matrix()
         for lo in range(0, n, row_block):
             hi = min(lo + row_block, n)
             ch = (dh[lo:hi, None] + dh[None, :]) - 2.0 * wh[lo:hi]
-            if pair_ref is not None:
-                cg = np.full_like(ch, pair_ref)
-            else:
-                cg = (dgv[lo:hi, None] + dgv[None, :]) - 2.0 * wg[lo:hi]
+            cg = np.full_like(ch, g.cut(2)) if clique else (dg[lo:hi, None] + dg[None, :]) - 2.0 * wg[lo:hi]
             iu, iv = np.triu_indices(hi - lo, k=1, m=n)
             keep = iv > iu + lo  # u < v with global indices
             iu, iv = iu[keep], iv[keep]
@@ -433,7 +392,7 @@ def _size_k_subsets(n: int, k: int, count: int, rng: np.random.Generator) -> lis
 
 def cut_error_sampled(
     h: WeightedGraph,
-    g: WeightedGraph,
+    g: WeightedGraph | Clique,
     samples_per_size: int,
     sizes: Sequence[int],
     seed: int,
@@ -451,8 +410,7 @@ def cut_error_sampled(
     if samples_per_size < 0:
         raise InvalidArgumentError("samples_per_size must be nonnegative")
     _require_connected_reference(g)
-    clique_w = uniform_clique_weight(g)
-    best, witness, examined = _pair_scan(h, g, clique_w)
+    best, witness, examined = _pair_scan(h, g)
     for k in sorted(set(int(k) for k in sizes)):
         if not 1 <= k <= n - 1:
             raise InvalidArgumentError(f"subset size {k} not in [1, {n - 1}]")
@@ -460,10 +418,7 @@ def cut_error_sampled(
             continue
         subsets = _size_k_subsets(n, k, samples_per_size, make_generator(derive_seed(seed, k)))
         ch = _subset_cuts(h, subsets)
-        if clique_w is not None:
-            cg = np.full(len(subsets), clique_w * k * (n - k), dtype=np.float64)
-        else:
-            cg = _subset_cuts(g, subsets)
+        cg = np.full(len(subsets), g.cut(k), dtype=np.float64) if isinstance(g, Clique) else _subset_cuts(g, subsets)
         if np.any(cg <= 0):
             j = int(np.argmax(cg <= 0))
             raise DegenerateInputError(

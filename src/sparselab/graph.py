@@ -227,15 +227,37 @@ class WeightedGraph:
         return f"WeightedGraph(n={self.n}, bundles={self.num_bundles}, total_weight={self.total_weight:g})"
 
 
+@dataclass(frozen=True)
+class Clique:
+    """The complete graph K_n with every edge at weight w, as a value.
+
+    Measurements against a clique read it through closed forms (a size-k
+    cut is w*k*(n-k); the Laplacian is w*n on the complement of the
+    all-ones vector), so its n(n-1)/2 bundles are never built.
+    """
+
+    n: int
+    w: float
+
+    def __post_init__(self):
+        if not isinstance(self.n, (int, np.integer)) or self.n < 2:
+            raise InvalidArgumentError(f"clique needs n >= 2, got {self.n!r}")
+        if not 0 < self.w < np.inf:
+            raise InvalidArgumentError(f"clique weight must be positive and finite, got {self.w}")
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "w", float(self.w))
+
+    def cut(self, k):
+        """Cut value of any size-k vertex subset; k may be an array of sizes."""
+        return self.w * k * (self.n - k)
+
+
 # -- generators -------------------------------------------------------------
 
 
 def make_clique(n: int, weight: float) -> WeightedGraph:
-    """Complete graph K_n with every edge at the given weight."""
-    if n < 2:
-        raise InvalidArgumentError(f"clique needs n >= 2, got {n}")
-    if not weight > 0:
-        raise InvalidArgumentError(f"clique weight must be positive, got {weight}")
+    """Complete graph K_n with every edge at the given weight, built bundle by bundle."""
+    Clique(n, weight)  # the same checks on n and weight
     us, vs = np.triu_indices(n, 1)
     return WeightedGraph.from_arrays(n, us, vs, np.full(us.size, float(weight)))
 

@@ -16,10 +16,10 @@ from typing import Sequence
 from . import bounds, cuts, martingale, nbwalk, spectral
 from .errors import InvalidArgumentError
 from .graph import (
+    Clique,
     WeightedGraph,
     collapse_multiedges,
     first_matchings_subgraph,
-    make_clique,
     sample_regular_multigraph,
     scale_weights,
 )
@@ -70,7 +70,7 @@ def run_clique_sparsify(
         raise InvalidArgumentError(f"unknown cut mode {cut_mode!r}")
     if cut_mode == "exhaustive" and n > cuts.EXHAUSTIVE_CAP:
         raise InvalidArgumentError(f"exhaustive cut mode needs n <= {cuts.EXHAUSTIVE_CAP}")
-    clique = make_clique(n, 1.0)
+    clique = Clique(n, 1.0)
     scale = (n - 1) / d
     records = []
     for t in range(seeds):
@@ -168,7 +168,7 @@ def run_separation(
     if cut_mode not in ("auto", "exhaustive", "sampled"):
         raise InvalidArgumentError(f"unknown cut mode {cut_mode!r}")
     exhaustive = cut_mode == "exhaustive" or (cut_mode == "auto" and n <= cuts.EXHAUSTIVE_CAP)
-    clique = make_clique(n, 1.0)
+    clique = Clique(n, 1.0)
     records = []
     for t in range(seeds):
         seed = derive_seed(master_seed, t)
@@ -193,7 +193,7 @@ def run_separation(
             # h_cert = h/n against the 1/n clique: the eigenproblem of h against the unit clique
             spec_clique = spec_report
         else:
-            spec_clique = spectral.spectral_error(h_cert, make_clique(n, 1.0 / n))
+            spec_clique = spectral.spectral_error(h_cert, Clique(n, 1.0 / n))
         records.append(
             {
                 "trial": t,
@@ -401,7 +401,7 @@ def run_concentration(
 
 def run_cut_error(
     h: WeightedGraph,
-    g: WeightedGraph,
+    g: WeightedGraph | Clique,
     exhaustive: bool,
     samples_per_size: int,
     sizes: Sequence[int],
@@ -425,7 +425,7 @@ def run_cut_error(
     return out
 
 
-def run_spectral_error(h: WeightedGraph, g: WeightedGraph) -> dict:
+def run_spectral_error(h: WeightedGraph, g: WeightedGraph | Clique) -> dict:
     rep = spectral.spectral_error(h, g)
     out = _base_report("spectral-error", {"n": h.n})
     out.update(rep.to_json_dict())

@@ -20,7 +20,7 @@ partner table; each tail trial counts its interior edges on it in one step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -51,6 +51,11 @@ class RevealTrace:
     b: np.ndarray  # unmatched vertices overall in the current matching, after the reveal
     quad_char: np.ndarray  # running sum of exact conditional indicator variances
     matchings: np.ndarray  # read-only (d, n) partner table, one row per matching
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RevealTrace):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
     @property
     def steps(self) -> int:

@@ -1,11 +1,11 @@
-"""Dense symmetric eigendecomposition and spectral sparsification error.
+"""Laplacians and the spectral sparsification error.
 
 The relative spectral error of H against G is the worst deviation from 1 of
 the generalized eigenvalues of (L_H, L_G) restricted to the range of L_G.
-It is computed by whitening with the pseudo-inverse square root of L_G; when
-G is a uniform-weight clique the whitening collapses to a plain eigensolve
-of L_H, because the clique Laplacian acts as a multiple of the identity on
-the complement of the all-ones vector.
+The reference's type picks the path.  A :class:`Clique` reference is a plain
+eigensolve of L_H, because the clique Laplacian acts as w*n times the
+identity on the complement of the all-ones vector.  A :class:`WeightedGraph`
+reference is whitened with the pseudo-inverse square root of L_G.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NotComparableError, SizeLimitError
-from .graph import WeightedGraph, uniform_clique_weight
+from .graph import Clique, WeightedGraph
 
 DENSE_CAP = 4000
 _KERNEL_SPLIT_RTOL = 1e-10  # eigenvalues of L_G below this (relative) are kernel
@@ -50,19 +50,7 @@ def laplacian(graph: WeightedGraph) -> np.ndarray:
     return lap
 
 
-def adjacency(graph: WeightedGraph) -> np.ndarray:
-    return graph.weight_matrix()
-
-
-def symmetric_eigenvalues(a, cap: int = DENSE_CAP) -> np.ndarray:
-    """All eigenvalues in ascending order (LAPACK dense solver)."""
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.shape[0] > cap:
-        raise SizeLimitError(f"n={arr.shape[0]} exceeds dense eigensolver cap {cap}")
-    return np.linalg.eigvalsh(arr)
-
-
-def spectral_error(h: WeightedGraph, g: WeightedGraph, method: str = "auto", cap: int = DENSE_CAP) -> SpectralReport:
+def spectral_error(h: WeightedGraph, g: WeightedGraph | Clique, cap: int = DENSE_CAP) -> SpectralReport:
     """Relative spectral error: max |lambda - 1| over generalized eigenvalues
     of (L_H, L_G) on range(L_G).
 
@@ -76,48 +64,27 @@ def spectral_error(h: WeightedGraph, g: WeightedGraph, method: str = "auto", cap
         raise InvalidArgumentError("need at least 2 vertices for a spectral error")
     if n > cap:
         raise SizeLimitError(f"n={n} exceeds dense cap {cap}")
-    if method not in ("auto", "whitening", "clique"):
-        raise InvalidArgumentError(f"unknown method {method!r}")
 
     lh = laplacian(h)
     # Gershgorin bound on ||L_H||: within a factor 2 of the true spectral norm.
     lh_norm = max(2.0 * float(h.weighted_degrees().max(initial=0.0)), np.finfo(float).tiny)
 
-    clique_w = uniform_clique_weight(g)
-    if method == "clique" and clique_w is None:
-        raise InvalidArgumentError("clique method requires a uniform-weight complete reference")
-    use_clique = clique_w is not None and method in ("auto", "clique")
-
-    if use_clique:
-        # kernel(L_G) = span(1); L_H 1 = 0 exactly by construction of L = D - A.
-        ones = np.ones(n) / np.sqrt(n)
-        if float(np.linalg.norm(lh @ ones)) > _KERNEL_CONTAIN_RTOL * lh_norm:
-            raise NotComparableError("kernel of the reference Laplacian is not annihilated by L_H")
-        evals = np.linalg.eigvalsh(lh) / (clique_w * n)
+    if isinstance(g, Clique):
+        method = "clique"
+        kernel_vecs = np.ones((n, 1)) / np.sqrt(n)  # kernel(L_G) = span(1)
+        evals = np.linalg.eigvalsh(lh) / (g.w * n)
         evals = np.delete(evals, int(np.argmin(np.abs(evals))))  # the all-ones direction
-        lam_min, lam_max = float(evals[0]), float(evals[-1])
-        return SpectralReport(
-            epsilon=max(abs(lam_min - 1.0), abs(lam_max - 1.0)),
-            lambda_min=lam_min,
-            lambda_max=lam_max,
-            kernel_ok=True,
-            n=n,
-            method="clique",
-        )
-
-    lg = laplacian(g)
-    w, vecs = np.linalg.eigh(lg)
-    scale = max(float(np.abs(w).max()), np.finfo(float).tiny)
-    kernel = w <= _KERNEL_SPLIT_RTOL * scale
-    kvecs = vecs[:, kernel]
-    for j in range(kvecs.shape[1]):
-        if float(np.linalg.norm(lh @ kvecs[:, j])) > _KERNEL_CONTAIN_RTOL * lh_norm:
+    else:
+        method = "whitening"
+        w, vecs = np.linalg.eigh(laplacian(g))
+        kernel = w <= _KERNEL_SPLIT_RTOL * max(float(np.abs(w).max()), np.finfo(float).tiny)
+        kernel_vecs = vecs[:, kernel]
+        white = vecs[:, ~kernel] / np.sqrt(w[~kernel])
+        m = white.T @ lh @ white
+        evals = np.linalg.eigvalsh((m + m.T) / 2.0)
+    for v in kernel_vecs.T:
+        if float(np.linalg.norm(lh @ v)) > _KERNEL_CONTAIN_RTOL * lh_norm:
             raise NotComparableError("kernel of the reference Laplacian is not annihilated by L_H")
-    rvecs = vecs[:, ~kernel]
-    white = rvecs / np.sqrt(w[~kernel])
-    m = white.T @ lh @ white
-    m = (m + m.T) / 2.0
-    evals = np.linalg.eigvalsh(m)
     lam_min, lam_max = float(evals[0]), float(evals[-1])
     return SpectralReport(
         epsilon=max(abs(lam_min - 1.0), abs(lam_max - 1.0)),
@@ -125,23 +92,5 @@ def spectral_error(h: WeightedGraph, g: WeightedGraph, method: str = "auto", cap
         lambda_max=lam_max,
         kernel_ok=True,
         n=n,
-        method="whitening",
+        method=method,
     )
-
-
-def regular_clique_epsilon_oracle(h_unscaled: WeightedGraph, d: int) -> float:
-    """Independent path for the error of ((n-1)/d) H against the unweighted clique.
-
-    For unweighted d-regular H the generalized eigenvalue attached to an
-    adjacency eigenvalue eta (on the complement of all-ones) is
-    (n-1)(d - eta)/(d n); the top eigenvalue eta = d is the all-ones direction
-    and is excluded.
-    """
-    n = h_unscaled.n
-    deg = h_unscaled.combinatorial_degrees()
-    if not np.all(deg == d):
-        raise InvalidArgumentError("oracle requires an unweighted d-regular multigraph")
-    eta = symmetric_eigenvalues(adjacency(h_unscaled))
-    eta = eta[:-1]  # drop the Perron eigenvalue (= d for connected H)
-    lam = (n - 1) * (d - eta) / (d * n)
-    return float(np.abs(lam - 1.0).max())

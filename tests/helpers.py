@@ -11,10 +11,13 @@ import math
 from itertools import combinations
 
 import numpy as np
+from hypothesis import strategies as st
 
+from sparselab.errors import InvalidArgumentError, SizeLimitError
 from sparselab.graph import WeightedGraph, bfs_depths
 from sparselab.nbwalk import FIRST_STEP_UNIFORM, FIRST_STEP_WEIGHT, PseudoGirthReport
 from sparselab.rng import derive_seed, make_generator
+from sparselab.spectral import DENSE_CAP
 
 
 def erf_series(x: float, terms: int = 120) -> float:
@@ -119,6 +122,91 @@ def random_weighted_graph(rng: np.random.Generator, n: int, density: float) -> W
             if rng.random() < density:
                 edges.append((u, v, float(rng.uniform(0.1, 3.0))))
     return WeightedGraph(n, edges)
+
+
+def symmetric_eigenvalues(a, cap: int = DENSE_CAP) -> np.ndarray:
+    """All eigenvalues in ascending order (LAPACK dense solver)."""
+    arr = np.asarray(a, dtype=np.float64)
+    if arr.shape[0] > cap:
+        raise SizeLimitError(f"n={arr.shape[0]} exceeds dense eigensolver cap {cap}")
+    return np.linalg.eigvalsh(arr)
+
+
+def regular_clique_epsilon_oracle(h_unscaled: WeightedGraph, d: int) -> float:
+    """Independent path for the error of ((n-1)/d) H against the unweighted clique.
+
+    For unweighted d-regular H the generalized eigenvalue attached to an
+    adjacency eigenvalue eta (on the complement of all-ones) is
+    (n-1)(d - eta)/(d n); the top eigenvalue eta = d is the all-ones direction
+    and is excluded.
+    """
+    n = h_unscaled.n
+    deg = h_unscaled.combinatorial_degrees()
+    if not np.all(deg == d):
+        raise InvalidArgumentError("oracle requires an unweighted d-regular multigraph")
+    eta = symmetric_eigenvalues(h_unscaled.weight_matrix())
+    eta = eta[:-1]  # drop the Perron eigenvalue (= d for connected H)
+    lam = (n - 1) * (d - eta) / (d * n)
+    return float(np.abs(lam - 1.0).max())
+
+
+class IncrementalCut:
+    """Cut value maintained under single-vertex flips in O(degree) time.
+
+    Used as the independent cross-check for the vectorized enumeration: the
+    two paths must agree to float accumulation error.
+    """
+
+    def __init__(self, graph: WeightedGraph, members=()):
+        self._indptr, self._nbr, self._wgt = graph.csr()
+        self._in = np.zeros(graph.n, dtype=bool)
+        self.cut = 0.0
+        for v in members:
+            self.flip(v)
+
+    def flip(self, v: int) -> float:
+        lo, hi = self._indptr[v], self._indptr[v + 1]
+        nbrs = self._nbr[lo:hi]
+        ws = self._wgt[lo:hi]
+        inside = self._in[nbrs]
+        entering = not self._in[v]
+        if entering:
+            # edges to outside vertices start crossing, edges to inside stop
+            self.cut += float(ws[~inside].sum()) - float(ws[inside].sum())
+        else:
+            self.cut += float(ws[inside].sum()) - float(ws[~inside].sum())
+        self._in[v] = entering
+        return self.cut
+
+    def members(self) -> tuple[int, ...]:
+        return tuple(int(v) for v in np.flatnonzero(self._in))
+
+
+# -- hypothesis strategies --------------------------------------------------------
+
+# integer weights make exact ties, so first-in-visit-order rules are exercised
+_weights = st.one_of(st.integers(1, 3).map(float), st.floats(0.25, 4.0))
+
+
+@st.composite
+def connected_graphs(draw, n=None, max_n=10):
+    """Random spanning tree plus extra edges on 2..max_n vertices, positive weights."""
+    if n is None:
+        n = draw(st.integers(2, max_n))
+    edges = {}
+    for v in range(1, n):
+        edges[(draw(st.integers(0, v - 1)), v)] = draw(_weights)
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), _weights), max_size=2 * n))
+    for u, v, w in extra:
+        if u != v:
+            edges[(min(u, v), max(u, v))] = w
+    return WeightedGraph(n, [(u, v, w) for (u, v), w in edges.items()])
+
+
+@st.composite
+def graph_pairs(draw, max_n=10):
+    h = draw(connected_graphs(max_n=max_n))
+    return h, draw(connected_graphs(h.n))
 
 
 # -- per-root walk and pseudo-girth oracles -------------------------------------------

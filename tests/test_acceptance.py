@@ -16,7 +16,12 @@ from sparselab import cli, harness
 from sparselab.cuts import REF_DENSITY
 from sparselab.martingale import binomial_tail_ge
 
-from helpers import check_reveal_invariants, random_connected_graph, random_weighted_graph
+from helpers import (
+    check_reveal_invariants,
+    random_connected_graph,
+    random_weighted_graph,
+    regular_clique_epsilon_oracle,
+)
 
 # Frozen after the first verified run of criterion 12 (cycle C_1000, weight
 # 1/2, horizon 10); reproducible bit-for-bit on one platform and checked to
@@ -57,7 +62,7 @@ def certificate_sweep():
             h = random_connected_graph(rng, n, int(rng.integers(n // 2, 3 * n)))
             nominal = max(2.0, 2.0 * h.num_bundles / n)
         cert = sl.certify_lower_bound(h, g, nominal)
-        spec = sl.spectral_error(h, sl.make_clique(h.n, 1.0 / h.n))
+        spec = sl.spectral_error(h, sl.Clique(h.n, 1.0 / h.n))
         results.append((trial, cert, spec))
     return results
 
@@ -83,7 +88,7 @@ def test_criterion_02_relative_error_maximized_at_half():
 
 def test_criterion_03_c4_cross_check():
     c4 = sl.make_cycle(4, 1.5)
-    k4 = sl.make_clique(4, 1.0)
+    k4 = sl.Clique(4, 1.0)
     eps_cut = sl.cut_error_exhaustive(c4, k4).epsilon
     eps_spec = sl.spectral_error(c4, k4).epsilon
     ok = abs(eps_cut - 0.5) <= 1e-9 and abs(eps_spec - 0.5) <= 1e-9
@@ -187,8 +192,8 @@ def test_criterion_10_spectral_sanity_band():
     values = []
     for t in range(10):
         h = sl.sample_regular_multigraph(n, d, sl.derive_seed(1001, t))
-        whitened = sl.spectral_error(sl.scale_weights(h, (n - 1) / d), sl.make_clique(n, 1.0), method="whitening")
-        oracle = sl.regular_clique_epsilon_oracle(h, d)
+        whitened = sl.spectral_error(sl.scale_weights(h, (n - 1) / d), sl.make_clique(n, 1.0))
+        oracle = regular_clique_epsilon_oracle(h, d)
         if abs(whitened.epsilon - oracle) > 1e-8:
             _report(10, False, f"seed {t}: whitening {whitened.epsilon} vs oracle {oracle}")
         if not lo <= whitened.epsilon <= hi:
@@ -227,7 +232,7 @@ def test_criterion_12_certificate_golden_value():
     h = sl.make_cycle(1000, 0.5)
     first = sl.certify_lower_bound(h, 10, 2)
     second = sl.certify_lower_bound(h, 10, 2)
-    spec = sl.spectral_error(h, sl.make_clique(1000, 1.0 / 1000))
+    spec = sl.spectral_error(h, sl.Clique(1000, 1.0 / 1000))
     ok = (
         first.epsilon_lb > 0.0
         and first.epsilon_lb == second.epsilon_lb

@@ -2,9 +2,18 @@ import json
 
 import pytest
 
-from sparselab import harness, martingale
+from sparselab import cuts, harness, martingale, spectral
 from sparselab.cli import main
-from sparselab.graph import WeightedGraph, make_clique, make_cycle, read_edge_list, write_edge_list
+from sparselab.graph import (
+    Clique,
+    WeightedGraph,
+    make_clique,
+    make_cycle,
+    read_edge_list,
+    sample_regular_multigraph,
+    scale_weights,
+    write_edge_list,
+)
 
 
 @pytest.fixture
@@ -113,6 +122,42 @@ class TestSpectralAndCertify:
         h = tmp_path / "h.edges"
         write_edge_list(WeightedGraph(6, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0)]), h)
         assert run_cli(["certify", "--h-file", h, "--g", "2", "--d", "2"]) == 2
+
+
+class TestReferenceFile:
+    """A --g-file holding a complete graph of one weight is measured as a Clique."""
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_reports_equal_the_library_on_the_reference(self, tmp_path, monkeypatch, perturbed):
+        n, w = 10, 0.75
+        h = scale_weights(sample_regular_multigraph(n, 4, 3), (n - 1) / 4)
+        us, vs, ws, _ = make_clique(n, w).edge_arrays()
+        if perturbed:
+            ws = ws.copy()
+            ws[3] *= 1.5
+        h_file, g_file = tmp_path / "h.edges", tmp_path / "g.edges"
+        write_edge_list(h, h_file)
+        write_edge_list(WeightedGraph.from_arrays(n, us, vs, ws), g_file)
+        ref = read_edge_list(g_file) if perturbed else Clique(n, w)
+        sampled = ["cut-error", "--samples", "20", "--sizes", "3,5", "--seed", "4"]
+        cases = [
+            (["cut-error", "--exhaustive"], cuts.cut_error_exhaustive(h, ref)),
+            (sampled, cuts.cut_error_sampled(h, ref, 20, [3, 5], 4)),
+            (["spectral-error"], spectral.spectral_error(h, ref)),
+        ]
+        seen = []
+        for module, name in ((cuts, "cut_error_exhaustive"), (cuts, "cut_error_sampled"), (spectral, "spectral_error")):
+            def spy(h, g, *args, _measure=getattr(module, name), **kwargs):
+                seen.append(type(g))
+                return _measure(h, g, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        for args, expected in cases:
+            out = tmp_path / "rep.json"
+            assert run_cli(args + ["--h-file", h_file, "--g-file", g_file, "--out", out]) == 0
+            rep = json.loads(out.read_text())
+            assert {key: rep[key] for key in expected.to_json_dict()} == expected.to_json_dict()
+        assert seen == [WeightedGraph if perturbed else Clique] * 3
 
 
 class TestBoundsCli:

@@ -11,7 +11,6 @@ from sparselab import cuts
 from sparselab.cuts import (
     REF_DENSITY,
     REF_EXPECTATION,
-    IncrementalCut,
     cut_error_exhaustive,
     cut_error_sampled,
     cut_profile,
@@ -22,10 +21,11 @@ from sparselab.cuts import (
     regular_vs_clique_exhaustive,
 )
 from sparselab.errors import DegenerateInputError, InvalidArgumentError, SizeLimitError
-from sparselab.graph import WeightedGraph, make_clique, make_cycle, sample_regular_multigraph, scale_weights
+from sparselab.graph import Clique, WeightedGraph, make_clique, make_cycle, sample_regular_multigraph, scale_weights
 from sparselab.rng import make_generator
+from sparselab.spectral import spectral_error
 
-from helpers import brute_cut, brute_cut_error, random_connected_graph
+from helpers import IncrementalCut, brute_cut, brute_cut_error, connected_graphs, graph_pairs, random_connected_graph
 
 
 class TestCutValue:
@@ -81,7 +81,7 @@ class TestExhaustiveError:
         assert rep.subsets_examined == 2 ** 5 - 1
 
     def test_c4_vs_k4(self):
-        rep = cut_error_exhaustive(make_cycle(4, 1.5), make_clique(4, 1.0))
+        rep = cut_error_exhaustive(make_cycle(4, 1.5), Clique(4, 1.0))
         assert rep.epsilon == pytest.approx(0.5, abs=1e-12)
         assert rep.witness == (0, 2)
 
@@ -97,13 +97,16 @@ class TestExhaustiveError:
     def test_matches_profile_max_with_expectation_reference(self):
         h_raw = sample_regular_multigraph(16, 4, seed=5)
         h = scale_weights(h_raw, 15 / 4)
-        rep = cut_error_exhaustive(h, make_clique(16, 1.0))
+        rep = cut_error_exhaustive(h, Clique(16, 1.0))
         prof = cut_profile(h_raw, 4, reference=REF_EXPECTATION)
         assert rep.epsilon == pytest.approx(prof.max_abs_deviation(), rel=1e-12)
 
     def test_vertex_mismatch(self):
         with pytest.raises(InvalidArgumentError):
             cut_error_exhaustive(make_clique(4, 1.0), make_clique(5, 1.0))
+        for measure in (cut_error_exhaustive, lambda h, g: cut_error_sampled(h, g, 10, [2], seed=0)):
+            with pytest.raises(InvalidArgumentError, match="vertex sets differ"):
+                measure(make_clique(4, 1.0), Clique(5, 1.0))
 
     def test_degenerate_reference_names_witness(self):
         h = make_clique(4, 1.0)
@@ -168,7 +171,7 @@ class TestSampledError:
 
     def test_deterministic_given_seed(self):
         h = sample_regular_multigraph(60, 6, seed=1)
-        g = make_clique(60, 1.0)
+        g = Clique(60, 1.0)
         a = cut_error_sampled(h, g, 50, [10, 20, 30], seed=5)
         b = cut_error_sampled(h, g, 50, [10, 20, 30], seed=5)
         assert a.epsilon == b.epsilon and a.witness == b.witness
@@ -225,7 +228,7 @@ class TestCombinedScan:
         n, d = 16, 4
         h_raw = sample_regular_multigraph(n, d, seed=5)
         err, prof = regular_vs_clique_exhaustive(h_raw, d, reference=REF_EXPECTATION)
-        separate = cut_error_exhaustive(scale_weights(h_raw, (n - 1) / d), make_clique(n, 1.0))
+        separate = cut_error_exhaustive(scale_weights(h_raw, (n - 1) / d), Clique(n, 1.0))
         assert err.epsilon == pytest.approx(separate.epsilon, rel=1e-12)
         assert err.epsilon == pytest.approx(prof.max_abs_deviation(), rel=1e-12)
         sep_prof = cut_profile(h_raw, d, reference=REF_EXPECTATION)
@@ -280,33 +283,10 @@ def test_gray_visit_matches_incremental_stream():
 
 # -- properties of the one exhaustive enumeration ------------------------------
 
-# integer weights make exact ties, so first-in-visit-order rules are exercised
-_weights = st.one_of(st.integers(1, 3).map(float), st.floats(0.25, 4.0))
 # small blocks force the reducers to carry their state across many blocks
 _block_bits = st.sampled_from([1, 2, 3, cuts._BLOCK_BITS])
 _references = st.sampled_from([REF_DENSITY, REF_EXPECTATION])
 _examples = settings(max_examples=50, deadline=None)
-
-
-@st.composite
-def connected_graphs(draw, n=None):
-    """Random spanning tree plus extra edges on 2..10 vertices, positive weights."""
-    if n is None:
-        n = draw(st.integers(2, 10))
-    edges = {}
-    for v in range(1, n):
-        edges[(draw(st.integers(0, v - 1)), v)] = draw(_weights)
-    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), _weights), max_size=2 * n))
-    for u, v, w in extra:
-        if u != v:
-            edges[(min(u, v), max(u, v))] = w
-    return WeightedGraph(n, [(u, v, w) for (u, v), w in edges.items()])
-
-
-@st.composite
-def graph_pairs(draw):
-    h = draw(connected_graphs())
-    return h, draw(connected_graphs(h.n))
 
 
 def _close(x):
@@ -333,9 +313,9 @@ class TestExhaustiveProperties:
     def test_cut_error_matches_brute_force(self, pair, clique_reference, block_bits):
         h, g = pair
         if clique_reference:
-            g = make_clique(h.n, 0.7)
+            g = make_clique(h.n, 0.7)  # the oracle reads a clique reference as a graph
         with mock.patch.object(cuts, "_BLOCK_BITS", block_bits):
-            rep = cut_error_exhaustive(h, g)
+            rep = cut_error_exhaustive(h, Clique(h.n, 0.7) if clique_reference else g)
         expected, _ = brute_cut_error(h, g)
         assert rep.epsilon == _close(expected)
         assert rep.subsets_examined == 2 ** (h.n - 1) - 1
@@ -369,7 +349,21 @@ class TestExhaustiveProperties:
         n = h.n
         with mock.patch.object(cuts, "_BLOCK_BITS", block_bits):
             err, prof = regular_vs_clique_exhaustive(h, d, reference=reference)
-            separate = cut_error_exhaustive(scale_weights(h, (n - 1) / d), make_clique(n, 1.0))
+            separate = cut_error_exhaustive(scale_weights(h, (n - 1) / d), Clique(n, 1.0))
             assert prof == cut_profile(h, d, reference=reference)
         assert err.epsilon == _close(separate.epsilon)
         assert err.subsets_examined == separate.subsets_examined
+
+
+class TestReferenceProperties:
+    @_examples
+    @given(h=connected_graphs(max_n=12), w=st.floats(0.1, 10.0), seed=st.integers(0, 2**32))
+    def test_clique_value_matches_clique_graph(self, h, w, seed):
+        clique, graph = Clique(h.n, w), make_clique(h.n, w)
+        assert abs(cut_error_exhaustive(h, clique).epsilon - cut_error_exhaustive(h, graph).epsilon) <= 1e-9
+        a = cut_error_sampled(h, clique, 5, range(1, h.n), seed)
+        b = cut_error_sampled(h, graph, 5, range(1, h.n), seed)
+        assert abs(a.epsilon - b.epsilon) <= 1e-9 and a.subsets_examined == b.subsets_examined
+        a, b = spectral_error(h, clique), spectral_error(h, graph)
+        assert (a.method, b.method) == ("clique", "whitening")
+        assert abs(a.epsilon - b.epsilon) <= 1e-9

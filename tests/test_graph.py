@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sparselab import graph
 from sparselab.errors import InvalidArgumentError, ParseError, UnsupportedInputError
 from sparselab.graph import (
+    Clique,
     WeightedGraph,
     collapse_multiedges,
     degree_report,
@@ -83,6 +84,16 @@ class TestClique:
     def test_uniform_clique_detection(self):
         assert uniform_clique_weight(make_clique(6, 0.5)) == 0.5
         assert uniform_clique_weight(sample_regular_multigraph(6, 2, 0)) is None
+
+    @pytest.mark.parametrize("n, w", [(1, 1.0), (4, 0.0), (4, math.nan), (4, -1.0), (4, math.inf), (4.0, 1.0)])
+    def test_clique_value_rejects_bad_arguments(self, n, w):
+        with pytest.raises(InvalidArgumentError):
+            Clique(n, w)
+
+    def test_clique_value_cuts_match_the_built_clique(self):
+        c = Clique(np.int64(6), 1)
+        assert (type(c.n), type(c.w)) == (int, float) and c == Clique(6, 1.0)
+        assert [c.cut(k) for k in range(7)] == [cut_value(make_clique(6, 1.0), range(k)) for k in range(7)]
 
 
 class TestRegularSampler:

@@ -95,6 +95,13 @@ class TestSimulateReveal:
         b = simulate_reveal(40, 10, 3, seed=123)
         assert np.array_equal(a.z, b.z) and np.array_equal(a.x, b.x)
 
+    def test_traces_compare_by_value(self):
+        a = simulate_reveal(40, 10, 3, seed=0)
+        assert a.steps > 1
+        assert a == simulate_reveal(40, 10, 3, seed=0)
+        assert a != simulate_reveal(40, 10, 3, seed=1)
+        assert a != simulate_reveal(40, 11, 3, seed=0)
+
 
 class TestEmpiricalTail:
     def test_huge_delta_gives_zero(self):

@@ -10,6 +10,7 @@ from sparselab.errors import DegenerateInputError, InvalidArgumentError, Unsuppo
 from sparselab.graph import (
     WeightedGraph,
     collapse_multiedges,
+    Clique,
     make_clique,
     make_cycle,
     sample_regular_multigraph,
@@ -211,7 +212,7 @@ class TestCertificate:
         n = 200
         h = make_cycle(n, 0.5)
         cert = certify_lower_bound(h, 10, 2)
-        spec = spectral_error(h, make_clique(n, 1.0 / n))
+        spec = spectral_error(h, Clique(n, 1.0 / n))
         assert 0.0 < cert.epsilon_lb <= spec.epsilon + 1e-6
 
     def test_soundness_across_random_graphs(self):
@@ -221,7 +222,7 @@ class TestCertificate:
             h = random_connected_graph(rng, n, int(rng.integers(n // 2, 3 * n)))
             g = int(rng.choice([1, 2, 3, 5]))
             cert = certify_lower_bound(h, g, max(2.0, 4.0 * h.num_bundles / n))
-            spec = spectral_error(h, make_clique(n, 1.0 / n))
+            spec = spectral_error(h, Clique(n, 1.0 / n))
             assert cert.epsilon_lb <= spec.epsilon + 1e-6, f"trial {trial} unsound"
 
     def test_identity_checks_hold_on_regular_graph(self):
@@ -257,7 +258,7 @@ class TestCertificate:
         cert = certify_lower_bound(h, 3, 2.0)
         assert cert.identity_checks.total_mass_loss > 0.0
         assert cert.identity_checks.ok
-        spec = spectral_error(h, make_clique(n, 1.0 / n))
+        spec = spectral_error(h, Clique(n, 1.0 / n))
         assert cert.epsilon_lb <= spec.epsilon + 1e-6
 
     def test_assumption_diagnostics_flag_heavy_edges(self):
@@ -309,7 +310,7 @@ class TestCertificate:
             scale_weights(sample_regular_multigraph(n, d, seed=derive_seed(1200, 0)), (n - 1) / (d * n))
         )
         cert = certify_lower_bound(h, 2, d)
-        spec = spectral_error(h, make_clique(n, 1.0 / n))
+        spec = spectral_error(h, Clique(n, 1.0 / n))
         assert 0.0 < cert.epsilon_lb <= spec.epsilon
         assert cert.epsilon_lb == pytest.approx(0.37771360892681277, abs=1e-12)
 
@@ -343,7 +344,7 @@ class TestCertificate:
 def test_first_step_open_choice_changes_tables_not_soundness():
     rng = make_generator(44)
     h = random_connected_graph(rng, 25, 20)
-    spec = spectral_error(h, make_clique(25, 1.0 / 25))
+    spec = spectral_error(h, Clique(25, 1.0 / 25))
     for rule in ("weight", "uniform"):
         cert = certify_lower_bound(h, 2, 3.0, first_step=rule)
         assert cert.epsilon_lb <= spec.epsilon + 1e-6

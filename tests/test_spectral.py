@@ -2,19 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparselab.cuts import cut_error_exhaustive
 from sparselab.errors import InvalidArgumentError, NotComparableError, SizeLimitError
-from sparselab.graph import WeightedGraph, make_clique, make_cycle, sample_regular_multigraph, scale_weights
+from sparselab.graph import Clique, WeightedGraph, make_clique, make_cycle, sample_regular_multigraph, scale_weights
 from sparselab.rng import make_generator
-from sparselab.spectral import (
-    laplacian,
-    regular_clique_epsilon_oracle,
-    spectral_error,
-    symmetric_eigenvalues,
-)
+from sparselab.spectral import laplacian, spectral_error
 
-from helpers import random_connected_graph
+from helpers import graph_pairs, random_connected_graph, regular_clique_epsilon_oracle, symmetric_eigenvalues
 
 
 class TestLaplacian:
@@ -86,7 +83,7 @@ class TestSpectralError:
         assert rep.epsilon == pytest.approx(0.0, abs=1e-10)
 
     def test_c4_vs_k4_closed_form(self):
-        rep = spectral_error(make_cycle(4, 1.5), make_clique(4, 1.0))
+        rep = spectral_error(make_cycle(4, 1.5), Clique(4, 1.0))
         assert rep.epsilon == pytest.approx(0.5, abs=1e-12)
         assert rep.lambda_min == pytest.approx(0.75, abs=1e-12)
         assert rep.lambda_max == pytest.approx(1.5, abs=1e-12)
@@ -103,9 +100,9 @@ class TestSpectralError:
         rng = make_generator(22)
         for _ in range(5):
             h = random_connected_graph(rng, 14, 25)
-            g = make_clique(14, 0.7)
-            a = spectral_error(h, g, method="clique")
-            b = spectral_error(h, g, method="whitening")
+            a = spectral_error(h, Clique(14, 0.7))
+            b = spectral_error(h, make_clique(14, 0.7))
+            assert (a.method, b.method) == ("clique", "whitening")
             assert a.epsilon == pytest.approx(b.epsilon, abs=1e-9)
 
     def test_dominates_cut_error(self):
@@ -121,7 +118,7 @@ class TestSpectralError:
     def test_disconnected_h_against_clique_is_comparable(self):
         # kernel(L_G) = span(1) is always inside kernel(L_H); the error is just large
         h = WeightedGraph(6, [(0, 1, 1.0), (2, 3, 1.0)])
-        rep = spectral_error(h, make_clique(6, 1.0))
+        rep = spectral_error(h, Clique(6, 1.0))
         assert rep.epsilon == pytest.approx(1.0, abs=1e-9)  # lambda_min = 0
 
     def test_not_comparable_when_reference_disconnected(self):
@@ -140,6 +137,8 @@ class TestSpectralError:
     def test_vertex_mismatch(self):
         with pytest.raises(InvalidArgumentError):
             spectral_error(make_clique(4, 1.0), make_clique(5, 1.0))
+        with pytest.raises(InvalidArgumentError, match="vertex sets differ"):
+            spectral_error(make_clique(4, 1.0), Clique(5, 1.0))
 
 
 class TestAdjacencyOracle:
@@ -147,7 +146,7 @@ class TestAdjacencyOracle:
         n, d = 100, 6
         for seed in range(3):
             h = sample_regular_multigraph(n, d, seed=seed)
-            direct = spectral_error(scale_weights(h, (n - 1) / d), make_clique(n, 1.0), method="whitening")
+            direct = spectral_error(scale_weights(h, (n - 1) / d), make_clique(n, 1.0))  # whitening
             oracle = regular_clique_epsilon_oracle(h, d)
             assert direct.epsilon == pytest.approx(oracle, abs=1e-8)
 
@@ -164,5 +163,19 @@ class TestAdjacencyOracle:
 def test_spectral_band_for_scaled_regular():
     n, d = 200, 10
     h = sample_regular_multigraph(n, d, seed=42)
-    rep = spectral_error(scale_weights(h, (n - 1) / d), make_clique(n, 1.0))
+    rep = spectral_error(scale_weights(h, (n - 1) / d), Clique(n, 1.0))
     assert 0.4 < rep.epsilon < 1.0  # near 2 sqrt(d-1)/d = 0.6 with finite-size slack
+
+
+class TestReferenceProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(pair=graph_pairs(max_n=12), clique_reference=st.booleans(), w=st.floats(0.1, 10.0), c=st.floats(1e-3, 1e3))
+    def test_cut_error_never_exceeds_spectral_and_both_are_scale_free(self, pair, clique_reference, w, c):
+        h, g = pair
+        ref, scaled_ref = (Clique(h.n, w), Clique(h.n, c * w)) if clique_reference else (g, scale_weights(g, c))
+        eps_cut, eps_spec = cut_error_exhaustive(h, ref).epsilon, spectral_error(h, ref).epsilon
+        assert eps_cut <= eps_spec + 1e-9
+        h_scaled = scale_weights(h, c)
+        assert abs(cut_error_exhaustive(h_scaled, scaled_ref).epsilon - eps_cut) <= 1e-12
+        # eigensolver rounding is relative: eps_spec reaches ~60 on these graphs
+        assert abs(spectral_error(h_scaled, scaled_ref).epsilon - eps_spec) <= 1e-12 * max(1.0, eps_spec)
