@@ -1,14 +1,14 @@
 """Cut values, cut-sparsification error, and per-size deviation profiles.
 
-Every exhaustive measurement reads one enumeration, ``_exhaustive_cuts``: it
-walks the subsets in binary-reflected Gray-code order over vertices 1..n-1
-with vertex 0 pinned inside, drops the full vertex set, and yields blocks of
-(bitmasks, subset sizes, cut values of each requested graph), so each
-unordered nonempty proper cut {S, V-S} is seen exactly once.  Two reducers
-fold the blocks: ``_WorstRatio`` keeps max |num/den - 1| and its first
-maximizer in visit order, and ``_SizeExtremes`` keeps the raw maximum and
-minimum cut per smaller-side size, from which the per-size deviation rows
-are derived once at the end.
+Every exhaustive measurement reads one kernel, ``_SplitCuts``: it splits V
+into A = {0..a-1}, with vertex 0 pinned inside, and B, and evaluates
+cut(S) = u_A[S_A] + u_B[S_B] - 2 x_A^T W_AB x_B with one GEMM per row slab of
+at most ``_SLAB_CELLS`` cells, so each unordered proper cut is seen once.
+Rows and columns are sorted by popcount: against a clique, whose cut depends
+only on |S|, each (|S_A|, |S_B|) block needs only its raw max and min cut; a
+general reference keeps an elementwise ratio.  A witness is the first extreme
+cell in Gray-code order over vertices 1..n-1, found by evaluating again only
+the blocks that reach the extreme.
 
 A reference is a :class:`WeightedGraph` or a :class:`Clique`; a clique's
 cuts come from its closed form w*k*(n-k), so it is never enumerated.
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -34,7 +35,8 @@ EXHAUSTIVE_CAP = 30
 REF_DENSITY = "density"
 REF_EXPECTATION = "expectation"
 
-_BLOCK_BITS = 18
+# cells per slab of split cut values: 1 MB of float64 per graph
+_SLAB_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -121,161 +123,175 @@ def interior_edge_weight(graph: WeightedGraph, subset: Iterable[int]) -> float:
     return float(ws[inside].sum())
 
 
-# -- vectorized subset enumeration --------------------------------------------
+# -- split enumeration ---------------------------------------------------------
 
 
-def _gray_blocks(n: int):
-    """Yield bitmask-array blocks covering all subsets with vertex 0 inside.
+def _split_point(n: int) -> int:
+    """Size a of the part A = {0..a-1}: 2^(a-1) rows against 2^(n-a) columns."""
+    return (n + 1) // 2
 
-    Bit v of a mask is membership of vertex v.  The sequence walks subsets in
-    binary-reflected Gray-code order over vertices 1..n-1; masks include the
-    full vertex set once.
+
+def _by_popcount(masks: np.ndarray, classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Masks stably sorted by popcount, and where each popcount 0..classes-1 starts (then the end)."""
+    counts = np.bitwise_count(masks)
+    order = np.argsort(counts, kind="stable")
+    return masks[order], np.searchsorted(counts[order], np.arange(classes + 1))
+
+
+def _gray_rank(masks: np.ndarray) -> np.ndarray:
+    """Position of each mask in the Gray visit order: the inverse Gray code (a prefix xor) of mask >> 1."""
+    rank = masks >> 1
+    for shift in (1, 2, 4, 8, 16, 32):
+        rank = rank ^ (rank >> shift)
+    return rank
+
+
+def _weight_classes(graph: WeightedGraph) -> list[tuple[float, np.ndarray]]:
+    """(w, per-bundle multiplier) pairs in increasing w: the cut is sum(w * crossing count) in this order.
+
+    Integer weights with a small total are one class: exact integer sums agree in any order.
     """
-    total = 1 << (n - 1)
-    step = min(total, 1 << _BLOCK_BITS)
-    for start in range(0, total, step):
-        idx = np.arange(start, min(start + step, total), dtype=np.uint64)
-        gray = idx ^ (idx >> np.uint64(1))
-        yield (gray << np.uint64(1)) | np.uint64(1)
+    ws = graph.edge_arrays()[2]
+    if np.array_equal(ws, np.rint(ws)) and ws.sum() < 2.0**50:
+        return [(1.0, ws)]
+    return [(w, (ws == w).astype(np.float64)) for w in np.unique(ws)]
 
 
-def _grouped_edges(graph: WeightedGraph) -> list[tuple[float, list[int], list[int]]]:
-    """Edges grouped by identical weight, for cheap integer crossing counts."""
-    us, vs, ws, _ = graph.edge_arrays()
-    groups: dict[float, list[int]] = {}
-    for i, w in enumerate(ws.tolist()):
-        groups.setdefault(w, []).append(i)
-    return [
-        (w, [int(us[i]) for i in ix], [int(vs[i]) for i in ix])
-        for w, ix in sorted(groups.items())
-    ]
+class _SplitCuts:
+    """Exact cut values of graphs on n vertices over the split V = A + B, A = {0..a-1}.
 
-
-def _membership_bits(masks: np.ndarray, n: int) -> list[np.ndarray]:
-    """Per-vertex 0/1 membership arrays (uint8) for a block of subset bitmasks."""
-    one = np.uint64(1)
-    return [((masks >> np.uint64(v)) & one).astype(np.uint8) for v in range(n)]
-
-
-def _cut_values_block(groups, bits: list[np.ndarray]) -> np.ndarray:
-    """Cut values of one graph for every subset in the block.
-
-    Crossing indicators are xors of the precomputed membership bits, counted
-    per weight class in uint16 (safe: a class never exceeds C(30,2) edges).
+    A subset S holding vertex 0 is a row S_A (2^(a-1) of them) and a column
+    S_B (2^(n-a)), both sorted by popcount, so each (kA, kB) block of sizes is
+    a row range times a column range.  Per weight class the crossing count
+    u_A[S_A] + u_B[S_B] - 2 x_A^T W_AB x_B is an exact integer in float64.
+    ``valid`` lists the blocks holding a proper cut (all but the full vertex
+    set's); ``size``, ``kside`` and ``count`` are per valid block.
     """
-    size = bits[0].shape
-    acc = np.zeros(size, dtype=np.float64)
-    for w, gus, gvs in groups:
-        counts = np.zeros(size, dtype=np.uint16)
-        for u, v in zip(gus, gvs):
-            counts += bits[u] ^ bits[v]
-        acc += w * counts
-    return acc
 
+    def __init__(self, n: int, graphs: Sequence[WeightedGraph]):
+        self.n = n
+        self.a = a = _split_point(n)
+        self.rows, self.ra = _by_popcount(np.arange(1 << (a - 1), dtype=np.int64) * 2 + 1, a + 1)
+        self.cols, self.cb = _by_popcount(np.arange(1 << (n - a), dtype=np.int64), n - a + 1)
+        xa = ((self.rows[:, None] >> np.arange(a)) & 1).astype(np.float64)
+        xb = ((self.cols[:, None] >> np.arange(n - a)) & 1).astype(np.float64)
+        self.xbt = xb.T.copy()
+        self.terms = []
+        for g in graphs:
+            us, vs, _, _ = g.edge_arrays()
+            terms = []
+            for w, mult in _weight_classes(g):
+                wm = np.zeros((n, n))
+                wm[us, vs] = mult
+                wm += wm.T
+                deg = wm.sum(axis=1)
+                ua = xa @ deg[:a] - ((xa @ wm[:a, :a]) * xa).sum(axis=1)
+                ub = xb @ deg[a:] - ((xb @ wm[a:, a:]) * xb).sum(axis=1)
+                terms.append((w, ua, ub, -2.0 * (xa @ wm[:a, a:])))
+            self.terms.append(terms)
+        count = np.outer(np.diff(self.ra), np.diff(self.cb))
+        count[a, n - a] = 0
+        self.valid = np.nonzero(count)
+        self.count = count[self.valid]
+        self.size = self.valid[0] + self.valid[1]
+        self.kside = np.minimum(self.size, n - self.size)
+        self.every = [(ka, 0, n - a) for ka in range(1, a + 1)]
 
-def _exhaustive_cuts(n: int, *graphs: WeightedGraph, ksides: Sequence[int] | None = None):
-    """Yield (masks, sizes, [cut values of each graph]) over every proper cut once.
+    def _cuts(self, terms, r: slice, c: slice) -> np.ndarray:
+        acc = None  # the first term stands for 0.0 + term, which equals it: terms are >= +0.0
+        for w, ua, ub, pa in terms:
+            cnt = pa[r] @ self.xbt[:, c]
+            cnt += ua[r, None]
+            cnt += ub[c]
+            if acc is None:
+                acc = cnt if w == 1.0 else w * cnt
+            else:
+                acc += w * cnt
+        return acc
 
-    Masks follow the Gray order of ``_gray_blocks`` with the full vertex set
-    dropped; sizes are the int64 popcounts of the masks.  With ``ksides`` set,
-    only cuts whose smaller side has one of those sizes are kept, before any
-    cut value is computed.
-    """
-    groups = [_grouped_edges(g) for g in graphs]
-    for masks in _gray_blocks(n):
-        sizes = np.bitwise_count(masks).astype(np.int64)
-        keep = sizes < n if ksides is None else np.isin(np.minimum(sizes, n - sizes), ksides)
-        if not keep.all():
-            masks, sizes = masks[keep], sizes[keep]
-            if not masks.size:
-                continue
-        bits = _membership_bits(masks, n)
-        cuts = [_cut_values_block(gr, bits) for gr in groups]
-        del bits, keep  # freed before the yield, so they never coexist with the next block's arrays
-        yield masks, sizes, cuts
+    def _slabs(self, blocks):
+        """Yield (kA, kB0, kB1, rows, columns, cuts of each graph) over row slabs of blocks (kA, kB0, kB1)."""
+        for ka, kb0, kb1 in blocks:
+            c = slice(self.cb[kb0], self.cb[kb1 + 1])
+            step = max(1, _SLAB_CELLS // (c.stop - c.start))
+            for r0 in range(self.ra[ka], self.ra[ka + 1], step):
+                r = slice(r0, min(r0 + step, self.ra[ka + 1]))
+                yield ka, kb0, kb1, r, c, [self._cuts(t, r, c) for t in self.terms]
+
+    def tables(self, blocks, cells, ops) -> list[np.ndarray]:
+        """Per valid block, each ufunc of ops (np.maximum or np.minimum) folded over cells(cuts)."""
+        out = [np.full((self.a + 1, self.n - self.a + 1), -np.inf if op is np.maximum else np.inf) for op in ops]
+        for ka, kb0, kb1, r, c, cuts in self._slabs(blocks):
+            starts = self.cb[kb0 : kb1 + 1] - c.start
+            for table, op, x in zip(out, ops, cells(cuts)):
+                part = table[ka, kb0 : kb1 + 1]
+                op(part, op.reduceat(op.reduce(x, axis=0), starts), out=part)
+        return [t[self.valid] for t in out]
+
+    def _blocks(self, sel: np.ndarray) -> list[tuple[int, int, int]]:
+        return [(ka, kb, kb) for ka, kb in zip(self.valid[0][sel], self.valid[1][sel])]
+
+    def extremes(self, sel: np.ndarray | None = None) -> list[np.ndarray]:
+        """Raw maximum and minimum cut of the first graph per valid block (only the selected ones are filled)."""
+        blocks = self.every if sel is None else self._blocks(sel)
+        return self.tables(blocks, lambda cuts: (cuts[0], cuts[0]), (np.maximum, np.minimum))
+
+    def first(self, sel: np.ndarray, hit) -> int | None:
+        """Mask of least Gray rank among the cells of the selected valid blocks where hit(size, cuts) holds."""
+        best = (np.inf, None)
+        for ka, kb, _, r, c, cuts in self._slabs(self._blocks(sel)):
+            i, j = np.nonzero(hit(ka + kb, cuts))
+            if i.size:
+                masks = self.rows[r][i] | (self.cols[c][j] << self.a)
+                rank = _gray_rank(masks)
+                t = int(np.argmin(rank))
+                best = min(best, (int(rank[t]), int(masks[t])))
+        return best[1]
 
 
 def _mask_to_subset(mask: int, n: int) -> tuple[int, ...]:
     return tuple(v for v in range(n) if (mask >> v) & 1)
 
 
-class _WorstRatio:
-    """Running max |num/den - 1| over blocks; the witness is the first maximizer in visit order."""
-
-    def __init__(self):
-        self.best = -1.0
-        self.mask = None
-        self.examined = 0
-
-    def add(self, masks: np.ndarray, num: np.ndarray, den: np.ndarray) -> None:
-        dev = np.abs(num / den - 1.0)
-        i = int(np.argmax(dev))
-        if dev[i] > self.best:
-            self.best = float(dev[i])
-            self.mask = int(masks[i])
-        self.examined += masks.size
-
-    def report(self, n: int) -> CutErrorReport:
-        return CutErrorReport(
-            epsilon=self.best,
-            witness=_mask_to_subset(self.mask, n),
-            mode="exhaustive",
-            subsets_examined=self.examined,
-            n=n,
-            lower_bound=False,
-        )
+def _ratio_dev(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    return np.abs(num / den - 1.0)
 
 
-class _SizeExtremes:
-    """Per smaller-side size k: raw max and min cut, first argmax mask, and count.
+def _worst_ratio(split: _SplitCuts, block_dev: np.ndarray, cell_dev) -> CutErrorReport:
+    """max |ratio - 1| from its per-block maxima; the witness is its first maximizer in Gray visit order."""
+    best = block_dev.max()
+    mask = split.first(block_dev == best, lambda size, cuts: cell_dev(size, cuts) == best)
+    n = split.n
+    return CutErrorReport(float(best), _mask_to_subset(mask, n), "exhaustive", 2 ** (n - 1) - 1, n, lower_bound=False)
 
-    Deviations are derived once per k at the end: x -> x/ref - 1 is monotone
-    under rounding, so max(cut/ref - 1) == max(cut)/ref - 1 exactly.
+
+def _clique_ratio(split: _SplitCuts, hi: np.ndarray, lo: np.ndarray, scale: float, refs: np.ndarray) -> CutErrorReport:
+    """Worst |scale*cut / refs[|S|] - 1| from each block's raw cut extremes.
+
+    x -> scale*x/ref - 1 is monotone under rounding, so a block's extreme is at its max or min cut, exactly.
     """
 
-    def __init__(self, n: int):
-        self.n = n
-        kmax = n // 2
-        self.hi = np.full(kmax + 1, -np.inf)
-        self.lo = np.full(kmax + 1, np.inf)
-        self.argmax: list[int | None] = [None] * (kmax + 1)
-        self.count = np.zeros(kmax + 1, dtype=np.int64)
+    def dev(cut, size):
+        return _ratio_dev(scale * cut, refs[size])
 
-    def add(self, masks: np.ndarray, sizes: np.ndarray, cuts: np.ndarray) -> None:
-        ksides = np.minimum(sizes, self.n - sizes)
-        for k in range(1, self.n // 2 + 1):
-            sel = ksides == k
-            vals = cuts[sel]
-            if not vals.size:
-                continue
-            self.count[k] += vals.size
-            j = int(np.argmax(vals))
-            if vals[j] > self.hi[k]:
-                self.hi[k] = vals[j]
-                self.argmax[k] = int(masks[sel][j])
-            self.lo[k] = min(self.lo[k], vals.min())
+    return _worst_ratio(split, np.maximum(dev(hi, split.size), dev(lo, split.size)), lambda size, cuts: dev(cuts[0], size))
 
-    def rows(self, refs: np.ndarray, argmax_cap: int) -> tuple[CutProfileRow, ...]:
-        n = self.n
-        rows = []
-        for k in range(1, n // 2 + 1):
-            sub = None
-            if k <= argmax_cap:
-                sub = _mask_to_subset(self.argmax[k], n)
-                if len(sub) != k:  # stored mask was the large side; report the smaller
-                    sub = tuple(v for v in range(n) if v not in sub)
-            rows.append(
-                CutProfileRow(
-                    k=k,
-                    alpha=k / n,
-                    max_dev=float(self.hi[k] / refs[k] - 1.0),
-                    min_dev=float(self.lo[k] / refs[k] - 1.0),
-                    argmax_subset=sub,
-                    subsets_examined=int(self.count[k]),
-                    mode="exhaustive",
-                )
-            )
-        return tuple(rows)
+
+def _profile_rows(split: _SplitCuts, hi: np.ndarray, lo: np.ndarray, refs: np.ndarray, argmax_cap: int):
+    """Per smaller-side size k: extreme deviations from the raw cut extremes, and the first argmax."""
+    n = split.n
+    rows = []
+    for k in range(1, n // 2 + 1):
+        sel = split.kside == k
+        top, bottom = hi[sel].max(), lo[sel].min()
+        sub = None
+        if k <= argmax_cap:
+            sub = _mask_to_subset(split.first(sel & (hi == top), lambda size, cuts: cuts[0] == top), n)
+            if len(sub) != k:  # the maximizer is the large side; report the smaller
+                sub = tuple(v for v in range(n) if v not in sub)
+        max_dev, min_dev = float(top / refs[k] - 1.0), float(bottom / refs[k] - 1.0)
+        rows.append(CutProfileRow(k, k / n, max_dev, min_dev, sub, int(split.count[sel].sum()), "exhaustive"))
+    return tuple(rows)
 
 
 def _require_same_vertices(h: WeightedGraph, g: WeightedGraph | Clique) -> None:
@@ -306,19 +322,18 @@ def cut_error_exhaustive(h: WeightedGraph, g: WeightedGraph | Clique, cap: int =
         raise SizeLimitError(f"n={n} exceeds exhaustive cap {cap}; use cut_error_sampled")
     _require_connected_reference(g)
 
-    clique = isinstance(g, Clique)
-    graphs = (h,) if clique else (h, g)
-    worst = _WorstRatio()
-    for masks, sizes, cuts in _exhaustive_cuts(n, *graphs):
-        cut_g = g.cut(sizes.astype(np.float64)) if clique else cuts[1]
-        zero_ref = cut_g <= 0.0
-        if zero_ref.any():
-            bad = int(masks[np.argmax(zero_ref)])
-            raise DegenerateInputError(
-                f"reference cut is zero for S={_mask_to_subset(bad, n)}; no finite relative error exists"
-            )
-        worst.add(masks, cuts[0], cut_g)
-    return worst.report(n)
+    if isinstance(g, Clique):
+        split = _SplitCuts(n, (h,))
+        return _clique_ratio(split, *split.extremes(), 1.0, g.cut(np.arange(n + 1, dtype=np.float64)))
+    split = _SplitCuts(n, (h, g))
+    with np.errstate(divide="ignore", invalid="ignore"):  # cut_G is 0 on the full vertex set, never read
+        dev, low = split.tables(split.every, lambda cuts: (_ratio_dev(*cuts), cuts[1]), (np.maximum, np.minimum))
+    if (low <= 0.0).any():
+        bad = split.first(low <= 0.0, lambda size, cuts: cuts[1] <= 0.0)
+        raise DegenerateInputError(
+            f"reference cut is zero for S={_mask_to_subset(bad, n)}; no finite relative error exists"
+        )
+    return _worst_ratio(split, dev, lambda size, cuts: _ratio_dev(*cuts))
 
 
 # -- sampled error -------------------------------------------------------------
@@ -367,27 +382,26 @@ def _pair_scan(h: WeightedGraph, g: WeightedGraph | Clique, row_block: int = 102
     return best, witness, examined
 
 
-def _subset_cuts(graph: WeightedGraph, subsets: Sequence[Sequence[int]], batch: int = 128) -> np.ndarray:
-    """Cut values for a list of subsets, evaluated in membership-matrix batches."""
+def _subset_cuts(graph: WeightedGraph, subsets: np.ndarray, batch: int = 128) -> np.ndarray:
+    """Cut values for the rows of a (count, k) array of subsets, in membership-matrix batches."""
     us, vs, ws, _ = graph.edge_arrays()
     out = np.empty(len(subsets))
     for lo in range(0, len(subsets), batch):
         chunk = subsets[lo : lo + batch]
         memb = np.zeros((len(chunk), graph.n), dtype=bool)
-        for i, s in enumerate(chunk):
-            memb[i, np.fromiter(s, dtype=np.int64, count=len(s))] = True
+        memb[np.arange(len(chunk))[:, None], chunk] = True
         crossing = memb[:, us] ^ memb[:, vs]
         out[lo : lo + len(chunk)] = crossing @ ws
     return out
 
 
-def _size_k_subsets(n: int, k: int, count: int, rng: np.random.Generator) -> list[tuple[int, ...]]:
+def _size_k_subsets(n: int, k: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """(count, k) array of uniform size-k subsets, each sorted; every subset when C(n, k) <= count."""
     if math.comb(n, k) <= count:
         # full enumeration fallback; cheap because comb(n, k) is small here
-        from itertools import combinations
-
-        return [tuple(c) for c in combinations(range(n), k)]
-    return [tuple(sorted(int(x) for x in rng.choice(n, size=k, replace=False))) for _ in range(count)]
+        return np.array(list(combinations(range(n), k)), dtype=np.int64).reshape(-1, k)
+    draws = [rng.choice(n, size=k, replace=False) for _ in range(count)]
+    return np.sort(np.array(draws, dtype=np.int64).reshape(count, k), axis=1)
 
 
 def cut_error_sampled(
@@ -422,17 +436,17 @@ def cut_error_sampled(
         if np.any(cg <= 0):
             j = int(np.argmax(cg <= 0))
             raise DegenerateInputError(
-                f"reference cut is zero for S={subsets[j]}; no finite relative error exists"
+                f"reference cut is zero for S={tuple(subsets[j].tolist())}; no finite relative error exists"
             )
         dev = np.abs(ch / cg - 1.0)
         examined += len(subsets)
         j = int(np.argmax(dev)) if len(subsets) else 0
         if len(subsets) and dev[j] > best:
             best = float(dev[j])
-            witness = subsets[j]
+            witness = tuple(subsets[j].tolist())
     return CutErrorReport(
         epsilon=best,
-        witness=tuple(witness),
+        witness=witness,
         mode="sampled",
         subsets_examined=examined,
         n=n,
@@ -474,27 +488,15 @@ def cut_profile(
         raise InvalidArgumentError("profile needs n >= 2")
     refs = _profile_references(n, d, reference)
     if n <= cap:
-        extremes = _SizeExtremes(n)
-        for masks, sizes, (cut_h,) in _exhaustive_cuts(n, h):
-            extremes.add(masks, sizes, cut_h)
-        return CutProfile(n=n, d=d, reference=reference, rows=extremes.rows(refs, argmax_cap))
+        split = _SplitCuts(n, (h,))
+        return CutProfile(n=n, d=d, reference=reference, rows=_profile_rows(split, *split.extremes(), refs, argmax_cap))
 
     rows = []
     for k in range(1, kmax + 1):
         subsets = _size_k_subsets(n, k, samples_per_size, make_generator(derive_seed(seed, k)))
         dev = _subset_cuts(h, subsets) / refs[k] - 1.0
-        j = int(np.argmax(dev))
-        rows.append(
-            CutProfileRow(
-                k=k,
-                alpha=k / n,
-                max_dev=float(dev.max()),
-                min_dev=float(dev.min()),
-                argmax_subset=subsets[j] if k <= argmax_cap else None,
-                subsets_examined=len(subsets),
-                mode="sampled",
-            )
-        )
+        argmax = tuple(subsets[int(np.argmax(dev))].tolist()) if k <= argmax_cap else None
+        rows.append(CutProfileRow(k, k / n, float(dev.max()), float(dev.min()), argmax, len(subsets), "sampled"))
     return CutProfile(n=n, d=d, reference=reference, rows=tuple(rows))
 
 
@@ -514,14 +516,11 @@ def regular_vs_clique_exhaustive(
     if n > EXHAUSTIVE_CAP:
         raise SizeLimitError(f"n={n} exceeds exhaustive cap {EXHAUSTIVE_CAP}")
     refs = _profile_references(n, d, reference)
-    scale = (n - 1) / d
-    worst = _WorstRatio()
-    extremes = _SizeExtremes(n)
-    for masks, sizes, (cut_h,) in _exhaustive_cuts(n, h_raw):
-        sz = sizes.astype(np.float64)
-        worst.add(masks, scale * cut_h, sz * (n - sz))
-        extremes.add(masks, sizes, cut_h)
-    return worst.report(n), CutProfile(n=n, d=d, reference=reference, rows=extremes.rows(refs, argmax_cap))
+    split = _SplitCuts(n, (h_raw,))
+    hi, lo = split.extremes()
+    sz = np.arange(n + 1, dtype=np.float64)
+    profile = CutProfile(n=n, d=d, reference=reference, rows=_profile_rows(split, hi, lo, refs, argmax_cap))
+    return _clique_ratio(split, hi, lo, (n - 1) / d, sz * (n - sz)), profile
 
 
 def extreme_cuts_at_sizes(h: WeightedGraph, ks: Sequence[int]) -> list[tuple[float, float]]:
@@ -532,10 +531,9 @@ def extreme_cuts_at_sizes(h: WeightedGraph, ks: Sequence[int]) -> list[tuple[flo
             raise InvalidArgumentError(f"size {k} not in [1, n/2]")
     if n > EXHAUSTIVE_CAP:
         raise SizeLimitError(f"n={n} exceeds exhaustive cap {EXHAUSTIVE_CAP}")
-    extremes = _SizeExtremes(n)
-    for masks, sizes, (cut_h,) in _exhaustive_cuts(n, h, ksides=ks):
-        extremes.add(masks, sizes, cut_h)
-    return [(float(extremes.hi[k]), float(extremes.lo[k])) for k in ks]
+    split = _SplitCuts(n, (h,))
+    hi, lo = split.extremes(np.isin(split.kside, ks))
+    return [(float(hi[split.kside == k].max()), float(lo[split.kside == k].min())) for k in ks]
 
 
 def extreme_cuts_at_size(

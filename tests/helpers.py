@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 from hypothesis import strategies as st
 
-from sparselab.errors import InvalidArgumentError, SizeLimitError
-from sparselab.graph import WeightedGraph, bfs_depths
+from sparselab.cuts import CutErrorReport, CutProfile, CutProfileRow, _profile_references
+from sparselab.errors import DegenerateInputError, InvalidArgumentError, SizeLimitError
+from sparselab.graph import Clique, WeightedGraph, bfs_depths
 from sparselab.nbwalk import FIRST_STEP_UNIFORM, FIRST_STEP_WEIGHT, PseudoGirthReport
 from sparselab.rng import derive_seed, make_generator
 from sparselab.spectral import DENSE_CAP
@@ -420,3 +422,218 @@ def empirical_tail_oracle(n: int, k: int, d: int, delta: float, trials: int, see
         if abs(e - expected) >= delta * expected:
             exceed += 1
     return exceed, total
+
+
+# -- Gray-block exhaustive oracle ------------------------------------------------------
+#
+# The enumeration that the split kernel in sparselab.cuts replaced: subsets in
+# binary-reflected Gray-code order over vertices 1..n-1 with vertex 0 pinned
+# inside, evaluated block by block from per-vertex membership bits, and two
+# reducers over the blocks.  Every exhaustive report must equal these bit for
+# bit, witnesses included.
+
+_BLOCK_BITS = 18
+
+
+def _gray_blocks(n: int):
+    """Yield bitmask-array blocks covering all subsets with vertex 0 inside.
+
+    Bit v of a mask is membership of vertex v.  The sequence walks subsets in
+    binary-reflected Gray-code order over vertices 1..n-1; masks include the
+    full vertex set once.
+    """
+    total = 1 << (n - 1)
+    step = min(total, 1 << _BLOCK_BITS)
+    for start in range(0, total, step):
+        idx = np.arange(start, min(start + step, total), dtype=np.uint64)
+        gray = idx ^ (idx >> np.uint64(1))
+        yield (gray << np.uint64(1)) | np.uint64(1)
+
+
+def _grouped_edges(graph: WeightedGraph) -> list[tuple[float, list[int], list[int]]]:
+    """Edges grouped by identical weight, for cheap integer crossing counts."""
+    us, vs, ws, _ = graph.edge_arrays()
+    groups: dict[float, list[int]] = {}
+    for i, w in enumerate(ws.tolist()):
+        groups.setdefault(w, []).append(i)
+    return [
+        (w, [int(us[i]) for i in ix], [int(vs[i]) for i in ix])
+        for w, ix in sorted(groups.items())
+    ]
+
+
+def _membership_bits(masks: np.ndarray, n: int) -> list[np.ndarray]:
+    """Per-vertex 0/1 membership arrays (uint8) for a block of subset bitmasks."""
+    one = np.uint64(1)
+    return [((masks >> np.uint64(v)) & one).astype(np.uint8) for v in range(n)]
+
+
+def _cut_values_block(groups, bits: list[np.ndarray]) -> np.ndarray:
+    """Cut values of one graph for every subset in the block.
+
+    Crossing indicators are xors of the precomputed membership bits, counted
+    per weight class in uint16 (safe: a class never exceeds C(30,2) edges).
+    """
+    size = bits[0].shape
+    acc = np.zeros(size, dtype=np.float64)
+    for w, gus, gvs in groups:
+        counts = np.zeros(size, dtype=np.uint16)
+        for u, v in zip(gus, gvs):
+            counts += bits[u] ^ bits[v]
+        acc += w * counts
+    return acc
+
+
+def gray_scan_oracle(n: int, *graphs: WeightedGraph, ksides: Sequence[int] | None = None):
+    """Yield (masks, sizes, [cut values of each graph]) over every proper cut once.
+
+    Masks follow the Gray order of ``_gray_blocks`` with the full vertex set
+    dropped; sizes are the int64 popcounts of the masks.  With ``ksides`` set,
+    only cuts whose smaller side has one of those sizes are kept, before any
+    cut value is computed.
+    """
+    groups = [_grouped_edges(g) for g in graphs]
+    for masks in _gray_blocks(n):
+        sizes = np.bitwise_count(masks).astype(np.int64)
+        keep = sizes < n if ksides is None else np.isin(np.minimum(sizes, n - sizes), ksides)
+        if not keep.all():
+            masks, sizes = masks[keep], sizes[keep]
+            if not masks.size:
+                continue
+        bits = _membership_bits(masks, n)
+        cuts = [_cut_values_block(gr, bits) for gr in groups]
+        del bits, keep  # freed before the yield, so they never coexist with the next block's arrays
+        yield masks, sizes, cuts
+
+
+def _mask_to_subset(mask: int, n: int) -> tuple[int, ...]:
+    return tuple(v for v in range(n) if (mask >> v) & 1)
+
+
+class WorstRatioOracle:
+    """Running max |num/den - 1| over blocks; the witness is the first maximizer in visit order."""
+
+    def __init__(self):
+        self.best = -1.0
+        self.mask = None
+        self.examined = 0
+
+    def add(self, masks: np.ndarray, num: np.ndarray, den: np.ndarray) -> None:
+        dev = np.abs(num / den - 1.0)
+        i = int(np.argmax(dev))
+        if dev[i] > self.best:
+            self.best = float(dev[i])
+            self.mask = int(masks[i])
+        self.examined += masks.size
+
+    def report(self, n: int) -> CutErrorReport:
+        return CutErrorReport(
+            epsilon=self.best,
+            witness=_mask_to_subset(self.mask, n),
+            mode="exhaustive",
+            subsets_examined=self.examined,
+            n=n,
+            lower_bound=False,
+        )
+
+
+class SizeExtremesOracle:
+    """Per smaller-side size k: raw max and min cut, first argmax mask, and count.
+
+    Deviations are derived once per k at the end: x -> x/ref - 1 is monotone
+    under rounding, so max(cut/ref - 1) == max(cut)/ref - 1 exactly.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        kmax = n // 2
+        self.hi = np.full(kmax + 1, -np.inf)
+        self.lo = np.full(kmax + 1, np.inf)
+        self.argmax: list[int | None] = [None] * (kmax + 1)
+        self.count = np.zeros(kmax + 1, dtype=np.int64)
+
+    def add(self, masks: np.ndarray, sizes: np.ndarray, cuts: np.ndarray) -> None:
+        ksides = np.minimum(sizes, self.n - sizes)
+        for k in range(1, self.n // 2 + 1):
+            sel = ksides == k
+            vals = cuts[sel]
+            if not vals.size:
+                continue
+            self.count[k] += vals.size
+            j = int(np.argmax(vals))
+            if vals[j] > self.hi[k]:
+                self.hi[k] = vals[j]
+                self.argmax[k] = int(masks[sel][j])
+            self.lo[k] = min(self.lo[k], vals.min())
+
+    def rows(self, refs: np.ndarray, argmax_cap: int) -> tuple[CutProfileRow, ...]:
+        n = self.n
+        rows = []
+        for k in range(1, n // 2 + 1):
+            sub = None
+            if k <= argmax_cap:
+                sub = _mask_to_subset(self.argmax[k], n)
+                if len(sub) != k:  # stored mask was the large side; report the smaller
+                    sub = tuple(v for v in range(n) if v not in sub)
+            rows.append(
+                CutProfileRow(
+                    k=k,
+                    alpha=k / n,
+                    max_dev=float(self.hi[k] / refs[k] - 1.0),
+                    min_dev=float(self.lo[k] / refs[k] - 1.0),
+                    argmax_subset=sub,
+                    subsets_examined=int(self.count[k]),
+                    mode="exhaustive",
+                )
+            )
+        return tuple(rows)
+
+
+def cut_error_exhaustive_oracle(h: WeightedGraph, g: WeightedGraph | Clique) -> CutErrorReport:
+    """``cut_error_exhaustive`` after its argument checks, over the Gray blocks."""
+    n = h.n
+    clique = isinstance(g, Clique)
+    graphs = (h,) if clique else (h, g)
+    worst = WorstRatioOracle()
+    for masks, sizes, cuts in gray_scan_oracle(n, *graphs):
+        cut_g = g.cut(sizes.astype(np.float64)) if clique else cuts[1]
+        zero_ref = cut_g <= 0.0
+        if zero_ref.any():
+            bad = int(masks[np.argmax(zero_ref)])
+            raise DegenerateInputError(
+                f"reference cut is zero for S={_mask_to_subset(bad, n)}; no finite relative error exists"
+            )
+        worst.add(masks, cuts[0], cut_g)
+    return worst.report(n)
+
+
+def cut_profile_oracle(h: WeightedGraph, d: int, reference: str, argmax_cap: int) -> CutProfile:
+    """Exhaustive ``cut_profile`` over the Gray blocks."""
+    n = h.n
+    extremes = SizeExtremesOracle(n)
+    for masks, sizes, (cut_h,) in gray_scan_oracle(n, h):
+        extremes.add(masks, sizes, cut_h)
+    refs = _profile_references(n, d, reference)
+    return CutProfile(n=n, d=d, reference=reference, rows=extremes.rows(refs, argmax_cap))
+
+
+def regular_vs_clique_oracle(h_raw: WeightedGraph, d: int, reference: str, argmax_cap: int):
+    """``regular_vs_clique_exhaustive`` over the Gray blocks."""
+    n = h_raw.n
+    refs = _profile_references(n, d, reference)
+    scale = (n - 1) / d
+    worst = WorstRatioOracle()
+    extremes = SizeExtremesOracle(n)
+    for masks, sizes, (cut_h,) in gray_scan_oracle(n, h_raw):
+        sz = sizes.astype(np.float64)
+        worst.add(masks, scale * cut_h, sz * (n - sz))
+        extremes.add(masks, sizes, cut_h)
+    return worst.report(n), CutProfile(n=n, d=d, reference=reference, rows=extremes.rows(refs, argmax_cap))
+
+
+def extreme_cuts_oracle(h: WeightedGraph, ks) -> list[tuple[float, float]]:
+    """``extreme_cuts_at_sizes`` over the Gray blocks, skipping sizes not asked for."""
+    extremes = SizeExtremesOracle(h.n)
+    for masks, sizes, (cut_h,) in gray_scan_oracle(h.n, h, ksides=ks):
+        extremes.add(masks, sizes, cut_h)
+    return [(float(extremes.hi[k]), float(extremes.lo[k])) for k in ks]

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from contextlib import contextmanager
 from itertools import combinations
 from unittest import mock
 
@@ -25,7 +27,19 @@ from sparselab.graph import Clique, WeightedGraph, make_clique, make_cycle, samp
 from sparselab.rng import make_generator
 from sparselab.spectral import spectral_error
 
-from helpers import IncrementalCut, brute_cut, brute_cut_error, connected_graphs, graph_pairs, random_connected_graph
+from helpers import (
+    IncrementalCut,
+    brute_cut,
+    brute_cut_error,
+    connected_graphs,
+    cut_error_exhaustive_oracle,
+    cut_profile_oracle,
+    extreme_cuts_oracle,
+    graph_pairs,
+    gray_scan_oracle,
+    random_connected_graph,
+    regular_vs_clique_oracle,
+)
 
 
 class TestCutValue:
@@ -258,14 +272,14 @@ class TestExtremeCuts:
 
 
 def test_gray_visit_matches_incremental_stream():
-    # the block enumerator and the incremental walker follow the same Gray
-    # sequence over vertices 1..n-1 with vertex 0 pinned inside; the
+    # the oracle's block enumerator and the incremental walker follow the same
+    # Gray sequence over vertices 1..n-1 with vertex 0 pinned inside; the
     # enumerator skips the full vertex set
     n = 10
     rng = make_generator(55)
     h = random_connected_graph(rng, n, 15)
     masks, stream = [], []
-    for block, _, (cut_h,) in cuts._exhaustive_cuts(n, h):
+    for block, _, (cut_h,) in gray_scan_oracle(n, h):
         masks.extend(block.tolist())
         stream.extend(cut_h.tolist())
     inc = IncrementalCut(h, members=[0])
@@ -281,12 +295,21 @@ def test_gray_visit_matches_incremental_stream():
     assert np.allclose(stream, walked, atol=1e-9)
 
 
-# -- properties of the one exhaustive enumeration ------------------------------
+# -- properties of the one exhaustive kernel -----------------------------------
 
-# small blocks force the reducers to carry their state across many blocks
-_block_bits = st.sampled_from([1, 2, 3, cuts._BLOCK_BITS])
+# the split point a in 1..n (drawn as a remainder mod n) and the slab size:
+# one row, 7 cells, or the default; small slabs carry the reductions across
+# many slabs and split every block
+_splits = st.tuples(st.integers(0, 2**16), st.sampled_from([1, 7, cuts._SLAB_CELLS]))
 _references = st.sampled_from([REF_DENSITY, REF_EXPECTATION])
 _examples = settings(max_examples=50, deadline=None)
+
+
+@contextmanager
+def _kernel(split):
+    draw, slab = split
+    with mock.patch.object(cuts, "_split_point", lambda n: 1 + draw % n), mock.patch.object(cuts, "_SLAB_CELLS", slab):
+        yield
 
 
 def _close(x):
@@ -295,26 +318,38 @@ def _close(x):
 
 class TestExhaustiveProperties:
     @_examples
-    @given(h=connected_graphs(), block_bits=_block_bits)
-    def test_generator_yields_each_proper_cut_once(self, h, block_bits):
+    @given(h=connected_graphs(), split=_splits)
+    def test_generator_yields_each_proper_cut_once(self, h, split):
+        # every mask with vertex 0 inside is one cell of one slab, with the
+        # oracle's cut value bit for bit; only the full vertex set's block is
+        # not valid
         n = h.n
-        seen = []
-        with mock.patch.object(cuts, "_BLOCK_BITS", block_bits):
-            for masks, sizes, (cut_h,) in cuts._exhaustive_cuts(n, h):
-                for m, size, c in zip(masks.tolist(), sizes.tolist(), cut_h.tolist()):
-                    subset = [v for v in range(n) if m >> v & 1]
-                    assert size == len(subset)
-                    assert c == _close(brute_cut(h, subset))
-                seen.extend(masks.tolist())
-        assert sorted(seen) == list(range(1, (1 << n) - 1, 2))  # bit 0 set, full set excluded
+        oracle = {}
+        for masks, _, (cut_h,) in gray_scan_oracle(n, h):
+            oracle.update(zip(masks.tolist(), cut_h.tolist()))
+        seen = {}
+        with _kernel(split):
+            kernel = cuts._SplitCuts(n, (h,))
+            for _, _, _, r, c, (cut_h,) in kernel._slabs(kernel.every):
+                masks = kernel.rows[r][:, None] | (kernel.cols[c] << kernel.a)[None, :]
+                for m, v in zip(masks.ravel().tolist(), cut_h.ravel().tolist()):
+                    assert m not in seen
+                    seen[m] = v
+        full = (1 << n) - 1
+        assert seen.pop(full) == 0.0
+        assert seen == oracle
+        for m, c in seen.items():
+            assert c == _close(brute_cut(h, [v for v in range(n) if m >> v & 1]))
+        assert int(kernel.count.sum()) == 2 ** (n - 1) - 1
+        assert kernel.size.max() < n
 
     @_examples
-    @given(pair=graph_pairs(), clique_reference=st.booleans(), block_bits=_block_bits)
-    def test_cut_error_matches_brute_force(self, pair, clique_reference, block_bits):
+    @given(pair=graph_pairs(), clique_reference=st.booleans(), split=_splits)
+    def test_cut_error_matches_brute_force(self, pair, clique_reference, split):
         h, g = pair
         if clique_reference:
             g = make_clique(h.n, 0.7)  # the oracle reads a clique reference as a graph
-        with mock.patch.object(cuts, "_BLOCK_BITS", block_bits):
+        with _kernel(split):
             rep = cut_error_exhaustive(h, Clique(h.n, 0.7) if clique_reference else g)
         expected, _ = brute_cut_error(h, g)
         assert rep.epsilon == _close(expected)
@@ -323,10 +358,10 @@ class TestExhaustiveProperties:
         assert abs(brute_cut(h, rep.witness) / brute_cut(g, rep.witness) - 1.0) == _close(rep.epsilon)
 
     @_examples
-    @given(h=connected_graphs(), d=st.integers(1, 9), reference=_references, block_bits=_block_bits)
-    def test_size_extremes_match_brute_force(self, h, d, reference, block_bits):
+    @given(h=connected_graphs(), d=st.integers(1, 9), reference=_references, split=_splits)
+    def test_size_extremes_match_brute_force(self, h, d, reference, split):
         n = h.n
-        with mock.patch.object(cuts, "_BLOCK_BITS", block_bits):
+        with _kernel(split):
             prof = cut_profile(h, d, reference=reference, argmax_cap=n)
             extremes = [extreme_cuts_at_size(h, k, exhaustive=True) for k in range(1, n // 2 + 1)]
             ks = list(range(n // 2, 0, -2))  # one enumeration for several sizes, in any order
@@ -344,15 +379,88 @@ class TestExhaustiveProperties:
             assert brute_cut(h, row.argmax_subset) == _close(max(vals))
 
     @_examples
-    @given(h=connected_graphs(), d=st.integers(1, 9), reference=_references, block_bits=_block_bits)
-    def test_combined_scan_matches_separate_paths(self, h, d, reference, block_bits):
+    @given(h=connected_graphs(), d=st.integers(1, 9), reference=_references, split=_splits)
+    def test_combined_scan_matches_separate_paths(self, h, d, reference, split):
         n = h.n
-        with mock.patch.object(cuts, "_BLOCK_BITS", block_bits):
+        with _kernel(split):
             err, prof = regular_vs_clique_exhaustive(h, d, reference=reference)
             separate = cut_error_exhaustive(scale_weights(h, (n - 1) / d), Clique(n, 1.0))
             assert prof == cut_profile(h, d, reference=reference)
         assert err.epsilon == _close(separate.epsilon)
         assert err.subsets_examined == separate.subsets_examined
+
+
+class TestKernelMatchesOracle:
+    """Every exhaustive report equals the Gray-block oracle's with ==, witnesses included."""
+
+    @_examples
+    @given(pair=graph_pairs(), w=st.floats(0.1, 10.0), scale=st.sampled_from([1.0, 19 / 8]), split=_splits)
+    def test_cut_error_reports(self, pair, w, scale, split):
+        h, g = scale_weights(pair[0], scale), pair[1]
+        with _kernel(split):
+            for reference in (Clique(h.n, w), g):
+                assert cut_error_exhaustive(h, reference) == cut_error_exhaustive_oracle(h, reference)
+
+    @_examples
+    @given(h=connected_graphs(), d=st.integers(1, 9), reference=_references, data=st.data(), split=_splits)
+    def test_profiles_and_extremes(self, h, d, reference, data, split):
+        n = h.n
+        ks = data.draw(st.lists(st.integers(1, n // 2), min_size=1, max_size=4))
+        with _kernel(split):
+            assert cut_profile(h, d, reference, argmax_cap=n) == cut_profile_oracle(h, d, reference, n)
+            got = regular_vs_clique_exhaustive(h, d, reference, argmax_cap=n)
+            assert got == regular_vs_clique_oracle(h, d, reference, n)
+            assert extreme_cuts_at_sizes(h, ks) == extreme_cuts_oracle(h, ks)
+
+    def test_zero_reference_cut_names_the_oracle_witness(self):
+        # zero-weight bundles leave three positive components, so three cuts
+        # with vertex 0 inside are zero; with the connectivity check bypassed,
+        # the kernel's own guard must name the first of them in Gray order
+        h = make_cycle(6, 1.0)
+        g = WeightedGraph(6, [(0, 1, 1.0), (1, 2, 0.0), (2, 3, 2.0), (3, 4, 0.0), (4, 5, 1.0), (0, 5, 0.0)])
+        with pytest.raises(DegenerateInputError) as expected:
+            cut_error_exhaustive_oracle(h, g)
+        for a in range(1, 7):
+            for slab in (1, cuts._SLAB_CELLS):
+                with _kernel((a - 1, slab)), mock.patch.object(cuts, "_require_connected_reference", lambda g: None):
+                    with pytest.raises(DegenerateInputError) as got:
+                        cut_error_exhaustive(h, g)
+                assert str(got.value) == str(expected.value)
+
+    def test_memory_is_bounded_by_slabs(self):
+        # one unslabbed 2^12 x 2^13 float64 block alone would take 256 MB
+        h = sample_regular_multigraph(26, 8, seed=0)
+        tracemalloc.start()
+        try:
+            eps = cut_error_exhaustive(h, Clique(26, 1.0)).epsilon
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        with mock.patch.object(cuts, "_SLAB_CELLS", 1):  # one row per slab
+            assert cut_error_exhaustive(h, Clique(26, 1.0)).epsilon == eps
+
+
+class TestSubsetSampling:
+    @pytest.mark.parametrize("n, k, seed", [(1000, 4, 0), (1000, 64, 1), (1000, 500, 2), (2000, 1000, 3), (30, 15, 4), (6, 2, 5)])
+    def test_same_subsets_as_sorted_tuples(self, n, k, seed):
+        count = 20
+        rng = make_generator(seed)
+        if math.comb(n, k) <= count:
+            expected = list(combinations(range(n), k))
+        else:
+            expected = [tuple(sorted(int(x) for x in rng.choice(n, size=k, replace=False))) for _ in range(count)]
+        rng_new = make_generator(seed)
+        got = cuts._size_k_subsets(n, k, count, rng_new)
+        assert got.shape == (len(expected), k)
+        assert [tuple(row) for row in got.tolist()] == expected
+        assert rng_new.integers(1 << 62) == rng.integers(1 << 62)  # the stream continues where it did
+
+    def test_subset_cuts_match_cut_value(self):
+        h = random_connected_graph(make_generator(12), 40, 80)
+        subsets = cuts._size_k_subsets(40, 7, 300, make_generator(3))
+        got = cuts._subset_cuts(h, subsets)
+        assert got.tolist() == pytest.approx([cut_value(h, s) for s in subsets.tolist()], rel=1e-12)
 
 
 class TestReferenceProperties:

@@ -139,8 +139,8 @@ class TestConcentration:
         real_sample = harness.sample_regular_multigraph
         monkeypatch.setattr(harness, "sample_regular_multigraph", lambda *a: samples.append(a) or real_sample(*a))
         enumerations = []
-        real_enumerate = cuts._exhaustive_cuts
-        monkeypatch.setattr(cuts, "_exhaustive_cuts", lambda *a, **k: enumerations.append(a) or real_enumerate(*a, **k))
+        real_kernel = cuts._SplitCuts
+        monkeypatch.setattr(cuts, "_SplitCuts", lambda *a, **k: enumerations.append(a) or real_kernel(*a, **k))
         both = run_concentration(n, [0.25, 0.5], 4, seeds=3, master_seed=4, mode=mode, samples_per_seed=20)
         assert len(samples) == 3
         assert len(enumerations) == (3 if mode == "exhaustive" else 0)
