@@ -298,8 +298,8 @@ def test_gray_visit_matches_incremental_stream():
 # -- properties of the one exhaustive kernel -----------------------------------
 
 # the split point a in 1..n (drawn as a remainder mod n) and the slab size:
-# one row, 7 cells, or the default; small slabs carry the reductions across
-# many slabs and split every block
+# one row, 7 cells, or the default; small slabs spread every block over many
+# slabs, so the block reductions carry their state across slabs
 _splits = st.tuples(st.integers(0, 2**16), st.sampled_from([1, 7, cuts._SLAB_CELLS]))
 _references = st.sampled_from([REF_DENSITY, REF_EXPECTATION])
 _examples = settings(max_examples=50, deadline=None)
