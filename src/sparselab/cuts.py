@@ -491,6 +491,8 @@ def cut_profile(
         split = _SplitCuts(n, (h,))
         return CutProfile(n=n, d=d, reference=reference, rows=_profile_rows(split, *split.extremes(), refs, argmax_cap))
 
+    if samples_per_size < 1:
+        raise InvalidArgumentError(f"sampled profile needs at least one sample per size, got {samples_per_size}")
     rows = []
     for k in range(1, kmax + 1):
         subsets = _size_k_subsets(n, k, samples_per_size, make_generator(derive_seed(seed, k)))

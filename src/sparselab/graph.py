@@ -7,8 +7,11 @@ validates and coalesces its input through one routine, which sums repeated
 pairs in input order.  This keeps the union-of-matchings model exact:
 sampling d perfect matchings can place the same vertex pair in several
 matchings, and cut and Laplacian computations must count that pair with its
-full accumulated weight.  The d matchings are drawn together, as one
-``(d, n)`` table of partners.
+full accumulated weight.  The d matchings are drawn together: one private
+helper shuffles d rows of ``range(n)`` in blocks, and a matching pairs
+consecutive entries of its row.  The partner table scatters those pairs;
+the martingale tail counts them on the shuffled rows directly, from the
+same draws.
 
 Vertex indices are 0-based everywhere.  Graphs are immutable values after
 construction: the arrays are read-only, and derived arrays are cached and
@@ -59,10 +62,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 def _coalesce(n: int, us, vs, ws, ms) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Validate edge records and merge repeated pairs into sorted bundles.
 
-    The first bad record raises InvalidArgumentError.  Weights and
-    multiplicities of a repeated pair are summed in input order (``bincount``
-    adds sequentially), so they equal a record-by-record accumulation bit for
-    bit; a pairwise reduction would not.
+    The first bad record raises InvalidArgumentError, and so does a total
+    weight that overflows to infinity.  Weights and multiplicities of a
+    repeated pair are summed in input order (``bincount`` adds sequentially),
+    so they equal a record-by-record accumulation bit for bit; a pairwise
+    reduction would not.
     """
     us = np.asarray(us, dtype=np.int64).ravel()
     vs = np.asarray(vs, dtype=np.int64).ravel()
@@ -79,6 +83,11 @@ def _coalesce(n: int, us, vs, ws, ms) -> tuple[np.ndarray, np.ndarray, np.ndarra
     keys, inv = np.unique(us * n + vs, return_inverse=True)
     ws = np.bincount(inv, weights=ws, minlength=keys.size).astype(np.float64, copy=False)  # int64 when empty
     ms = np.bincount(inv, weights=ms, minlength=keys.size).astype(np.int64)
+    with np.errstate(over="ignore"):
+        total = ws.sum()
+    if not np.isfinite(total):
+        # cut sums would overflow too, and inf/inf ratios have no witness
+        raise InvalidArgumentError(f"total edge weight {total} is not finite")
     return keys // n, keys % n, ws, ms
 
 
@@ -280,21 +289,33 @@ def make_cycle(n: int, weight: float = 1.0) -> WeightedGraph:
 _SHUFFLE_CELLS = 1 << 14
 
 
+def _shuffled_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """d independent shuffles of ``range(n)``, shape (d, n); the one shuffle path.
+
+    Row-wise ``permuted`` calls over blocks of rows take the same draws, in
+    the same order, as d calls of ``rng.permutation(n)``.
+    """
+    perm = np.empty((d, n), dtype=np.int64)
+    perm[:] = np.arange(n)
+    step = max(1, _SHUFFLE_CELLS // n)
+    for lo in range(0, d, step):
+        block = perm[lo : lo + step]
+        rng.permuted(block, axis=1, out=block)  # in place
+    return perm
+
+
 def sample_matching_partners(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     """Partner table, shape (d, n), of d independent uniform perfect matchings.
 
-    Each row shuffles the vertex list (Fisher-Yates) and pairs consecutive
-    entries, which is exactly uniform over perfect matchings on n (even)
-    vertices.  Row-wise ``permuted`` calls over blocks of rows take the same
-    draws, in the same order, as d calls of ``rng.permutation(n)``.
+    Each row shuffles the vertex list (Fisher-Yates, :func:`_shuffled_rows`)
+    and pairs consecutive entries, which is exactly uniform over perfect
+    matchings on n (even) vertices.
     """
+    perm = _shuffled_rows(rng, n, d)
     partners = np.empty((d, n), dtype=np.int64)
-    step = max(1, _SHUFFLE_CELLS // n)
-    for lo in range(0, d, step):
-        perm = rng.permuted(np.broadcast_to(np.arange(n), (min(step, d - lo), n)), axis=1)
-        rows = np.arange(lo, lo + len(perm))[:, None]
-        partners[rows, perm[:, 0::2]] = perm[:, 1::2]
-        partners[rows, perm[:, 1::2]] = perm[:, 0::2]
+    rows = np.arange(d)[:, None]
+    partners[rows, perm[:, 0::2]] = perm[:, 1::2]
+    partners[rows, perm[:, 1::2]] = perm[:, 0::2]
     return partners
 
 

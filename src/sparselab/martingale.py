@@ -13,20 +13,24 @@ matching contributes phi(k, n).
 Because the conditional expectations are exact, the martingale property and
 increment bounds can be checked exactly on every step of every trace.
 
-The d matchings of a trace or a tail trial come from one call, as a (d, n)
-partner table; each tail trial counts its interior edges on it in one step.
+The d matchings of a trace come from one call, as a (d, n) partner table.
+A tail trial draws the same shuffled rows the table is built from and counts
+its interior edges on them directly, in one step.  Tail trials are split into
+contiguous chunks, one per CPU in the process's affinity mask, and run in
+forked worker processes when the tail is large enough to repay the pool.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .bounds import TailBound, phi_matching, tail_bound_generic
 from .errors import InvalidArgumentError
-from .graph import WeightedGraph, sample_matching_partners, union_of_matchings
+from .graph import WeightedGraph, _shuffled_rows, sample_matching_partners, union_of_matchings
 from .rng import derive_seed, make_generator
 
 
@@ -166,11 +170,62 @@ class EmpiricalTail:
     bound: TailBound
 
 
+# Tails of fewer shuffled cells (trials * n * d) than this run in-process.
+# Importing the pool modules, forking two workers and joining them took
+# 40-50 ms on a 2-core host, where two workers ran about 1.5x as fast as one.
+# At n=200, d=16 the split broke even near 2000 trials (6.4e6 cells) and won
+# from 4000 trials on (1.28e7 cells: 0.33-0.41 s against 0.51-0.56 s).
+_PARALLEL_CELLS = 1 << 23
+
+
+def _tail_counts(n: int, k: int, d: int, expected: float, threshold: float, seed: int, lo: int, hi: int):
+    """(exceedances, interior total) over trials lo..hi-1.
+
+    A trial's matchings pair consecutive entries of its shuffled rows, so an
+    edge lies inside S exactly when both entries of its pair are below k.
+    """
+    exceed = total = 0
+    for t in range(lo, hi):
+        inside = _shuffled_rows(make_generator(derive_seed(seed, t)), n, d) < k
+        e = int(np.count_nonzero(inside[:, 0::2] & inside[:, 1::2]))
+        total += e
+        if abs(e - expected) >= threshold:
+            exceed += 1
+    return exceed, total
+
+
+def _tail_sums(args: tuple, trials: int) -> tuple[int, int]:
+    """:func:`_tail_counts` over all trials, in one contiguous chunk per worker.
+
+    There is one forked worker process per CPU in this process's affinity
+    mask, and at most one per trial.  Small tails, a single CPU and a
+    platform without ``fork`` run in-process.  The pool modules are imported
+    only here, so importing the package does not load them.
+    """
+    n, _, d = args[:3]
+    workers = 1
+    if trials * n * d >= _PARALLEL_CELLS and hasattr(os, "sched_getaffinity"):
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            workers = min(len(os.sched_getaffinity(0)), trials)
+    if workers == 1:
+        return _tail_counts(*args, 0, trials)
+    from concurrent.futures import ProcessPoolExecutor
+
+    cuts = [trials * i // workers for i in range(workers + 1)]
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        chunks = [pool.submit(_tail_counts, *args, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+        counts = [chunk.result() for chunk in chunks]  # in chunk order; a worker's error re-raises here
+    return sum(e for e, _ in counts), sum(t for _, t in counts)
+
+
 def empirical_tail(n: int, k: int, d: int, delta: float, trials: int, seed: int) -> EmpiricalTail:
     """Fraction of trials with |e(S) - E| >= delta E, next to the analytic bound.
 
     Per-trial seeds are derived from the master seed so trials are
-    reproducible and independent.
+    reproducible and independent, and the counts are integers, so the result
+    does not depend on how :func:`_tail_sums` splits the trials.
     """
     _check_domain(n, k, d)
     if trials < 1:
@@ -180,16 +235,7 @@ def empirical_tail(n: int, k: int, d: int, delta: float, trials: int, seed: int)
     # The bound's own domain checks run before any trial is sampled.
     bound = tail_bound_generic(n, k, d, delta)
     expected = math.comb(k, 2) * d / (n - 1.0)
-    threshold = delta * expected
-    exceed = 0
-    total = 0
-    for t in range(trials):
-        rng = make_generator(derive_seed(seed, t))
-        # matching edges inside S: partner pairs with both ends below k
-        e = int((sample_matching_partners(rng, n, d)[:, :k] < k).sum()) // 2
-        total += e
-        if abs(e - expected) >= threshold:
-            exceed += 1
+    exceed, total = _tail_sums((n, k, d, expected, delta * expected, seed), trials)
     return EmpiricalTail(
         n=n,
         k=k,

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -76,6 +80,14 @@ class TestCutError:
         ok = tmp_path / "ok.edges"
         write_edge_list(make_clique(4, 1.0), ok)
         assert run_cli(["cut-error", "--h-file", bad, "--g-file", ok]) == 2
+
+    def test_overflowing_total_weight_exits_2(self, tmp_path, capsys):
+        # two 1e308 edges: every cut sum would be inf/inf = NaN and no witness exists
+        path = tmp_path / "p.edges"
+        path.write_text("n 5\n0 1 1e308 1\n1 2 1e308 1\n2 3 1.0 1\n3 4 1.0 1\n")
+        assert run_cli(["cut-error", "--h-file", path, "--g-file", path, "--exhaustive"]) == 2
+        err = capsys.readouterr().err
+        assert "not finite" in err and "Traceback" not in err
 
 
 class TestSpectralAndCertify:
@@ -205,8 +217,9 @@ class TestMartingaleCli:
         # k = n/2 simulates fine but has no tail bound: the run must stop
         # before any trial, not after 10^5 of them.
         calls = []
-        sampler = martingale.sample_matching_partners
-        monkeypatch.setattr(martingale, "sample_matching_partners", lambda *a: calls.append(a) or sampler(*a))
+        for name in ("sample_matching_partners", "_shuffled_rows"):  # the trace's and the tail's sampler
+            sampler = getattr(martingale, name)
+            monkeypatch.setattr(martingale, name, lambda *a, sampler=sampler: calls.append(a) or sampler(*a))
         code = run_cli([
             "martingale", "--n", "20", "--k", "10", "--d", "4",
             "--trials", "100000", "--delta", "0.3", "--seed", "1",
@@ -247,6 +260,13 @@ class TestExperimentsCli:
     def test_clique_sparsify_zero_degree_exits_2(self, capsys):
         assert run_cli(["clique-sparsify", "--n", "8", "--d", "0"]) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_clique_sparsify_sampled_without_samples_exits_2(self, capsys):
+        # n > 30 takes the sampled profile, which needs at least one subset per size
+        args = ["clique-sparsify", "--n", "40", "--d", "4", "--cut-mode", "sampled", "--samples", "0"]
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sampled profile needs at least one sample") and "Traceback" not in err
 
     def test_separation_smoke(self, tmp_path):
         out = tmp_path / "sep.json"
@@ -305,3 +325,12 @@ class TestReplayDeterminism:
             del data["generated_at"]
             outs.append(json.dumps(data, sort_keys=True))
         assert outs[0] == outs[1]
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # the tail imports its pool modules only when it splits, so CLI start-up does not pay for them
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = "import sys, sparselab.cli; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

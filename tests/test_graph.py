@@ -17,6 +17,7 @@ from sparselab.graph import (
     first_matchings_subgraph,
     is_connected,
     make_clique,
+    make_cycle,
     read_edge_list,
     sample_matching_partners,
     sample_regular_multigraph,
@@ -48,6 +49,18 @@ class TestWeightedGraph:
             WeightedGraph(3, [(0, 1, -0.5)])
         with pytest.raises(InvalidArgumentError):
             WeightedGraph(0)
+
+    def test_rejects_total_weight_that_overflows(self):
+        # each weight is finite, but every sum over them (a cut, a degree) is inf
+        for build in (
+            lambda: WeightedGraph(3, [(0, 1, 1e308), (1, 2, 1e308)]),
+            lambda: WeightedGraph(2, [(0, 1, 1e308), (0, 1, 1e308)]),
+            lambda: make_cycle(6, 1e308),
+            lambda: scale_weights(make_cycle(6, 1.0), 1e308),
+        ):
+            with pytest.raises(InvalidArgumentError, match="total edge weight inf is not finite"):
+                build()
+        assert WeightedGraph(3, [(0, 1, 1e308), (1, 2, 7e307)]).total_weight == 1.7e308
 
     def test_handshake_identity(self):
         g = sample_regular_multigraph(20, 5, seed=3)

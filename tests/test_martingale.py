@@ -1,11 +1,17 @@
 import math
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sparselab import martingale
 from sparselab.bounds import phi_matching
+from sparselab.cli import main
 from sparselab.cuts import interior_edge_weight
-from sparselab.errors import InvalidArgumentError
+from sparselab.errors import InvalidArgumentError, SizeLimitError
 from sparselab.martingale import binomial_tail_ge, empirical_tail, simulate_reveal
 from sparselab.rng import derive_seed, make_generator
 
@@ -133,6 +139,53 @@ class TestEmpiricalTail:
         a = empirical_tail(40, 4, 3, delta=1.0, trials=500, seed=9)
         b = empirical_tail(40, 4, 3, delta=1.0, trials=500, seed=9)
         assert a.exceedances == b.exceedances
+
+
+def _cpus(count):
+    """Patch the affinity mask the tail reads to ``count`` CPUs."""
+    return mock.patch.object(martingale.os, "sched_getaffinity", return_value=set(range(count)))
+
+
+def _fail_in_worker(*args):
+    raise SizeLimitError(f"raised in process {os.getpid()}")
+
+
+class TestParallelTail:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        half=st.integers(3, 40), k_draw=st.integers(0, 10 ** 6), d=st.integers(1, 6),
+        trials=st.integers(1, 60), seed=st.integers(0, 2 ** 64 - 1),
+        delta=st.sampled_from([0.1, 0.5, 1.0, 3.0]),
+    )
+    def test_worker_count_does_not_change_the_tail(self, half, k_draw, d, trials, seed, delta):
+        # some draws have fewer trials than workers
+        n = 2 * half
+        k = 2 + k_draw % ((n - 1) // 2 - 1)  # 2 <= k < n/2
+        in_process = empirical_tail(n, k, d, delta, trials, seed)
+        for workers in (1, 2, 3):
+            with _cpus(workers), mock.patch.object(martingale, "_PARALLEL_CELLS", 0):
+                assert empirical_tail(n, k, d, delta, trials, seed) == in_process
+
+    def test_worker_error_keeps_its_type(self):
+        with _cpus(2), mock.patch.object(martingale, "_PARALLEL_CELLS", 0):
+            with mock.patch.object(martingale, "_tail_counts", _fail_in_worker):
+                with pytest.raises(SizeLimitError, match="raised in process") as err:
+                    empirical_tail(40, 4, 3, delta=1.0, trials=10, seed=9)
+        assert not str(err.value).endswith(f" {os.getpid()}")  # it came from a worker
+
+    def test_worker_error_keeps_its_exit_code(self, capsys):
+        with _cpus(2), mock.patch.object(martingale, "_PARALLEL_CELLS", 0):
+            with mock.patch.object(martingale, "_tail_counts", _fail_in_worker):
+                code = main(["martingale", "--n", "40", "--k", "4", "--d", "3", "--trials", "10", "--delta", "1.0"])
+        assert code == 3  # SizeLimitError's exit code, so the type crossed the process boundary
+        err = capsys.readouterr().err
+        assert "raised in process" in err and f"process {os.getpid()}" not in err
+
+    def test_small_tails_stay_in_process(self):
+        # below the floor no pool is started, whatever the CPU count
+        with _cpus(2), mock.patch.object(martingale, "_tail_counts", _fail_in_worker):
+            with pytest.raises(SizeLimitError, match=f"process {os.getpid()}$"):
+                empirical_tail(200, 2, 16, delta=2.0, trials=400, seed=3)
 
 
 class TestBinomialTail:

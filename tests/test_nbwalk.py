@@ -329,7 +329,7 @@ class TestCertificate:
 
     def test_non_finite_ratio_is_degenerate(self):
         with np.errstate(all="ignore"), pytest.raises(DegenerateInputError):
-            certify_lower_bound(make_cycle(6, 1e308), 1, 2.0)
+            certify_lower_bound(make_cycle(6, 1e307), 1, 2.0)  # finite total weight, overflowing walk products
 
     def test_errors(self):
         with pytest.raises(InvalidArgumentError):
