@@ -15,15 +15,16 @@ increment bounds can be checked exactly on every step of every trace.
 
 The d matchings of a trace come from one call, as a (d, n) partner table.
 A tail trial draws the same shuffled rows the table is built from and counts
-its interior edges on them directly, in one step.  Tail trials are split into
-contiguous chunks, one per CPU in the process's affinity mask, and run in
-forked worker processes when the tail is large enough to repay the pool.
+its interior edges on them directly, in one step.  A large tail is split into
+contiguous chunks of trials, one per CPU in the process's affinity mask, each
+run in a forked child that sends its two integer counts back through a pipe.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -171,11 +172,11 @@ class EmpiricalTail:
 
 
 # Tails of fewer shuffled cells (trials * n * d) than this run in-process.
-# Importing the pool modules, forking two workers and joining them took
-# 40-50 ms on a 2-core host, where two workers ran about 1.5x as fast as one.
-# At n=200, d=16 the split broke even near 2000 trials (6.4e6 cells) and won
-# from 4000 trials on (1.28e7 cells: 0.33-0.41 s against 0.51-0.56 s).
-_PARALLEL_CELLS = 1 << 23
+# On a 2-core host, with n=200 and d=16, two forked workers against one
+# process took 28-30 ms against 18-21 ms for 2 trials, 57-68 ms against
+# 50-63 ms for 400, 100-113 ms against 103-130 ms for 1000 (3.2e6 cells),
+# and 156-160 ms against 177-228 ms for 2000.
+_PARALLEL_CELLS = 1 << 22
 
 
 def _tail_counts(n: int, k: int, d: int, expected: float, threshold: float, seed: int, lo: int, hi: int):
@@ -194,30 +195,66 @@ def _tail_counts(n: int, k: int, d: int, expected: float, threshold: float, seed
     return exceed, total
 
 
+def _fork_chunk(args: tuple, lo: int, hi: int) -> tuple[int, int]:
+    """Run one chunk of :func:`_tail_counts` in a forked child process.
+
+    Returns the child's pid and the read end of a pipe on which the child
+    writes one pickled ``(True, counts)``, or ``(False, exception)`` when
+    the chunk raised, before it exits.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                outcome = (True, _tail_counts(*args, lo, hi))
+            except BaseException as exc:  # handed to the parent, which raises it
+                outcome = (False, exc)
+            data = pickle.dumps(outcome)  # all or nothing reaches the pipe
+            with os.fdopen(write_fd, "wb") as out:
+                out.write(data)
+            status = 0
+        finally:
+            os._exit(status)  # never return into the parent's stack
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _join_chunk(pid: int, read_fd: int) -> tuple[bool, object]:
+    """The outcome a :func:`_fork_chunk` child wrote, after reaping it."""
+    with os.fdopen(read_fd, "rb") as src:
+        data = src.read()
+    _, status = os.waitpid(pid, 0)
+    if not data:
+        return False, RuntimeError(f"tail worker {pid} exited with wait status {status} and no result")
+    return pickle.loads(data)
+
+
 def _tail_sums(args: tuple, trials: int) -> tuple[int, int]:
     """:func:`_tail_counts` over all trials, in one contiguous chunk per worker.
 
     There is one forked worker process per CPU in this process's affinity
     mask, and at most one per trial.  Small tails, a single CPU and a
-    platform without ``fork`` run in-process.  The pool modules are imported
-    only here, so importing the package does not load them.
+    platform without ``fork`` run in-process.  Every worker is reaped before
+    the first failed chunk's exception is raised here, with its own type.
     """
     n, _, d = args[:3]
     workers = 1
-    if trials * n * d >= _PARALLEL_CELLS and hasattr(os, "sched_getaffinity"):
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            workers = min(len(os.sched_getaffinity(0)), trials)
+    if trials * n * d >= _PARALLEL_CELLS and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        workers = min(len(os.sched_getaffinity(0)), trials)
     if workers == 1:
         return _tail_counts(*args, 0, trials)
-    from concurrent.futures import ProcessPoolExecutor
+    import numpy.random  # noqa: F401  (loaded once here, not once per worker)
 
     cuts = [trials * i // workers for i in range(workers + 1)]
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        chunks = [pool.submit(_tail_counts, *args, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-        counts = [chunk.result() for chunk in chunks]  # in chunk order; a worker's error re-raises here
-    return sum(e for e, _ in counts), sum(t for _, t in counts)
+    children = [_fork_chunk(args, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    outcomes = [_join_chunk(pid, read_fd) for pid, read_fd in children]
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+    return sum(e for _, (e, _) in outcomes), sum(t for _, (_, t) in outcomes)
 
 
 def empirical_tail(n: int, k: int, d: int, delta: float, trials: int, seed: int) -> EmpiricalTail:

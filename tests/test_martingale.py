@@ -150,6 +150,10 @@ def _fail_in_worker(*args):
     raise SizeLimitError(f"raised in process {os.getpid()}")
 
 
+def _die_in_worker(*args):
+    os._exit(3)
+
+
 class TestParallelTail:
     @settings(max_examples=25, deadline=None)
     @given(
@@ -172,6 +176,12 @@ class TestParallelTail:
                 with pytest.raises(SizeLimitError, match="raised in process") as err:
                     empirical_tail(40, 4, 3, delta=1.0, trials=10, seed=9)
         assert not str(err.value).endswith(f" {os.getpid()}")  # it came from a worker
+
+    def test_worker_that_dies_is_an_error(self):
+        with _cpus(2), mock.patch.object(martingale, "_PARALLEL_CELLS", 0):
+            with mock.patch.object(martingale, "_tail_counts", _die_in_worker):
+                with pytest.raises(RuntimeError, match="no result"):
+                    empirical_tail(40, 4, 3, delta=1.0, trials=10, seed=9)
 
     def test_worker_error_keeps_its_exit_code(self, capsys):
         with _cpus(2), mock.patch.object(martingale, "_PARALLEL_CELLS", 0):
