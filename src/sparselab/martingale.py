@@ -199,8 +199,7 @@ def _fork_chunk(args: tuple, lo: int, hi: int) -> tuple[int, int]:
     """Run one chunk of :func:`_tail_counts` in a forked child process.
 
     Returns the child's pid and the read end of a pipe on which the child
-    writes one pickled ``(True, counts)``, or ``(False, exception)`` when
-    the chunk raised, before it exits.
+    writes its pickled counts, or the exception the chunk raised, and exits.
     """
     read_fd, write_fd = os.pipe()
     pid = os.fork()
@@ -209,10 +208,10 @@ def _fork_chunk(args: tuple, lo: int, hi: int) -> tuple[int, int]:
         try:
             os.close(read_fd)
             try:
-                outcome = (True, _tail_counts(*args, lo, hi))
+                result = _tail_counts(*args, lo, hi)
             except BaseException as exc:  # handed to the parent, which raises it
-                outcome = (False, exc)
-            data = pickle.dumps(outcome)  # all or nothing reaches the pipe
+                result = exc
+            data = pickle.dumps(result)  # all or nothing reaches the pipe
             with os.fdopen(write_fd, "wb") as out:
                 out.write(data)
             status = 0
@@ -222,14 +221,12 @@ def _fork_chunk(args: tuple, lo: int, hi: int) -> tuple[int, int]:
     return pid, read_fd
 
 
-def _join_chunk(pid: int, read_fd: int) -> tuple[bool, object]:
-    """The outcome a :func:`_fork_chunk` child wrote, after reaping it."""
+def _join_chunk(pid: int, read_fd: int):
+    """What a :func:`_fork_chunk` child sent, read after reaping it."""
     with os.fdopen(read_fd, "rb") as src:
         data = src.read()
     _, status = os.waitpid(pid, 0)
-    if not data:
-        return False, RuntimeError(f"tail worker {pid} exited with wait status {status} and no result")
-    return pickle.loads(data)
+    return pickle.loads(data) if data else RuntimeError(f"tail worker {pid} ended with wait status {status}, no result")
 
 
 def _tail_sums(args: tuple, trials: int) -> tuple[int, int]:
@@ -250,11 +247,11 @@ def _tail_sums(args: tuple, trials: int) -> tuple[int, int]:
 
     cuts = [trials * i // workers for i in range(workers + 1)]
     children = [_fork_chunk(args, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    outcomes = [_join_chunk(pid, read_fd) for pid, read_fd in children]
-    for ok, value in outcomes:
-        if not ok:
-            raise value
-    return sum(e for _, (e, _) in outcomes), sum(t for _, (_, t) in outcomes)
+    results = [_join_chunk(pid, read_fd) for pid, read_fd in children]
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return sum(e for e, _ in results), sum(t for _, t in results)
 
 
 def empirical_tail(n: int, k: int, d: int, delta: float, trials: int, seed: int) -> EmpiricalTail:
