@@ -300,7 +300,7 @@ def _shuffled_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     step = max(1, _SHUFFLE_CELLS // n)
     for lo in range(0, d, step):
         block = perm[lo : lo + step]
-        rng.permuted(block, axis=1, out=block)  # in place
+        rng.permuted(block, axis=1, out=block)
     return perm
 
 

@@ -328,7 +328,7 @@ class TestReplayDeterminism:
 
 
 def test_cli_import_leaves_out_the_process_pool():
-    # the tail imports its pool modules only when it splits, so CLI start-up does not pay for them
+    # the tail splits with os.fork and a pipe per worker, so CLI start-up loads no process-pool modules
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     code = "import sys, sparselab.cli; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"

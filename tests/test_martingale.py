@@ -170,12 +170,15 @@ class TestParallelTail:
             with _cpus(workers), mock.patch.object(martingale, "_PARALLEL_CELLS", 0):
                 assert empirical_tail(n, k, d, delta, trials, seed) == in_process
 
-    def test_worker_error_keeps_its_type(self):
+    def test_worker_error_keeps_its_type_and_exit_code(self, capsys):
         with _cpus(2), mock.patch.object(martingale, "_PARALLEL_CELLS", 0):
             with mock.patch.object(martingale, "_tail_counts", _fail_in_worker):
                 with pytest.raises(SizeLimitError, match="raised in process") as err:
                     empirical_tail(40, 4, 3, delta=1.0, trials=10, seed=9)
+                code = main(["martingale", "--n", "40", "--k", "4", "--d", "3", "--trials", "10", "--delta", "1.0"])
         assert not str(err.value).endswith(f" {os.getpid()}")  # it came from a worker
+        assert code == 3  # SizeLimitError's exit code
+        assert "raised in process" in capsys.readouterr().err
 
     def test_worker_that_dies_is_an_error(self):
         with _cpus(2), mock.patch.object(martingale, "_PARALLEL_CELLS", 0):
@@ -183,16 +186,8 @@ class TestParallelTail:
                 with pytest.raises(RuntimeError, match="no result"):
                     empirical_tail(40, 4, 3, delta=1.0, trials=10, seed=9)
 
-    def test_worker_error_keeps_its_exit_code(self, capsys):
-        with _cpus(2), mock.patch.object(martingale, "_PARALLEL_CELLS", 0):
-            with mock.patch.object(martingale, "_tail_counts", _fail_in_worker):
-                code = main(["martingale", "--n", "40", "--k", "4", "--d", "3", "--trials", "10", "--delta", "1.0"])
-        assert code == 3  # SizeLimitError's exit code, so the type crossed the process boundary
-        err = capsys.readouterr().err
-        assert "raised in process" in err and f"process {os.getpid()}" not in err
-
     def test_small_tails_stay_in_process(self):
-        # below the floor no pool is started, whatever the CPU count
+        # below the floor no worker is forked, whatever the CPU count
         with _cpus(2), mock.patch.object(martingale, "_tail_counts", _fail_in_worker):
             with pytest.raises(SizeLimitError, match=f"process {os.getpid()}$"):
                 empirical_tail(200, 2, 16, delta=2.0, trials=400, seed=3)
