@@ -16,19 +16,19 @@ increment bounds can be checked exactly on every step of every trace.
 The d matchings of a trace come from one call, as a (d, n) partner table.
 A tail trial draws the same shuffled rows the table is built from and counts
 its interior edges on them directly, in one step.  A large tail is split into
-contiguous chunks of trials, one per CPU in the process's affinity mask, each
-run in a forked child that sends its two integer counts back through a pipe.
+contiguous chunks of trials by ``_fork.split_ranges``, one forked child per
+CPU, and the children's integer counts are added in chunk order.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import pickle
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
+from ._fork import split_ranges
 from .bounds import TailBound, phi_matching, tail_bound_generic
 from .errors import InvalidArgumentError
 from .graph import WeightedGraph, _shuffled_rows, sample_matching_partners, union_of_matchings
@@ -171,12 +171,16 @@ class EmpiricalTail:
     bound: TailBound
 
 
-# Tails of fewer shuffled cells (trials * n * d) than this run in-process.
-# On a 2-core host, with n=200 and d=16, two forked workers against one
-# process took 28-30 ms against 18-21 ms for 2 trials, 57-68 ms against
-# 50-63 ms for 400, 100-113 ms against 103-130 ms for 1000 (3.2e6 cells),
-# and 156-160 ms against 177-228 ms for 2000.
+# Tails of less work than this run in-process.  A trial's work is its n * d
+# shuffled cells plus _TRIAL_CELLS for seeding its generator and the loop:
+# in-process, a trial took 22 us at n * d <= 16 and 0.016 us more per cell
+# up to 6400.  Two forked workers against one process, on a 2-core host, took
+# 28-30 against 18-21 ms for 2 trials at n=200, d=16, 57-68 against 50-63 ms
+# for 400, 100-113 against 103-130 ms for 1000 and 156-160 against 177-228 ms
+# for 2000; at n=8, d=1, 31-53 against 31-54 ms for 1500 trials, 55-89
+# against 60-102 ms for 3000 and 105-168 against 160-219 ms for 6000.
 _PARALLEL_CELLS = 1 << 22
+_TRIAL_CELLS = 1400
 
 
 def _tail_counts(n: int, k: int, d: int, expected: float, threshold: float, seed: int, lo: int, hi: int):
@@ -195,63 +199,13 @@ def _tail_counts(n: int, k: int, d: int, expected: float, threshold: float, seed
     return exceed, total
 
 
-def _fork_chunk(args: tuple, lo: int, hi: int) -> tuple[int, int]:
-    """Run one chunk of :func:`_tail_counts` in a forked child process.
-
-    Returns the child's pid and the read end of a pipe on which the child
-    writes its pickled counts, or the exception the chunk raised, and exits.
-    """
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            try:
-                result = _tail_counts(*args, lo, hi)
-            except BaseException as exc:  # handed to the parent, which raises it
-                result = exc
-            data = pickle.dumps(result)  # all or nothing reaches the pipe
-            with os.fdopen(write_fd, "wb") as out:
-                out.write(data)
-            status = 0
-        finally:
-            os._exit(status)  # never return into the parent's stack
-    os.close(write_fd)
-    return pid, read_fd
-
-
-def _join_chunk(pid: int, read_fd: int):
-    """What a :func:`_fork_chunk` child sent, read after reaping it."""
-    with os.fdopen(read_fd, "rb") as src:
-        data = src.read()
-    _, status = os.waitpid(pid, 0)
-    return pickle.loads(data) if data else RuntimeError(f"tail worker {pid} ended with wait status {status}, no result")
-
-
 def _tail_sums(args: tuple, trials: int) -> tuple[int, int]:
-    """:func:`_tail_counts` over all trials, in one contiguous chunk per worker.
-
-    There is one forked worker process per CPU in this process's affinity
-    mask, and at most one per trial.  Small tails, a single CPU and a
-    platform without ``fork`` run in-process.  Every worker is reaped before
-    the first failed chunk's exception is raised here, with its own type.
-    """
-    n, _, d = args[:3]
-    workers = 1
-    if trials * n * d >= _PARALLEL_CELLS and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        workers = min(len(os.sched_getaffinity(0)), trials)
-    if workers == 1:
-        return _tail_counts(*args, 0, trials)
+    """:func:`_tail_counts` over all trials, split by :func:`split_ranges`."""
     import numpy.random  # noqa: F401  (loaded once here, not once per worker)
 
-    cuts = [trials * i // workers for i in range(workers + 1)]
-    children = [_fork_chunk(args, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    results = [_join_chunk(pid, read_fd) for pid, read_fd in children]
-    for result in results:
-        if isinstance(result, BaseException):
-            raise result
-    return sum(e for e, _ in results), sum(t for _, t in results)
+    n, _, d = args[:3]
+    parts = split_ranges(partial(_tail_counts, *args), trials, trials * (n * d + _TRIAL_CELLS), _PARALLEL_CELLS)
+    return sum(e for e, _ in parts), sum(t for _, t in parts)
 
 
 def empirical_tail(n: int, k: int, d: int, delta: float, trials: int, seed: int) -> EmpiricalTail:

@@ -14,7 +14,9 @@ way, a block of roots per pass, one frontier level at a time.
 The certificate aggregates, over every root r, the alternating and plain
 square-root sums of the walk tables (f_r and h_r) and their quadratic forms
 against L_H, the 1/n-weighted clique Laplacian, D_H and A_H; each root's
-forms are dense O(m) sums, added in ascending root order.  The matrices
+forms are dense O(m) sums.  Contiguous ranges of roots run in forked
+children, one per CPU, and every root's terms are added in ascending root
+order, so the split changes no bit of the report.  The matrices
 X = sum f_r f_r' and Y = sum h_r h_r' are PSD by construction, so for any
 graph that is an eps spectral sparsifier of the weighted clique,
 
@@ -26,9 +28,11 @@ giving the unconditional bound eps >= (R - 1)/(R + 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from ._fork import split_ranges
 from .errors import DegenerateInputError, InvalidArgumentError, UnsupportedInputError
 from .graph import WeightedGraph, _concat_ranges, is_connected
 
@@ -185,11 +189,19 @@ class CertificateReport:
 # blocks were no faster.  Blocks are visited in ascending root order.
 _BLOCK_CELLS = 1 << 16
 
+# A root pass of less work than this, n * max(n, directed edges) * g, runs
+# in-process; a ball scan alone counts a quarter of that.  Fresh processes on
+# a 2-core host, one against two forked workers: certificates of 2.0e6 (n=500,
+# d=4, g=2) took 40-65 against 36-54 ms, 4.0e6 (C_1000, g=2) 82-120 against
+# 62-88 ms; ball scans of 8.0e6 took 25-39 against 25-48 ms, 2.4e7 (n=1000,
+# d=8, g=3) 121-169 against 85-141 ms.
+_PARALLEL_WORK = 1 << 22
 
-def _root_blocks(n: int, width: int):
-    """Consecutive blocks of the roots 0..n-1, each an int64 array."""
+
+def _root_blocks(n: int, width: int, lo: int, hi: int):
+    """Consecutive blocks of the roots lo..hi-1, each an int64 array."""
     step = max(1, _BLOCK_CELLS // max(n, width))
-    return (np.arange(lo, min(lo + step, n)) for lo in range(0, n, step))
+    return (np.arange(b, min(b + step, hi)) for b in range(lo, hi, step))
 
 
 def _fan_out(indptr: np.ndarray, owners: np.ndarray, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -364,8 +376,9 @@ def test_vectors(graph: WeightedGraph, r: int, g: int, first_step: str = FIRST_S
 # -- pseudo-girth -----------------------------------------------------------------
 
 
-def _pseudo_girth_scan(graph: WeightedGraph, g: int, violating_cap: int) -> tuple[PseudoGirthReport, np.ndarray]:
-    """The report, and the flags of roots whose radius-g ball is acyclic.
+def _ball_flags(graph: WeightedGraph, g: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """For the roots lo..hi-1: the flags of roots whose radius-g and radius-2g
+    balls are acyclic, and the largest radius-g ball.
 
     The balls of a block of roots grow level by level through positive-weight
     bundles.  Expanding level L counts each root's edges from level L down to
@@ -375,17 +388,13 @@ def _pseudo_girth_scan(graph: WeightedGraph, g: int, violating_cap: int) -> tupl
     A root whose radius-g ball has a cycle stops growing: its radius-2g ball
     contains that cycle.
     """
-    if g < 0:
-        raise InvalidArgumentError(f"radius must be nonnegative, got {g}")
-    if not graph.is_simple:
-        raise UnsupportedInputError("pseudo-girth needs a simple graph; collapse multiedges first")
     n = graph.n
     indptr, nbr, _ = graph.csr()
     flags_g = np.zeros(n, dtype=bool)
     flags_2g = np.zeros(n, dtype=bool)
     bmax = 0
     depth = stamp = None
-    for roots in _root_blocks(n, nbr.size):
+    for roots in _root_blocks(n, nbr.size, lo, hi):
         nr = roots.size
         if depth is None:  # scratch by root * n + vertex, sized by the first (largest) block
             depth = np.full(nr * n, -1, dtype=np.int64)  # -1 outside the balls; reset after each block
@@ -419,16 +428,36 @@ def _pseudo_girth_scan(graph: WeightedGraph, g: int, violating_cap: int) -> tupl
             seen.append(front)
             verts += np.bincount(front // n, minlength=nr)
         depth[np.concatenate(seen)] = -1
+    return flags_g[lo:hi], flags_2g[lo:hi], bmax
+
+
+def _girth_report(n: int, g: int, balls: list, violating_cap: int) -> tuple[PseudoGirthReport, np.ndarray]:
+    """The report and the radius-g flags, from :func:`_ball_flags` of consecutive root ranges."""
+    flags_g = np.concatenate([b[0] for b in balls])
+    flags_2g = np.concatenate([b[1] for b in balls])
     report = PseudoGirthReport(
         g=g,
         n=n,
         acyclic_g=int(flags_g.sum()),
         acyclic_2g=int(flags_2g.sum()),
         F=n - int(flags_2g.sum()),
-        B=bmax,
+        B=max(b[2] for b in balls),
         violating=tuple(int(r) for r in np.flatnonzero(~flags_2g)[:violating_cap]),
     )
     return report, flags_g
+
+
+def _pseudo_girth_scan(graph: WeightedGraph, g: int, violating_cap: int) -> tuple[PseudoGirthReport, np.ndarray]:
+    """The report, and the flags of roots whose radius-g ball is acyclic,
+    with the roots split by :func:`split_ranges`."""
+    if g < 0:
+        raise InvalidArgumentError(f"radius must be nonnegative, got {g}")
+    if not graph.is_simple:
+        raise UnsupportedInputError("pseudo-girth needs a simple graph; collapse multiedges first")
+    n = graph.n
+    work = n * max(n, graph.csr()[1].size) * g // 4
+    balls = split_ranges(partial(_ball_flags, graph, g), n, work, _PARALLEL_WORK)
+    return _girth_report(n, g, balls, violating_cap)
 
 
 def pseudo_girth(graph: WeightedGraph, g: int, violating_cap: int = 32) -> PseudoGirthReport:
@@ -488,22 +517,15 @@ def _block_forms(space: _EdgeSpace, f: np.ndarray, h: np.ndarray, deficit: np.nd
     ])
 
 
-def _certificate_sums(space: _EdgeSpace, g: int, first_step: str, vprime: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """The certificate's totals (see :func:`_block_forms`), summed root by
-    root in ascending order, the worst V' norm deviation and the largest
-    squared norm."""
-    totals = np.zeros(10)
-    worst_vprime_dev = worst_norm_sq = 0.0
-    for roots in _root_blocks(space.n, space.m2):
-        f, h, deficit = _vector_panels(space, roots, g, first_step)
-        terms = _block_forms(space, f, h, deficit)
-        totals = _running_sums(totals, terms)
-        nf2, nh2 = terms[6], terms[7]
-        expected = (g + 1) - deficit
-        devs = np.maximum(np.abs(nf2 - expected), np.abs(nh2 - expected))[vprime[roots]]
-        worst_vprime_dev = max(worst_vprime_dev, float(devs.max(initial=0.0)))
-        worst_norm_sq = max(worst_norm_sq, float(nf2.max()), float(nh2.max()))
-    return totals, worst_vprime_dev, worst_norm_sq
+def _walk_terms(space: _EdgeSpace, g: int, first_step: str, lo: int, hi: int) -> np.ndarray:
+    """The (10, hi - lo) columns of :func:`_block_forms` for the roots lo..hi-1."""
+    blocks = _root_blocks(space.n, space.m2, lo, hi)
+    return np.hstack([_block_forms(space, *_vector_panels(space, roots, g, first_step)) for roots in blocks])
+
+
+def _root_chunk(graph: WeightedGraph, space: _EdgeSpace, g: int, first_step: str, lo: int, hi: int):
+    """The ball flags and the walk terms of the roots lo..hi-1."""
+    return _ball_flags(graph, g, lo, hi), _walk_terms(space, g, first_step, lo, hi)
 
 
 def certify_lower_bound(
@@ -519,7 +541,7 @@ def certify_lower_bound(
 
     All Frobenius products are accumulated root by root as quadratic forms
     (X.M = sum_r f_r' M f_r), never materializing the n-by-n matrices.
-    Roots are processed in ascending order so results are bitwise stable.
+    Terms are added in ascending root order however the roots are split, so results are bitwise stable.
     """
     if graph.n < 3:
         raise InvalidArgumentError(f"certificate needs n >= 3, got {graph.n}")
@@ -533,9 +555,15 @@ def certify_lower_bound(
         raise InvalidArgumentError("certificate needs a connected graph")
     n = graph.n
     space = _EdgeSpace(graph)
-    pg, vprime = _pseudo_girth_scan(graph, g, violating_cap=32)
-
-    totals, worst_vprime_dev, worst_norm_sq = _certificate_sums(space, g, first_step, vprime)
+    work = n * max(n, space.m2) * g
+    chunks = split_ranges(partial(_root_chunk, graph, space, g, first_step), n, work, _PARALLEL_WORK)
+    pg, vprime = _girth_report(n, g, [balls for balls, _ in chunks], violating_cap=32)
+    # one running sum over every root's terms, in ascending root order
+    terms = np.hstack([t for _, t in chunks])
+    totals = _running_sums(np.zeros(10), terms)
+    nf2, nh2, expected = terms[6], terms[7], (g + 1) - terms[9]
+    worst_vprime_dev = float(np.maximum(np.abs(nf2 - expected), np.abs(nh2 - expected))[vprime].max(initial=0.0))
+    worst_norm_sq = float(np.maximum(nf2, nh2).max(initial=0.0))
     x_lh, y_lh, x_lk, y_lk, y_dh, ymx_ah, trace_x, trace_y, y_j, total_loss = map(float, totals)
     ew, wdeg = space.ew, space.wdeg
 

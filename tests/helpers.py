@@ -224,6 +224,7 @@ class OracleEdgeSpace:
 
     def __init__(self, n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray, wdeg: np.ndarray):
         self.n = n
+        self.eu, self.ev, self.ew = us, vs, ws
         self.src = np.concatenate([us, vs])
         self.dst = np.concatenate([vs, us])
         self.w = np.concatenate([ws, ws])
@@ -325,40 +326,51 @@ def vectors_oracle(space: OracleEdgeSpace, r: int, g: int, first_step: str):
     return f, h, deficit
 
 
+def _root_terms_oracle(dense: OracleEdgeSpace, r: int, g: int, first_step: str) -> list[float]:
+    """The ten certificate terms of one root, in ``nbwalk._block_forms`` row order."""
+    n, eu, ev, ew, wdeg = dense.n, dense.eu, dense.ev, dense.ew, dense.wdeg
+    f, h, deficit = vectors_oracle(dense, r, g, first_step)
+    df = f[eu] - f[ev]
+    dh = h[eu] - h[ev]
+    nf2 = float(f @ f)
+    nh2 = float(h @ h)
+    sf = float(f.sum())
+    sh = float(h.sum())
+    return [
+        float((ew * df * df).sum()),
+        float((ew * dh * dh).sum()),
+        nf2 - sf * sf / n,
+        nh2 - sh * sh / n,
+        float(wdeg @ (h * h)),
+        2.0 * float((ew * (h[eu] * h[ev] - f[eu] * f[ev])).sum()),
+        nf2,
+        nh2,
+        sh * sh,
+        deficit,
+    ]
+
+
+def walk_terms_oracle(space, g: int, first_step: str, lo: int, hi: int) -> np.ndarray:
+    """Drop-in for ``nbwalk._walk_terms``: the same (10, roots) columns, root by root."""
+    dense = OracleEdgeSpace(space.n, space.eu, space.ev, space.ew, space.wdeg)
+    return np.array([_root_terms_oracle(dense, r, g, first_step) for r in range(lo, hi)]).reshape(hi - lo, 10).T
+
+
 def certificate_sums_oracle(space, g: int, first_step: str, vprime: np.ndarray):
-    """Drop-in for ``nbwalk._certificate_sums``: the same totals, root by root."""
-    n, eu, ev, ew, wdeg = space.n, space.eu, space.ev, space.ew, space.wdeg
-    dense = OracleEdgeSpace(n, eu, ev, ew, wdeg)
-    x_lh = x_lk = y_lh = y_lk = y_dh = ymx_ah = 0.0
-    trace_x = trace_y = y_j = 0.0
+    """The certificate's ten totals, added root by root in Python, the worst
+    V' norm deviation and the largest squared norm."""
+    dense = OracleEdgeSpace(space.n, space.eu, space.ev, space.ew, space.wdeg)
+    totals = [0.0] * 10
     worst_vprime_dev = 0.0
     worst_norm_sq = 0.0
-    total_loss = 0.0
-    for r in range(n):
-        f, h, deficit = vectors_oracle(dense, r, g, first_step)
-        df = f[eu] - f[ev]
-        dh = h[eu] - h[ev]
-        f_lh = float((ew * df * df).sum())
-        h_lh = float((ew * dh * dh).sum())
-        nf2 = float(f @ f)
-        nh2 = float(h @ h)
-        sf = float(f.sum())
-        sh = float(h.sum())
-        x_lh += f_lh
-        y_lh += h_lh
-        x_lk += nf2 - sf * sf / n
-        y_lk += nh2 - sh * sh / n
-        y_dh += float(wdeg @ (h * h))
-        ymx_ah += 2.0 * float((ew * (h[eu] * h[ev] - f[eu] * f[ev])).sum())
-        trace_x += nf2
-        trace_y += nh2
-        y_j += sh * sh
-        total_loss += deficit
+    for r in range(space.n):
+        terms = _root_terms_oracle(dense, r, g, first_step)
+        totals = [total + term for total, term in zip(totals, terms)]
+        nf2, nh2, deficit = terms[6], terms[7], terms[9]
         if vprime[r]:
             expected = (g + 1) - deficit
             worst_vprime_dev = max(worst_vprime_dev, abs(nf2 - expected), abs(nh2 - expected))
         worst_norm_sq = max(worst_norm_sq, nf2, nh2)
-    totals = np.array([x_lh, y_lh, x_lk, y_lk, y_dh, ymx_ah, trace_x, trace_y, y_j, total_loss])
     return totals, worst_vprime_dev, worst_norm_sq
 
 
@@ -370,19 +382,25 @@ def _ball_edges(graph: WeightedGraph, depth: np.ndarray, radius: int) -> tuple[i
     return members.size, deg_sum // 2
 
 
-def pseudo_girth_scan_oracle(graph: WeightedGraph, g: int, violating_cap: int):
-    """Drop-in for ``nbwalk._pseudo_girth_scan``: one BFS to radius 2g per root."""
-    n = graph.n
-    flags_g = np.zeros(n, dtype=bool)
-    flags_2g = np.zeros(n, dtype=bool)
+def ball_flags_oracle(graph: WeightedGraph, g: int, lo: int, hi: int):
+    """Drop-in for ``nbwalk._ball_flags``: one BFS to radius 2g per root."""
+    flags_g = np.zeros(hi - lo, dtype=bool)
+    flags_2g = np.zeros(hi - lo, dtype=bool)
     bmax = 0
-    for r in range(n):
+    for i, r in enumerate(range(lo, hi)):
         depth = bfs_depths(graph, r, 2 * g)
         verts_g, edges_g = _ball_edges(graph, depth, g)
         verts_2g, edges_2g = _ball_edges(graph, depth, 2 * g)
         bmax = max(bmax, verts_g)
-        flags_g[r] = edges_g == verts_g - 1
-        flags_2g[r] = edges_2g == verts_2g - 1
+        flags_g[i] = edges_g == verts_g - 1
+        flags_2g[i] = edges_2g == verts_2g - 1
+    return flags_g, flags_2g, bmax
+
+
+def pseudo_girth_scan_oracle(graph: WeightedGraph, g: int, violating_cap: int):
+    """The report and radius-g flags of ``nbwalk._pseudo_girth_scan``, one root at a time."""
+    n = graph.n
+    flags_g, flags_2g, bmax = ball_flags_oracle(graph, g, 0, n)
     report = PseudoGirthReport(
         g=g,
         n=n,

@@ -334,3 +334,17 @@ def test_cli_import_leaves_out_the_process_pool():
     code = "import sys, sparselab.cli; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_fork_helper_adds_no_other_module_to_the_import():
+    # the shared fork helper imports only modules that the rest of the CLI already loads
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    stub = "import types; sys.modules['sparselab._fork'] = types.SimpleNamespace(split_ranges=None); "
+    code = "import sys; {}import sparselab.cli; print(' '.join(sorted(sys.modules)))"
+    loaded = [
+        set(subprocess.run([sys.executable, "-c", code.format(pre)], env=env, capture_output=True, text=True, check=True).stdout.split())
+        for pre in ("", stub)
+    ]
+    assert "sparselab._fork" in loaded[0]
+    assert loaded[0] == loaded[1]

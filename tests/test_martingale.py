@@ -143,7 +143,7 @@ class TestEmpiricalTail:
 
 def _cpus(count):
     """Patch the affinity mask the tail reads to ``count`` CPUs."""
-    return mock.patch.object(martingale.os, "sched_getaffinity", return_value=set(range(count)))
+    return mock.patch.object(os, "sched_getaffinity", return_value=set(range(count)))
 
 
 def _fail_in_worker(*args):
@@ -185,6 +185,18 @@ class TestParallelTail:
             with mock.patch.object(martingale, "_tail_counts", _die_in_worker):
                 with pytest.raises(RuntimeError, match="no result"):
                     empirical_tail(40, 4, 3, delta=1.0, trials=10, seed=9)
+
+    def test_long_tails_on_small_graphs_split(self):
+        # a trial's fixed cost counts toward the floor, not only its n * d shuffled cells
+        args = (8, 2, 1, 1.0, 20000, 5)
+        with _cpus(2), mock.patch.object(martingale, "_tail_counts", _fail_in_worker):
+            with pytest.raises(SizeLimitError) as err:
+                empirical_tail(*args)
+        assert not str(err.value).endswith(f" {os.getpid()}")  # it came from a worker
+        with _cpus(1):
+            in_process = empirical_tail(*args)
+        with _cpus(2):
+            assert empirical_tail(*args) == in_process
 
     def test_small_tails_stay_in_process(self):
         # below the floor no worker is forked, whatever the CPU count

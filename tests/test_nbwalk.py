@@ -1,4 +1,5 @@
 import math
+import os
 from unittest import mock
 
 import numpy as np
@@ -15,8 +16,10 @@ from sparselab.graph import (
     make_cycle,
     sample_regular_multigraph,
     scale_weights,
+    write_edge_list,
 )
 from sparselab import nbwalk
+from sparselab.cli import main
 from sparselab.nbwalk import (
     FIRST_STEP_UNIFORM,
     FIRST_STEP_WEIGHT,
@@ -31,10 +34,12 @@ from sparselab.spectral import spectral_error
 
 from helpers import (
     OracleEdgeSpace,
+    ball_flags_oracle,
     certificate_sums_oracle,
     pseudo_girth_scan_oracle,
     random_connected_graph,
     vectors_oracle,
+    walk_terms_oracle,
     walk_tables_oracle,
 )
 
@@ -386,9 +391,19 @@ def _blocks_of(graph, roots):
 
 def _per_root():
     """Patch the certificate to run on the one-root-at-a-time oracles."""
-    return mock.patch.multiple(
-        nbwalk, _certificate_sums=certificate_sums_oracle, _pseudo_girth_scan=pseudo_girth_scan_oracle
-    )
+    return mock.patch.multiple(nbwalk, _walk_terms=walk_terms_oracle, _ball_flags=ball_flags_oracle)
+
+
+def _assert_python_sums(report, graph, g, first_step):
+    """The report's totals are the per-root terms added one root at a time in Python."""
+    vprime = pseudo_girth_scan_oracle(graph, g, 32)[1]
+    totals, worst_dev, worst_norm = certificate_sums_oracle(nbwalk._EdgeSpace(graph), g, first_step, vprime)
+    checks = report.identity_checks
+    assert [
+        report.x_dot_lh, report.y_dot_lh, report.x_dot_lk, report.y_dot_lk, report.y_dot_dh, report.ymx_dot_ah,
+        checks.trace_x, checks.trace_y, checks.y_dot_j, checks.total_mass_loss,
+    ] == totals
+    assert (checks.max_vprime_norm_dev, checks.max_norm_sq) == (worst_dev, worst_norm)
 
 
 def _certify(*args, **kwargs):
@@ -407,6 +422,8 @@ class TestBlockEngineProperties:
         with _per_root():
             oracle = _certify(graph, g, 3.0, first_step=first_step)
         assert block == oracle
+        if isinstance(block, nbwalk.CertificateReport):
+            _assert_python_sums(block, graph, g, first_step)
 
     @_examples
     @given(graph=st.one_of(walk_graphs(), walk_graphs(connected=False)), g=st.integers(0, 3), roots=_roots_per_block)
@@ -442,4 +459,62 @@ class TestBlockEngineProperties:
             with _per_root():
                 oracle = certify_lower_bound(graph, 3, 4.0, first_step=first_step)
             assert block == oracle
+            _assert_python_sums(block, graph, 3, first_step)
             assert (block.identity_checks.total_mass_loss > 0.0) == (graph is not regular)
+
+
+# -- roots split across forked workers ------------------------------------------
+
+
+def _cpus(count):
+    """Patch the affinity mask the root split reads to ``count`` CPUs."""
+    return mock.patch.object(os, "sched_getaffinity", return_value=set(range(count)))
+
+
+def _fail_in_worker(*args):
+    raise DegenerateInputError(f"raised in process {os.getpid()}")
+
+
+class TestParallelRoots:
+    # blocks of 1..3 roots put chunk edges inside blocks; W = 3 exceeds the CPUs here
+    @settings(max_examples=30, deadline=None)
+    @given(graph=walk_graphs(), g=st.integers(1, 3), first_step=_first_steps, roots=_roots_per_block)
+    def test_worker_count_does_not_change_the_certificate(self, graph, g, first_step, roots):
+        with _blocks_of(graph, roots):
+            in_process = _certify(graph, g, 3.0, first_step=first_step)
+            for workers in (1, 2, 3):
+                with _cpus(workers), mock.patch.object(nbwalk, "_PARALLEL_WORK", 0):
+                    assert _certify(graph, g, 3.0, first_step=first_step) == in_process
+
+    @settings(max_examples=30, deadline=None)
+    @given(graph=st.one_of(walk_graphs(), walk_graphs(connected=False)), g=st.integers(0, 3), roots=_roots_per_block)
+    def test_worker_count_does_not_change_pseudo_girth(self, graph, g, roots):
+        with _blocks_of(graph, roots):
+            report, flags = nbwalk._pseudo_girth_scan(graph, g, 32)
+            for workers in (1, 2, 3):
+                with _cpus(workers), mock.patch.object(nbwalk, "_PARALLEL_WORK", 0):
+                    split_report, split_flags = nbwalk._pseudo_girth_scan(graph, g, 32)
+                assert split_report == report
+                assert np.array_equal(split_flags, flags)
+
+    def test_worker_error_keeps_its_type_and_exit_code(self, tmp_path, capsys):
+        h = tmp_path / "h.edges"
+        write_edge_list(make_cycle(50, 0.5), h)
+        with _cpus(2), mock.patch.object(nbwalk, "_PARALLEL_WORK", 0):
+            with mock.patch.object(nbwalk, "_root_chunk", _fail_in_worker):
+                with pytest.raises(DegenerateInputError, match="raised in process") as err:
+                    certify_lower_bound(make_cycle(50, 0.5), 2, 2.0)
+                code = main(["certify", "--h-file", str(h), "--g", "2", "--d", "2"])
+        assert not str(err.value).endswith(f" {os.getpid()}")  # it came from a worker
+        assert code == 4  # DegenerateInputError's exit code
+        assert "raised in process" in capsys.readouterr().err
+
+    def test_small_root_sets_stay_in_process(self):
+        # below the floor no worker is forked, whatever the CPU count
+        graph = collapse_multiedges(sample_regular_multigraph(300, 4, seed=8))
+        with _cpus(2), mock.patch.object(nbwalk, "_root_chunk", _fail_in_worker):
+            with pytest.raises(DegenerateInputError, match=f"process {os.getpid()}$"):
+                certify_lower_bound(graph, 3, 4.0)
+        with _cpus(2), mock.patch.object(nbwalk, "_ball_flags", _fail_in_worker):
+            with pytest.raises(DegenerateInputError, match=f"process {os.getpid()}$"):
+                pseudo_girth(graph, 3)
