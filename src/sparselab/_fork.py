@@ -1,8 +1,5 @@
-"""Run a function over contiguous index ranges, one forked child per CPU.
-
-Plain ``fork`` and ``pickle`` load no module that ``import sparselab.cli``
-has not already loaded, where a process pool would load ``multiprocessing``.
-"""
+"""Run a function over contiguous index ranges, one forked child per CPU, with
+plain ``fork`` and ``pickle``: a process pool would load ``multiprocessing``."""
 
 from __future__ import annotations
 

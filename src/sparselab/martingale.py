@@ -172,13 +172,11 @@ class EmpiricalTail:
 
 
 # Tails of less work than this run in-process.  A trial's work is its n * d
-# shuffled cells plus _TRIAL_CELLS for seeding its generator and the loop:
-# in-process, a trial took 22 us at n * d <= 16 and 0.016 us more per cell
-# up to 6400.  Two forked workers against one process, on a 2-core host, took
-# 28-30 against 18-21 ms for 2 trials at n=200, d=16, 57-68 against 50-63 ms
-# for 400, 100-113 against 103-130 ms for 1000 and 156-160 against 177-228 ms
-# for 2000; at n=8, d=1, 31-53 against 31-54 ms for 1500 trials, 55-89
-# against 60-102 ms for 3000 and 105-168 against 160-219 ms for 6000.
+# shuffled cells plus _TRIAL_CELLS for seeding and looping (22 us a trial at
+# n * d <= 16, 0.016 us per cell up to 6400).  Two forked workers against one
+# process, 2-core host: n=200, d=16: 100-113 against 103-130 ms for 1000
+# trials, 156-160 against 177-228 ms for 2000; n=8, d=1: 55-89 against 60-102
+# ms for 3000 trials, 105-168 against 160-219 ms for 6000.
 _PARALLEL_CELLS = 1 << 22
 _TRIAL_CELLS = 1400
 

@@ -190,12 +190,14 @@ class CertificateReport:
 _BLOCK_CELLS = 1 << 16
 
 # A root pass of less work than this, n * max(n, directed edges) * g, runs
-# in-process; a ball scan alone counts a quarter of that.  Fresh processes on
-# a 2-core host, one against two forked workers: certificates of 2.0e6 (n=500,
-# d=4, g=2) took 40-65 against 36-54 ms, 4.0e6 (C_1000, g=2) 82-120 against
-# 62-88 ms; ball scans of 8.0e6 took 25-39 against 25-48 ms, 2.4e7 (n=1000,
-# d=8, g=3) 121-169 against 85-141 ms.
+# in-process; a ball scan alone counts a quarter.  One process against two
+# forked workers, 2-core host: certificates of 4.0e6 (C_1000, g=2) took 82-120
+# against 62-88 ms, ball scans of 2.4e7 (n=1000, d=8, g=3) 121-169 against 85-141 ms.
 _PARALLEL_WORK = 1 << 22
+# numpy's OpenBLAS threads a dot product of over 10^4 entries, as _block_forms
+# takes of length-n rows; forked workers that each do so oversubscribe the CPUs
+# (n=12000, g=2: 33 s split, 14.6 s in-process), so such certificates stay in-process.
+_THREADED_DOT = 10_000
 
 
 def _root_blocks(n: int, width: int, lo: int, hi: int):
@@ -555,7 +557,7 @@ def certify_lower_bound(
         raise InvalidArgumentError("certificate needs a connected graph")
     n = graph.n
     space = _EdgeSpace(graph)
-    work = n * max(n, space.m2) * g
+    work = n * max(n, space.m2) * g if n <= _THREADED_DOT else 0
     chunks = split_ranges(partial(_root_chunk, graph, space, g, first_step), n, work, _PARALLEL_WORK)
     pg, vprime = _girth_report(n, g, [balls for balls, _ in chunks], violating_cap=32)
     # one running sum over every root's terms, in ascending root order

@@ -518,3 +518,9 @@ class TestParallelRoots:
         with _cpus(2), mock.patch.object(nbwalk, "_ball_flags", _fail_in_worker):
             with pytest.raises(DegenerateInputError, match=f"process {os.getpid()}$"):
                 pseudo_girth(graph, 3)
+
+    def test_certificates_with_threaded_dot_products_stay_in_process(self):
+        # rows longer than the BLAS threading threshold would oversubscribe the CPUs in workers
+        with _cpus(2), mock.patch.object(nbwalk, "_root_chunk", _fail_in_worker):
+            with pytest.raises(DegenerateInputError, match=f"process {os.getpid()}$"):
+                certify_lower_bound(make_cycle(nbwalk._THREADED_DOT + 1), 1, 2.0)
