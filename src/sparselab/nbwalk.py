@@ -191,12 +191,14 @@ _BLOCK_CELLS = 1 << 16
 
 # A root pass of less work than this, n * max(n, directed edges) * g, runs
 # in-process; a ball scan alone counts a quarter.  One process against two
-# forked workers, 2-core host: certificates of 4.0e6 (C_1000, g=2) took 82-120
-# against 62-88 ms, ball scans of 2.4e7 (n=1000, d=8, g=3) 121-169 against 85-141 ms.
+# forked workers, 2-core host: certificates of 4.0e6 (C_1000, g=2) took
+# 82-120 against 62-88 ms; ball scans of 2.4e7 before the quarter (n=1000,
+# d=8, g=3) 121-169 against 85-141 ms.
 _PARALLEL_WORK = 1 << 22
-# numpy's OpenBLAS threads a dot product of over 10^4 entries, as _block_forms
-# takes of length-n rows; forked workers that each do so oversubscribe the CPUs
-# (n=12000, g=2: 33 s split, 14.6 s in-process), so such certificates stay in-process.
+# numpy's OpenBLAS threads a dot product of more than 10^4 entries, which
+# _block_forms takes of length-n rows, and forked workers that each do so
+# oversubscribe the CPUs (n=12000, g=2: 33 s split against 14.6 s in one
+# process), so such certificates stay in-process.
 _THREADED_DOT = 10_000
 
 
