@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError, SizeLimitError
-from .graph import Clique, WeightedGraph, connected_component, is_connected
+from .graph import Clique, WeightedGraph, _concat_ranges, connected_component, is_connected
 from .rng import derive_seed, make_generator
 
 EXHAUSTIVE_CAP = 30
@@ -339,11 +339,66 @@ def cut_error_exhaustive(h: WeightedGraph, g: WeightedGraph | Clique, cap: int =
 # -- sampled error -------------------------------------------------------------
 
 
+def _clique_pairs(h: WeightedGraph, dh: np.ndarray, cut2: float) -> tuple[float, tuple[int, int]]:
+    """Worst |cut({u, v}) / cut2 - 1| over pairs u < v of H against a clique, and
+    its first maximizer in row order, from the edge arrays alone.
+
+    A bundle's pair has cut dh[u] + dh[v] - 2 w.  Any other pair has cut
+    dh[u] + dh[v], and x -> |x / cut2 - 1| falls and then rises, also after
+    rounding, so those pairs peak at their largest or smallest degree sum.
+    A vertex's best partner in either order of degrees is among the first
+    (bundles at it) + 2 vertices of that order.  The first maximizer among
+    the pairs without a bundle lies in a row whose extreme sums reach the
+    peak; only such rows are scanned, in slabs.
+    """
+    n = h.n
+    us, vs, ws, _ = h.edge_arrays()
+    keys = us * n + vs
+
+    def dev(cut):
+        return np.abs(cut / cut2 - 1.0)
+
+    joined = dev((dh[us] + dh[vs]) - 2.0 * ws)
+    counts = np.minimum(np.bincount(us, minlength=n) + np.bincount(vs, minlength=n) + 2, n)
+    owner = np.repeat(np.arange(n), counts)
+    slot = _concat_ranges(np.zeros(n, dtype=np.int64), counts)
+    apart = []
+    for order in (np.argsort(-dh, kind="stable"), np.argsort(dh, kind="stable")):
+        lo, hi = np.minimum(owner, order[slot]), np.maximum(owner, order[slot])
+        free = (lo != hi) & ~np.isin(lo * n + hi, keys)
+        apart.append(dev(dh[lo[free]] + dh[hi[free]]).max(initial=-np.inf))
+    worst_joined = joined.max(initial=-np.inf)
+    best = max(worst_joined, *apart)
+
+    first = []
+    if worst_joined == best:
+        i = int(np.argmax(joined == best))
+        first.append((int(us[i]), int(vs[i])))
+    if max(apart) == best:
+        top = np.maximum.accumulate(dh[::-1])[::-1]
+        bottom = np.minimum.accumulate(dh[::-1])[::-1]
+        rows = np.flatnonzero(np.maximum(dev(dh[:-1] + top[1:]), dev(dh[:-1] + bottom[1:])) >= best)
+        step = max(1, _SLAB_CELLS // n)
+        for r0 in range(0, rows.size, step):
+            r = rows[r0 : r0 + step]
+            hit = (dev(dh[r, None] + dh) == best) & (np.arange(n) > r[:, None])
+            inside = np.isin(us, r)
+            hit[np.searchsorted(r, us[inside]), vs[inside]] = False
+            if hit.any():
+                i, v = divmod(int(np.argmax(hit)), n)
+                first.append((int(r[i]), v))
+                break
+    return float(best), min(first)
+
+
 def _pair_scan(h: WeightedGraph, g: WeightedGraph | Clique, row_block: int = 1024):
     """Best deviation over all singleton and pair cuts, via closed forms.
 
     cut({u}) is the weighted degree; cut({u, v}) = deg(u) + deg(v) - 2 w(u, v).
-    A clique reference uses its cut values w*k*(n-k) directly.
+    A clique reference uses its cut values w*k*(n-k) and the edge arrays of
+    H (:func:`_clique_pairs`); a graph reference scans the dense weight
+    matrices in row blocks.  The witness is a worst singleton, else the first
+    worst pair in row order.
     Returns (best deviation, witness subset, number of subsets examined).
     """
     n = h.n
@@ -357,13 +412,17 @@ def _pair_scan(h: WeightedGraph, g: WeightedGraph | Clique, row_block: int = 102
     i = int(np.argmax(dev1))
     best, witness = float(dev1[i]), (i,)
     examined = n
-    if n >= 3:  # pairs are proper subsets only when n >= 3
-        wh = h.weight_matrix()
-        wg = None if clique else g.weight_matrix()
+    if n >= 3 and clique:  # pairs are proper subsets only when n >= 3
+        pair, pair_witness = _clique_pairs(h, dh, g.cut(2))
+        examined += n * (n - 1) // 2
+        if pair > best:
+            best, witness = pair, pair_witness
+    elif n >= 3:
+        wh, wg = h.weight_matrix(), g.weight_matrix()
         for lo in range(0, n, row_block):
             hi = min(lo + row_block, n)
             ch = (dh[lo:hi, None] + dh[None, :]) - 2.0 * wh[lo:hi]
-            cg = np.full_like(ch, g.cut(2)) if clique else (dg[lo:hi, None] + dg[None, :]) - 2.0 * wg[lo:hi]
+            cg = (dg[lo:hi, None] + dg[None, :]) - 2.0 * wg[lo:hi]
             iu, iv = np.triu_indices(hi - lo, k=1, m=n)
             keep = iv > iu + lo  # u < v with global indices
             iu, iv = iu[keep], iv[keep]

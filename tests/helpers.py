@@ -19,7 +19,7 @@ from sparselab.errors import DegenerateInputError, InvalidArgumentError, SizeLim
 from sparselab.graph import Clique, WeightedGraph, bfs_depths
 from sparselab.nbwalk import FIRST_STEP_UNIFORM, FIRST_STEP_WEIGHT, PseudoGirthReport
 from sparselab.rng import derive_seed, make_generator
-from sparselab.spectral import DENSE_CAP
+from sparselab.spectral import DENSE_CAP, laplacian
 
 
 def erf_series(x: float, terms: int = 120) -> float:
@@ -150,6 +150,45 @@ def regular_clique_epsilon_oracle(h_unscaled: WeightedGraph, d: int) -> float:
     eta = eta[:-1]  # drop the Perron eigenvalue (= d for connected H)
     lam = (n - 1) * (d - eta) / (d * n)
     return float(np.abs(lam - 1.0).max())
+
+
+def pair_scan_oracle(h: WeightedGraph, g: Clique, row_block: int = 1024):
+    """(best, witness, examined) of the singleton and pair scan against a clique,
+    over the dense weight matrix of H in row blocks.
+
+    The scan the sampled cut error used before it read the clique's pairs
+    from the edge arrays; the witness is a worst singleton, else the first
+    worst pair in row order.
+    """
+    n = h.n
+    dh = h.weighted_degrees()
+    dev1 = np.abs(dh / g.cut(1) - 1.0)
+    i = int(np.argmax(dev1))
+    best, witness = float(dev1[i]), (i,)
+    examined = n
+    if n >= 3:
+        wh = h.weight_matrix()
+        for lo in range(0, n, row_block):
+            hi = min(lo + row_block, n)
+            ch = (dh[lo:hi, None] + dh[None, :]) - 2.0 * wh[lo:hi]
+            iu, iv = np.triu_indices(hi - lo, k=1, m=n)
+            keep = iv > iu + lo
+            iu, iv = iu[keep], iv[keep]
+            dev = np.abs(ch[iu, iv] / g.cut(2) - 1.0)
+            examined += dev.size
+            j = int(np.argmax(dev)) if dev.size else 0
+            if dev.size and dev[j] > best:
+                best = float(dev[j])
+                witness = (int(iu[j]) + lo, int(iv[j]))
+    return best, witness, examined
+
+
+def spectral_extremes_oracle(h: WeightedGraph, g: Clique) -> tuple[float, float]:
+    """(lambda_min, lambda_max) of L_H / (w n) on the complement of the all-ones
+    vector, from every eigenvalue of the dense Laplacian less the one nearest 0."""
+    evals = symmetric_eigenvalues(laplacian(h)) / (g.w * h.n)
+    evals = np.delete(evals, int(np.argmin(np.abs(evals))))
+    return float(evals[0]), float(evals[-1])
 
 
 class IncrementalCut:

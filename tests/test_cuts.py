@@ -37,6 +37,7 @@ from helpers import (
     extreme_cuts_oracle,
     graph_pairs,
     gray_scan_oracle,
+    pair_scan_oracle,
     random_connected_graph,
     regular_vs_clique_oracle,
 )
@@ -189,6 +190,50 @@ class TestSampledError:
         a = cut_error_sampled(h, g, 50, [10, 20, 30], seed=5)
         b = cut_error_sampled(h, g, 50, [10, 20, 30], seed=5)
         assert a.epsilon == b.epsilon and a.witness == b.witness
+
+
+@st.composite
+def pair_scan_graphs(draw):
+    """Graphs on 3..16 vertices: d-regular unions of matchings, where every pair
+    without a bundle ties, scaled by exact or inexact factors; or random
+    multigraphs with zero-weight bundles, often disconnected."""
+    if draw(st.booleans()):
+        n = 2 * draw(st.integers(2, 8))
+        h = sample_regular_multigraph(n, draw(st.integers(1, n - 1)), draw(st.integers(0, 2**32)))
+        return scale_weights(h, draw(st.sampled_from([1.0, 0.5, (n - 1) / 3, 19 / 8])))
+    n = draw(st.integers(3, 16))
+    weight = st.one_of(st.just(0.0), st.integers(1, 3).map(float), st.floats(0.25, 4.0))
+    records = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weight), max_size=n * n // 2))
+    return WeightedGraph(n, [(min(u, v), max(u, v), w) for u, v, w in records if u != v])
+
+
+class TestCliquePairScan:
+    @settings(max_examples=300, deadline=None)
+    @given(h=pair_scan_graphs(), w=st.sampled_from([1.0, 0.3, 1 / 7]), slab=st.sampled_from([None, 1]))
+    def test_equals_the_dense_scan(self, h, w, slab):
+        g = Clique(h.n, w)
+        with mock.patch.object(cuts, "_SLAB_CELLS", slab or cuts._SLAB_CELLS):  # 1: one row per slab
+            assert cuts._pair_scan(h, g) == pair_scan_oracle(h, g)
+
+    @pytest.mark.parametrize(
+        "h",
+        [
+            WeightedGraph(3, []),
+            WeightedGraph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]),
+            WeightedGraph(3, [(1, 2, 0.0)]),
+            WeightedGraph(3, [(0, 2, 2.0)]),
+            scale_weights(sample_regular_multigraph(1000, 4, 1), 999 / 4),
+        ],
+        ids=["n3-empty", "n3-complete", "n3-zero-bundle", "n3-one-edge", "regular-n1000"],
+    )
+    def test_equals_the_dense_scan_on_fixed_graphs(self, h):
+        assert cuts._pair_scan(h, Clique(h.n, 1.0)) == pair_scan_oracle(h, Clique(h.n, 1.0))
+
+    def test_regular_ties_take_the_first_pair_without_a_bundle(self):
+        # against K_6 a pair cuts 8; on C_6 of weight 3 a pair cuts 12, or 6 with an edge,
+        # and a vertex cuts 6 against 5: the pairs without an edge all tie at the worst, 1/2
+        best, witness, examined = cuts._pair_scan(make_cycle(6, 3.0), Clique(6, 1.0))
+        assert (best, witness, examined) == (0.5, (0, 2), 6 + 15)
 
 
 class TestCutProfile:

@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from sparselab import cuts, harness, spectral
 from sparselab.errors import InvalidArgumentError
+from sparselab.graph import WeightedGraph
 from sparselab.harness import (
     bounds_table_csv,
     run_bounds_table,
@@ -77,6 +79,15 @@ class TestSeparation:
         monkeypatch.setattr(spectral, "spectral_error", counting)
         run_separation(16, 6, 3, seeds=2, g=2, master_seed=4, target=target)
         assert len(calls) == 2 * solves_per_seed
+
+    def test_clique_target_builds_no_dense_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("n x n array on the clique path")
+
+        monkeypatch.setattr(WeightedGraph, "weight_matrix", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        rep = run_separation(64, 8, 4, seeds=2, g=2, master_seed=3, target="clique", cut_mode="sampled")
+        assert len(rep["records"]) == 2
 
     def test_sampled_mode(self):
         rep = run_separation(60, 8, 4, seeds=1, g=2, master_seed=1, cut_mode="sampled", samples_per_size=20)

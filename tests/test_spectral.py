@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,13 +6,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparselab import spectral
+from sparselab.cli import main
 from sparselab.cuts import cut_error_exhaustive
 from sparselab.errors import InvalidArgumentError, NotComparableError, SizeLimitError
-from sparselab.graph import Clique, WeightedGraph, make_clique, make_cycle, sample_regular_multigraph, scale_weights
+from sparselab.graph import (
+    Clique,
+    WeightedGraph,
+    is_connected,
+    make_clique,
+    make_cycle,
+    sample_regular_multigraph,
+    scale_weights,
+    write_edge_list,
+)
 from sparselab.rng import make_generator
 from sparselab.spectral import laplacian, spectral_error
 
-from helpers import graph_pairs, random_connected_graph, regular_clique_epsilon_oracle, symmetric_eigenvalues
+from helpers import (
+    graph_pairs,
+    random_connected_graph,
+    regular_clique_epsilon_oracle,
+    spectral_extremes_oracle,
+    symmetric_eigenvalues,
+)
 
 
 class TestLaplacian:
@@ -179,3 +197,89 @@ class TestReferenceProperties:
         assert abs(cut_error_exhaustive(h_scaled, scaled_ref).epsilon - eps_cut) <= 1e-12
         # eigensolver rounding is relative: eps_spec reaches ~60 on these graphs
         assert abs(spectral_error(h_scaled, scaled_ref).epsilon - eps_spec) <= 1e-12 * max(1.0, eps_spec)
+
+
+# weights with exact ties, and zero-weight bundles
+_lanczos_weights = st.one_of(st.just(0.0), st.integers(1, 3).map(float), st.floats(0.25, 4.0))
+
+
+@st.composite
+def lanczos_graphs(draw):
+    """Graphs on 2..40 vertices: cycles, whose eigenvalues repeat, and random
+    multigraphs (repeated pairs become one bundle), often disconnected, with
+    zero-weight bundles."""
+    n = draw(st.integers(2, 40))
+    if n >= 3 and draw(st.booleans()):
+        return make_cycle(n, draw(st.floats(0.25, 4.0)))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), _lanczos_weights)
+    records = draw(st.lists(pairs, max_size=3 * n))
+    return WeightedGraph(n, [(min(u, v), max(u, v), w) for u, v, w in records if u != v])
+
+
+def _hypercube(dim: int) -> WeightedGraph:
+    """Q_dim: vertices are bit strings, edges flip one bit; Laplacian eigenvalues 2i, i = 0..dim."""
+    us = np.arange(1 << dim)
+    pairs = [(us[us & (1 << b) == 0], us[us & (1 << b) == 0] | (1 << b)) for b in range(dim)]
+    u, v = (np.concatenate(side) for side in zip(*pairs))
+    return WeightedGraph.from_arrays(1 << dim, u, v, np.ones(u.size))
+
+
+class TestLanczos:
+    @settings(max_examples=150, deadline=None)
+    @given(h=lanczos_graphs(), w=st.floats(0.1, 10.0))
+    def test_extremes_match_the_dense_oracle(self, h, w):
+        rep = spectral_error(h, Clique(h.n, w))
+        norm = max(2.0 * float(h.weighted_degrees().max()), np.finfo(float).tiny)
+        tol = 1e-10 * norm / (w * h.n)
+        lo, hi = spectral_extremes_oracle(h, Clique(h.n, w))
+        assert abs(rep.lambda_min - lo) <= tol
+        assert abs(rep.lambda_max - hi) <= tol
+        assert rep.epsilon == max(abs(rep.lambda_min - 1.0), abs(rep.lambda_max - 1.0))
+        assert 1 <= rep.iterations <= h.n - 1
+        assert rep.residual <= spectral._LANCZOS_RTOL
+        if not is_connected(h):
+            assert abs(rep.lambda_min) <= tol
+            assert rep.epsilon >= 1.0 - tol
+
+    def test_hypercube_above_the_dense_cap(self):
+        w = 0.3
+        h = _hypercube(12)
+        assert h.n == 4096 > spectral.DENSE_CAP
+        rep = spectral_error(h, Clique(h.n, w))
+        tol = 1e-10 * 24.0 / (w * h.n)
+        assert rep.lambda_min == pytest.approx(2.0 / (w * h.n), abs=tol)
+        assert rep.lambda_max == pytest.approx(24.0 / (w * h.n), abs=tol)
+
+    @pytest.mark.parametrize(
+        "h",
+        [make_cycle(100, 0.5), scale_weights(sample_regular_multigraph(200, 4, 3), 199 / 4), WeightedGraph(3, [])],
+        ids=["cycle", "regular", "empty"],
+    )
+    def test_solver_data_stays_out_of_the_json(self, h):
+        rep = spectral_error(h, Clique(h.n, 1.0))
+        assert rep.method == "clique"
+        assert 1 <= rep.iterations <= h.n - 1
+        assert 0.0 <= rep.residual <= spectral._LANCZOS_RTOL
+        assert set(rep.to_json_dict()) == {"epsilon", "lambda_min", "lambda_max", "kernel_ok", "n"}
+        whitened = spectral_error(h, make_clique(h.n, 1.0))
+        assert (whitened.iterations, whitened.residual) == (None, None)
+
+    def test_unconverged_solve_is_a_size_limit(self):
+        h = make_cycle(200, 0.5)  # converges at step 100; cap 150 leaves a basis of 112 rows, cap 60 of 18
+        assert spectral_error(h, Clique(200, 1.0), cap=150).iterations == 100
+        with pytest.raises(SizeLimitError, match="did not converge"):
+            spectral_error(h, Clique(200, 1.0), cap=60)
+
+    def test_unconverged_solve_exits_3(self, tmp_path, monkeypatch, capsys):
+        h, g = tmp_path / "h.edges", tmp_path / "g.edges"
+        write_edge_list(make_cycle(200, 0.5), h)
+        write_edge_list(make_clique(200, 1.0), g)
+        monkeypatch.setattr(spectral, "spectral_error", functools.partial(spectral.spectral_error, cap=60))
+        assert main(["spectral-error", "--h-file", str(h), "--g-file", str(g)]) == 3
+        assert "did not converge" in capsys.readouterr().err
+
+    def test_cap_bounds_only_the_dense_whitening(self):
+        h = make_cycle(50, 1.0)
+        assert spectral_error(h, Clique(50, 1.0), cap=40).method == "clique"
+        with pytest.raises(SizeLimitError, match="dense cap"):
+            spectral_error(h, make_clique(50, 1.0), cap=40)
