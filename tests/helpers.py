@@ -183,6 +183,16 @@ def pair_scan_oracle(h: WeightedGraph, g: Clique, row_block: int = 1024):
     return best, witness, examined
 
 
+def clique_pairs_oracle(h: WeightedGraph, cut2: float) -> tuple[float, tuple[int, int]]:
+    """Worst |cut({u, v}) / cut2 - 1| over pairs u < v and its first maximizer in
+    row order, from the dense weight matrix of H."""
+    dh = h.weighted_degrees()
+    iu, iv = np.triu_indices(h.n, k=1)
+    dev = np.abs(((dh[iu] + dh[iv]) - 2.0 * h.weight_matrix()[iu, iv]) / cut2 - 1.0)
+    j = int(np.argmax(dev))
+    return float(dev[j]), (int(iu[j]), int(iv[j]))
+
+
 def spectral_extremes_oracle(h: WeightedGraph, g: Clique) -> tuple[float, float]:
     """(lambda_min, lambda_max) of L_H / (w n) on the complement of the all-ones
     vector, from every eigenvalue of the dense Laplacian less the one nearest 0."""

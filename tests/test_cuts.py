@@ -31,6 +31,7 @@ from helpers import (
     IncrementalCut,
     brute_cut,
     brute_cut_error,
+    clique_pairs_oracle,
     connected_graphs,
     cut_error_exhaustive_oracle,
     cut_profile_oracle,
@@ -208,26 +209,30 @@ def pair_scan_graphs(draw):
 
 
 class TestCliquePairScan:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(h=pair_scan_graphs(), w=st.sampled_from([1.0, 0.3, 1 / 7]), slab=st.sampled_from([None, 1]))
     def test_equals_the_dense_scan(self, h, w, slab):
         g = Clique(h.n, w)
         with mock.patch.object(cuts, "_SLAB_CELLS", slab or cuts._SLAB_CELLS):  # 1: one row per slab
             assert cuts._pair_scan(h, g) == pair_scan_oracle(h, g)
+            # the pairs alone, also where a singleton is worse than every pair
+            assert cuts._clique_pairs(h, h.weighted_degrees(), g.cut(2)) == clique_pairs_oracle(h, g.cut(2))
 
     @pytest.mark.parametrize(
-        "h",
+        "h, w",
         [
-            WeightedGraph(3, []),
-            WeightedGraph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]),
-            WeightedGraph(3, [(1, 2, 0.0)]),
-            WeightedGraph(3, [(0, 2, 2.0)]),
-            scale_weights(sample_regular_multigraph(1000, 4, 1), 999 / 4),
+            (WeightedGraph(3, []), 1.0),
+            (WeightedGraph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]), 1.0),
+            (WeightedGraph(3, [(1, 2, 0.0)]), 1.0),
+            (WeightedGraph(3, [(0, 2, 2.0)]), 1.0),
+            # every degree is 3: the zero-weight bundle (0, 1) ties the pairs without one and comes first
+            (WeightedGraph(4, [(0, 1, 0.0), (0, 2, 3.0), (1, 3, 3.0)]), 0.25),
+            (scale_weights(sample_regular_multigraph(1000, 4, 1), 999 / 4), 1.0),
         ],
-        ids=["n3-empty", "n3-complete", "n3-zero-bundle", "n3-one-edge", "regular-n1000"],
+        ids=["n3-empty", "n3-complete", "n3-zero-bundle", "n3-one-edge", "zero-bundle-tie", "regular-n1000"],
     )
-    def test_equals_the_dense_scan_on_fixed_graphs(self, h):
-        assert cuts._pair_scan(h, Clique(h.n, 1.0)) == pair_scan_oracle(h, Clique(h.n, 1.0))
+    def test_equals_the_dense_scan_on_fixed_graphs(self, h, w):
+        assert cuts._pair_scan(h, Clique(h.n, w)) == pair_scan_oracle(h, Clique(h.n, w))
 
     def test_regular_ties_take_the_first_pair_without_a_bundle(self):
         # against K_6 a pair cuts 8; on C_6 of weight 3 a pair cuts 12, or 6 with an edge,
