@@ -11,14 +11,7 @@ import json
 import sys
 
 from . import harness
-from .errors import (
-    DegenerateInputError,
-    InvalidArgumentError,
-    ParseError,
-    SizeLimitError,
-    SparselabError,
-    UnsupportedInputError,
-)
+from .errors import DegenerateInputError, InvalidArgumentError, SparselabError
 from .graph import (
     Clique, WeightedGraph, read_edge_list, sample_regular_multigraph, uniform_clique_weight, write_edge_list,
 )
@@ -236,18 +229,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _dispatch(args)
-    except (InvalidArgumentError, ParseError, UnsupportedInputError) as exc:
+    except SparselabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SizeLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DegenerateInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except SparselabError as exc:  # any remaining package error counts as misuse
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
     return 0
 
 

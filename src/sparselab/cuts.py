@@ -597,16 +597,8 @@ def extreme_cuts_at_sizes(h: WeightedGraph, ks: Sequence[int]) -> list[tuple[flo
     return [(float(hi[split.kside == k].max()), float(lo[split.kside == k].min())) for k in ks]
 
 
-def extreme_cuts_at_size(
-    h: WeightedGraph,
-    k: int,
-    exhaustive: bool,
-    samples: int = 0,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """(max, min) cut value over subsets of size k, exhaustive or sampled."""
-    if exhaustive:
-        return extreme_cuts_at_sizes(h, [k])[0]
+def extreme_cuts_at_size(h: WeightedGraph, k: int, samples: int, seed: int = 0) -> tuple[float, float]:
+    """(max, min) cut value over `samples` random subsets of size k; extreme_cuts_at_sizes is exhaustive."""
     n = h.n
     if not 1 <= k <= n // 2:
         raise InvalidArgumentError(f"size {k} not in [1, n/2]")

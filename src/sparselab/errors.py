@@ -1,12 +1,15 @@
 """Exception hierarchy shared by every module.
 
-The CLI maps these onto process exit codes: invalid arguments and parse
-failures exit 2, size-cap violations exit 3, degenerate inputs exit 4.
+Each class carries the process exit code the CLI returns for it, and
+subclasses inherit theirs: invalid arguments and parse failures exit 2,
+size-cap violations exit 3, degenerate inputs exit 4.
 """
 
 
 class SparselabError(Exception):
     """Base class for all package-specific errors."""
+
+    exit_code = 2
 
 
 class InvalidArgumentError(SparselabError, ValueError):
@@ -20,9 +23,13 @@ class OutOfRegimeError(InvalidArgumentError):
 class SizeLimitError(SparselabError):
     """Input exceeds the hard cap of an exact computation; use a sampled mode."""
 
+    exit_code = 3
+
 
 class DegenerateInputError(SparselabError):
     """The requested quantity is undefined on this input."""
+
+    exit_code = 4
 
 
 class NotComparableError(DegenerateInputError):

@@ -39,6 +39,16 @@ def _median(xs) -> float:
     return float(statistics.median(xs))
 
 
+def _references(d: int) -> dict:
+    """The analytic values a degree-d clique sparsifier is compared with."""
+    return {
+        "rs_constant_over_sqrt_d": bounds.main_constant() / math.sqrt(d),
+        "ramanujan_asymptotic": bounds.ramanujan_epsilon(d).asymptotic if d >= 2 else None,
+        "ramanujan_exact": bounds.ramanujan_epsilon(d).exact if d >= 2 else None,
+        "note": bounds.asymptotic_note(),
+    }
+
+
 def _require_seeds(seeds: int) -> None:
     if seeds < 1:
         raise InvalidArgumentError(f"need at least one seed, got {seeds}")
@@ -122,12 +132,7 @@ def run_clique_sparsify(
             "profile_reference": profile_reference,
         },
     )
-    report["references"] = {
-        "rs_constant_over_sqrt_d": bounds.main_constant() / math.sqrt(d),
-        "ramanujan_asymptotic": bounds.ramanujan_epsilon(d).asymptotic if d >= 2 else None,
-        "ramanujan_exact": bounds.ramanujan_epsilon(d).exact if d >= 2 else None,
-        "note": bounds.asymptotic_note(),
-    }
+    report["references"] = _references(d)
     report["records"] = records
     report["medians"] = {
         "eps_cut": _median(r["eps_cut"] for r in records),
@@ -223,12 +228,7 @@ def run_separation(
             "samples_per_size": samples_per_size,
         },
     )
-    report["references"] = {
-        "rs_constant_over_sqrt_d": bounds.main_constant() / math.sqrt(d),
-        "ramanujan_asymptotic": bounds.ramanujan_epsilon(d).asymptotic if d >= 2 else None,
-        "ramanujan_exact": bounds.ramanujan_epsilon(d).exact if d >= 2 else None,
-        "note": bounds.asymptotic_note(),
-    }
+    report["references"] = _references(d)
     report["records"] = records
     return report
 
@@ -346,7 +346,7 @@ def run_concentration(
             extremes = cuts.extreme_cuts_at_sizes(h, ks)
         else:
             extremes = [
-                cuts.extreme_cuts_at_size(h, k, exhaustive=False, samples=samples_per_seed, seed=derive_seed(seed, k))
+                cuts.extreme_cuts_at_size(h, k, samples_per_seed, derive_seed(seed, k))
                 for k in ks
             ]
         for column, (top, _) in zip(tops, extremes):

@@ -4,8 +4,9 @@ The relative spectral error of H against G is the worst deviation from 1 of
 the generalized eigenvalues of (L_H, L_G) restricted to the range of L_G.
 The reference's type picks the path.  A :class:`Clique` reference needs only
 the extreme eigenvalues of L_H on the complement of the all-ones vector,
-because the clique Laplacian acts as w*n times the identity there; a Lanczos
-iteration finds them from the edge arrays, with no n x n array.  A
+because the clique Laplacian acts as w*n times the identity there; a
+thick-restart Lanczos iteration with a basis of at most 64 vectors finds
+them from the edge arrays, with no n x n array and in memory linear in n.  A
 :class:`WeightedGraph` reference is whitened with the pseudo-inverse square
 root of L_G, a dense solve of at most ``cap`` vertices.
 """
@@ -26,6 +27,9 @@ _KERNEL_SPLIT_RTOL = 1e-10  # eigenvalues of L_G below this (relative) are kerne
 _KERNEL_CONTAIN_RTOL = 1e-8  # tolerance for kernel(L_G) inside kernel(L_H)
 _LANCZOS_RTOL = 1e-13  # extreme Ritz residuals below this times ||L_H|| have converged
 _LANCZOS_SEED = 0  # the start vector is fixed, so replays are identical
+_BASIS_ROWS = 64  # Lanczos basis rows, the all-ones row included
+_KEEP = 8  # at most this many Ritz vectors kept at each end of the spectrum at a restart
+_STEPS_PER_VERTEX = 100  # a solve that takes more than this many steps per vertex fails
 
 
 @dataclass(frozen=True)
@@ -33,9 +37,10 @@ class SpectralReport:
     """The spectral error and the solver's own data.
 
     ``iterations`` and ``residual`` describe the Lanczos solve of the clique
-    path: its number of steps, and the larger extreme Ritz residual relative
-    to the Gershgorin bound on ||L_H||.  The dense whitening solve leaves them
-    None.  They stay out of the JSON report.
+    path: its number of products with L_H, over all its restarts, and the
+    larger extreme Ritz residual relative to the Gershgorin bound on ||L_H||.
+    The dense whitening solve leaves them None.  They stay out of the JSON
+    report.
     """
 
     epsilon: float
@@ -69,77 +74,65 @@ def laplacian(graph: WeightedGraph) -> np.ndarray:
 def _lanczos_extremes(h: WeightedGraph, norm: float, cap: int) -> tuple[float, float, int, float]:
     """Smallest and largest eigenvalue of L_H on the complement of the all-ones vector.
 
-    Lanczos from a fixed random start, with L_H x formed from the edge
-    arrays.  Row 0 of the basis is the unit all-ones vector, and each new
-    vector L_H v_k is orthogonalized against the whole basis twice (classical
-    Gram-Schmidt); the first pass's coefficient of v_k is alpha_k, the
-    remaining norm beta_k.  The basis holds at most cap**2 numbers.  The
-    iteration stops when both extreme Ritz residuals beta_k |s_k| are at most
-    _LANCZOS_RTOL * norm, or when the basis spans the complement; they are
-    tested on the schedule of :func:`_steps_to_converge`, and at once when
-    beta_k is small, near an invariant subspace.  The coefficients come from
+    Thick-restart Lanczos (Wu and Simon, 2000) from a fixed random start, with
+    L_H x formed from the edge arrays.  Row 0 of the basis V is the unit
+    all-ones vector.  The image L_H v of each new row is kept, and what is
+    left of it after two classical Gram-Schmidt passes against V, of norm
+    beta, gives the next row.  V has at most 64 rows, and V and the images
+    together hold at most cap**2 numbers.  When V is full, or beta is near
+    breakdown, a Rayleigh-Ritz step on V (L_H V)' gives Ritz pairs whose
+    residuals are beta |s_last|.  Once both extreme residuals are at most
+    _LANCZOS_RTOL * norm, it returns.  Otherwise it keeps the smallest and
+    largest Ritz vectors, _KEEP at each end and at most a quarter of the
+    rows, with their images, and goes on from the residual direction, so the
+    Lanczos relation holds across the restart.  The coefficients come from
     ``einsum``, which does not split a sum across BLAS threads, so the result
     is the same on any number of CPUs.  Returns (theta_min, theta_max, steps,
     residual / norm).
     """
     n = h.n
-    rows = min(n, cap * cap // n)
-    if rows < 2:
-        raise SizeLimitError(f"n={n} leaves no room for a Lanczos basis within cap {cap}")
+    rows = min(n, _BASIS_ROWS, cap * cap // (2 * n))
+    ends = min(_KEEP, (rows - 1) // 4)
+    if rows < n and ends < 1:
+        raise SizeLimitError(f"cap {cap} leaves {rows} Lanczos rows at n={n}, too few to restart")
     us, vs, ws, _ = h.edge_arrays()
     deg = h.weighted_degrees()
-    basis = np.empty((rows, n))
+    basis, images = np.zeros((rows, n)), np.zeros((rows, n))
     basis[0] = 1.0 / math.sqrt(n)
-    alpha, beta = np.zeros(rows), np.zeros(rows)
     w = make_generator(_LANCZOS_SEED).standard_normal(n)
-    k, test_at, last = 0, 1, None  # Lanczos vectors in basis[1 : k + 1]; when to test next; the last test
+    k, steps = 1, 0  # basis rows in use; products with L_H
     while True:
-        for gs_pass in range(2):
-            c = np.einsum("ij,j->i", basis[: k + 1], w)
-            w -= c @ basis[: k + 1]
-            if k and not gs_pass:
-                alpha[k - 1] = c[k]  # v_k . L_H v_k
-        beta[k] = b = math.sqrt(np.einsum("i,i", w, w))
-        near_breakdown = b <= math.sqrt(_LANCZOS_RTOL) * norm
-        if k and (near_breakdown or k >= test_at or k == rows - 1):
-            t = np.diag(alpha[:k]) + np.diag(beta[1:k], 1) + np.diag(beta[1:k], -1)
-            theta, s = np.linalg.eigh(t)
+        for _ in range(2):
+            w -= np.einsum("ij,j->i", basis[:k], w) @ basis[:k]
+        b = math.sqrt(np.einsum("i,i", w, w))
+        if k == rows or b <= math.sqrt(_LANCZOS_RTOL) * norm:
+            m = np.einsum("ij,kj->ik", basis[1:k], images[1:k])
+            theta, s = np.linalg.eigh((m + m.T) / 2.0)
             residual = b * float(np.abs(s[-1, [0, -1]]).max()) / norm
-            if residual <= _LANCZOS_RTOL or k == n - 1:
-                return float(theta[0]), float(theta[-1]), k, residual
-            test_at = k + (1 if near_breakdown else _steps_to_converge(n, k, residual, last))
-            last = (k, residual)
-        if k == rows - 1:
-            raise SizeLimitError(f"Lanczos did not converge within {k} steps, the basis cap {cap}**2 allows at n={n}")
-        k += 1
+            if residual <= _LANCZOS_RTOL:
+                return float(theta[0]), float(theta[-1]), steps, residual
+            keep = s if k <= 2 * ends + 1 else s[:, np.r_[:ends, -ends:0]]
+            kept = 1 + keep.shape[1]
+            basis[1:kept], images[1:kept] = keep.T @ basis[1:k], keep.T @ images[1:k]
+            k = kept
+        if steps == _STEPS_PER_VERTEX * n:
+            raise SizeLimitError(f"Lanczos did not converge within {steps} steps at n={n}")
+        np.divide(w, b, out=basis[k])
         v = basis[k]
-        np.divide(w, b, out=v)
-        w = deg * v - np.bincount(us, ws * v[vs], n) - np.bincount(vs, ws * v[us], n)
-
-
-def _steps_to_converge(n: int, k: int, residual: float, last: tuple[int, float] | None) -> int:
-    """Steps to take before the next convergence test, after a failed one at step k.
-
-    The residual's geometric decay since the last test predicts the step
-    where it reaches the tolerance.  A test solves the k x k tridiagonal
-    problem densely, which costs about as much as k*k/(2n) steps, so tests
-    are at least that far apart, and at most k/4.
-    """
-    most = max(1, k // 4)
-    if last is None or not residual < last[1]:
-        return most
-    rate = math.log(last[1] / residual) / (k - last[0])
-    predicted = math.ceil(math.log(residual / _LANCZOS_RTOL) / rate)
-    return min(most, max(1, k * k // (2 * n), predicted))
+        images[k] = deg * v - np.bincount(us, ws * v[vs], n) - np.bincount(vs, ws * v[us], n)
+        w = images[k].copy()
+        k, steps = k + 1, steps + 1
 
 
 def spectral_error(h: WeightedGraph, g: WeightedGraph | Clique, cap: int = DENSE_CAP) -> SpectralReport:
     """Relative spectral error: max |lambda - 1| over generalized eigenvalues
     of (L_H, L_G) on range(L_G).
 
-    ``cap`` bounds the dense whitening solve at cap vertices and the Lanczos
-    basis at cap**2 numbers; a Lanczos solve that has not converged within
-    that basis raises SizeLimitError, so no unconverged value is reported.
+    ``cap`` bounds the dense whitening solve at cap vertices, and the Lanczos
+    basis with its L_H images at cap**2 numbers.  A Lanczos solve raises
+    SizeLimitError when cap leaves it too few rows to restart, or when it has
+    not converged within _STEPS_PER_VERTEX * n steps, so no unconverged value
+    is reported.
     Raises NotComparableError when kernel(L_G) is not contained in kernel(L_H)
     numerically, since no finite relative error exists there.
     """

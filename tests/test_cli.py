@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from sparselab import cuts, harness, martingale, spectral
+from sparselab import cuts, errors, harness, martingale, spectral
 from sparselab.cli import main
 from sparselab.graph import (
     Clique,
@@ -311,6 +311,26 @@ def test_non_finite_report_exits_4(graph_files, tmp_path, monkeypatch, capsys):
     assert run_cli(["spectral-error", "--h-file", h, "--g-file", g]) == 4
     captured = capsys.readouterr()
     assert captured.out == "" and "non-finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (errors.SparselabError, 2), (errors.InvalidArgumentError, 2), (errors.OutOfRegimeError, 2),
+        (errors.ParseError, 2), (errors.UnsupportedInputError, 2), (errors.SizeLimitError, 3),
+        (errors.DegenerateInputError, 4), (errors.NotComparableError, 4),
+    ],
+)
+def test_each_error_class_carries_its_exit_code(error, code, graph_files, monkeypatch, capsys):
+    assert error.exit_code == code
+    h, g = graph_files
+
+    def fail(h, g):
+        raise error("raised on purpose")
+
+    monkeypatch.setattr(harness, "run_spectral_error", fail)
+    assert run_cli(["spectral-error", "--h-file", h, "--g-file", g]) == code
+    assert capsys.readouterr().err == "error: raised on purpose\n"
 
 
 class TestReplayDeterminism:

@@ -305,7 +305,7 @@ class TestExtremeCuts:
     def test_exhaustive_matches_enumeration(self):
         h = sample_regular_multigraph(12, 4, seed=7)
         for k in (2, 4, 6):
-            hi, lo = extreme_cuts_at_size(h, k, exhaustive=True)
+            hi, lo = extreme_cuts_at_sizes(h, [k])[0]
             vals = [brute_cut(h, s) for s in combinations(range(12), k)]
             if k == 6:  # balanced cuts are halved; both sides give the same value
                 assert hi == pytest.approx(max(vals))
@@ -316,8 +316,8 @@ class TestExtremeCuts:
 
     def test_sampled_within_exhaustive(self):
         h = sample_regular_multigraph(18, 5, seed=11)
-        hi_e, lo_e = extreme_cuts_at_size(h, 9, exhaustive=True)
-        hi_s, lo_s = extreme_cuts_at_size(h, 9, exhaustive=False, samples=200, seed=1)
+        hi_e, lo_e = extreme_cuts_at_sizes(h, [9])[0]
+        hi_s, lo_s = extreme_cuts_at_size(h, 9, samples=200, seed=1)
         assert lo_e - 1e-12 <= lo_s and hi_s <= hi_e + 1e-12
 
 
@@ -413,7 +413,7 @@ class TestExhaustiveProperties:
         n = h.n
         with _kernel(split):
             prof = cut_profile(h, d, reference=reference, argmax_cap=n)
-            extremes = [extreme_cuts_at_size(h, k, exhaustive=True) for k in range(1, n // 2 + 1)]
+            extremes = [extreme_cuts_at_sizes(h, [k])[0] for k in range(1, n // 2 + 1)]
             ks = list(range(n // 2, 0, -2))  # one enumeration for several sizes, in any order
             assert extreme_cuts_at_sizes(h, ks) == [extremes[k - 1] for k in ks]
         assert [row.k for row in prof.rows] == list(range(1, n // 2 + 1))

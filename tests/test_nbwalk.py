@@ -413,6 +413,16 @@ def _certify(*args, **kwargs):
         return type(exc)
 
 
+class TestCertificateSoundness:
+    @_examples
+    @given(graph=walk_graphs(), g=st.integers(1, 3), d=st.floats(1.0, 12.0), first_step=_first_steps)
+    def test_lower_bound_never_exceeds_spectral_error(self, graph, g, d, first_step):
+        # the 1e-6 margin is criterion 05's
+        cert = _certify(graph, g, d, first_step=first_step)
+        if isinstance(cert, nbwalk.CertificateReport):
+            assert cert.epsilon_lb <= spectral_error(graph, Clique(graph.n, 1.0 / graph.n)).epsilon + 1e-6
+
+
 class TestBlockEngineProperties:
     @_examples
     @given(graph=walk_graphs(), g=st.integers(1, 3), first_step=_first_steps, roots=_roots_per_block)

@@ -13,6 +13,7 @@ from sparselab.errors import InvalidArgumentError, NotComparableError, SizeLimit
 from sparselab.graph import (
     Clique,
     WeightedGraph,
+    first_matchings_subgraph,
     is_connected,
     make_clique,
     make_cycle,
@@ -224,18 +225,29 @@ def _hypercube(dim: int) -> WeightedGraph:
     return WeightedGraph.from_arrays(1 << dim, u, v, np.ones(u.size))
 
 
+def _cap_for_rows(n: int, rows: int) -> int:
+    """The smallest cap whose cap**2 numbers hold `rows` basis rows and their images."""
+    return math.isqrt(2 * n * rows - 1) + 1
+
+
+def _budget(n: int) -> int:
+    return spectral._STEPS_PER_VERTEX * n
+
+
 class TestLanczos:
     @settings(max_examples=100, deadline=None)
-    @given(h=lanczos_graphs(), w=st.floats(0.1, 10.0))
-    def test_extremes_match_the_dense_oracle(self, h, w):
-        rep = spectral_error(h, Clique(h.n, w))
+    @given(h=lanczos_graphs(), w=st.floats(0.1, 10.0), rows=st.one_of(st.none(), st.integers(18, 30)))
+    def test_extremes_match_the_dense_oracle(self, h, w, rows):
+        # a cap that leaves 18-30 basis rows restarts on the larger graphs
+        cap = spectral.DENSE_CAP if rows is None else _cap_for_rows(h.n, rows)
+        rep = spectral_error(h, Clique(h.n, w), cap=cap)
         norm = max(2.0 * float(h.weighted_degrees().max()), np.finfo(float).tiny)
         tol = 1e-10 * norm / (w * h.n)
         lo, hi = spectral_extremes_oracle(h, Clique(h.n, w))
         assert abs(rep.lambda_min - lo) <= tol
         assert abs(rep.lambda_max - hi) <= tol
         assert rep.epsilon == max(abs(rep.lambda_min - 1.0), abs(rep.lambda_max - 1.0))
-        assert 1 <= rep.iterations <= h.n - 1
+        assert 1 <= rep.iterations <= _budget(h.n)
         assert rep.residual <= spectral._LANCZOS_RTOL
         if not is_connected(h):
             assert abs(rep.lambda_min) <= tol
@@ -267,28 +279,44 @@ class TestLanczos:
     def test_solver_data_stays_out_of_the_json(self, h):
         rep = spectral_error(h, Clique(h.n, 1.0))
         assert rep.method == "clique"
-        assert 1 <= rep.iterations <= h.n - 1
+        assert 1 <= rep.iterations <= _budget(h.n)
         assert 0.0 <= rep.residual <= spectral._LANCZOS_RTOL
         assert set(rep.to_json_dict()) == {"epsilon", "lambda_min", "lambda_max", "kernel_ok", "n"}
         whitened = spectral_error(h, make_clique(h.n, 1.0))
         assert (whitened.iterations, whitened.residual) == (None, None)
 
-    def test_unconverged_solve_is_a_size_limit(self):
-        h = make_cycle(200, 0.5)  # converges at step 100; cap 150 leaves a basis of 112 rows, cap 60 of 18
-        assert spectral_error(h, Clique(200, 1.0), cap=150).iterations == 100
-        with pytest.raises(SizeLimitError, match="did not converge"):
-            spectral_error(h, Clique(200, 1.0), cap=60)
+    def test_restarted_solve_matches_the_full_basis(self):
+        # cap 300 leaves 45 rows at n = 1000; a basis that only grows stopped there after 89 steps
+        n = 1000
+        h = scale_weights(first_matchings_subgraph(sample_regular_multigraph(n, 16, 0), 4), (n - 1) / 4)
+        full = spectral_error(h, Clique(n, 1.0))
+        restarted = spectral_error(h, Clique(n, 1.0), cap=300)
+        assert restarted.iterations > 44
+        tol = 1e-10 * 2.0 * float(h.weighted_degrees().max()) / n
+        assert abs(restarted.lambda_min - full.lambda_min) <= tol
+        assert abs(restarted.lambda_max - full.lambda_max) <= tol
+
+    def test_unconverged_solve_is_a_size_limit(self, monkeypatch):
+        h = make_cycle(200, 0.5)
+        assert spectral_error(h, Clique(200, 1.0), cap=_cap_for_rows(200, 18)).residual <= spectral._LANCZOS_RTOL
+        with pytest.raises(SizeLimitError, match="too few to restart"):  # 4 rows keep no Ritz vector at either end
+            spectral_error(h, Clique(200, 1.0), cap=_cap_for_rows(200, 5) - 1)
+        path = WeightedGraph(400, [(i, i + 1, 1.0) for i in range(399)])
+        assert spectral_error(path, Clique(400, 1.0)).iterations > 400
+        monkeypatch.setattr(spectral, "_STEPS_PER_VERTEX", 1)
+        with pytest.raises(SizeLimitError, match="did not converge within 400 steps"):
+            spectral_error(path, Clique(400, 1.0))
 
     def test_unconverged_solve_exits_3(self, tmp_path, monkeypatch, capsys):
         h, g = tmp_path / "h.edges", tmp_path / "g.edges"
         write_edge_list(make_cycle(200, 0.5), h)
         write_edge_list(make_clique(200, 1.0), g)
-        monkeypatch.setattr(spectral, "spectral_error", functools.partial(spectral.spectral_error, cap=60))
+        monkeypatch.setattr(spectral, "spectral_error", functools.partial(spectral.spectral_error, cap=40))
         assert main(["spectral-error", "--h-file", str(h), "--g-file", str(g)]) == 3
-        assert "did not converge" in capsys.readouterr().err
+        assert "too few to restart" in capsys.readouterr().err
 
     def test_cap_bounds_only_the_dense_whitening(self):
-        h = make_cycle(50, 1.0)
-        assert spectral_error(h, Clique(50, 1.0), cap=40).method == "clique"
+        h = make_cycle(50, 1.0)  # cap 45 leaves the Lanczos 20 rows
+        assert spectral_error(h, Clique(50, 1.0), cap=45).method == "clique"
         with pytest.raises(SizeLimitError, match="dense cap"):
-            spectral_error(h, make_clique(50, 1.0), cap=40)
+            spectral_error(h, make_clique(50, 1.0), cap=45)
