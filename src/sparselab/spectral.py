@@ -117,8 +117,8 @@ def _lanczos_extremes(h: WeightedGraph, norm: float, cap: int) -> tuple[float, f
             k = kept
         if steps == _STEPS_PER_VERTEX * n:
             raise SizeLimitError(f"Lanczos did not converge within {steps} steps at n={n}")
-        np.divide(w, b, out=basis[k])
         v = basis[k]
+        np.divide(w, b, out=v)
         images[k] = deg * v - np.bincount(us, ws * v[vs], n) - np.bincount(vs, ws * v[us], n)
         w = images[k].copy()
         k, steps = k + 1, steps + 1

@@ -255,12 +255,14 @@ class TestLanczos:
 
     def test_both_extremes_converge(self):
         # one heavy edge on a path: lambda_max is isolated and converges within a few
-        # steps, lambda_2 sits in a cluster near 0 and needs many more
-        h = WeightedGraph(40, [(0, 1, 100.0)] + [(i, i + 1, 1.0) for i in range(1, 39)])
-        rep = spectral_error(h, Clique(40, 1.0))
-        lo, hi = spectral_extremes_oracle(h, Clique(40, 1.0))
-        tol = 1e-10 * 200.0 / 40
-        assert abs(rep.lambda_min - lo) <= tol and abs(rep.lambda_max - hi) <= tol
+        # steps, lambda_2 sits in a cluster near 0 and needs many more; at n = 40
+        # the basis holds every vector, at n = 400 the solve restarts
+        for n in (40, 400):
+            h = WeightedGraph(n, [(0, 1, 100.0)] + [(i, i + 1, 1.0) for i in range(1, n - 1)])
+            rep = spectral_error(h, Clique(n, 1.0))
+            lo, hi = spectral_extremes_oracle(h, Clique(n, 1.0))
+            tol = 1e-10 * 200.0 / n
+            assert abs(rep.lambda_min - lo) <= tol and abs(rep.lambda_max - hi) <= tol
 
     def test_hypercube_above_the_dense_cap(self):
         w = 0.3
@@ -291,7 +293,7 @@ class TestLanczos:
         h = scale_weights(first_matchings_subgraph(sample_regular_multigraph(n, 16, 0), 4), (n - 1) / 4)
         full = spectral_error(h, Clique(n, 1.0))
         restarted = spectral_error(h, Clique(n, 1.0), cap=300)
-        assert restarted.iterations > 44
+        assert 44 < restarted.iterations < n  # a restart that dropped the residual direction took 52 740
         tol = 1e-10 * 2.0 * float(h.weighted_degrees().max()) / n
         assert abs(restarted.lambda_min - full.lambda_min) <= tol
         assert abs(restarted.lambda_max - full.lambda_max) <= tol
@@ -316,7 +318,7 @@ class TestLanczos:
         assert "too few to restart" in capsys.readouterr().err
 
     def test_cap_bounds_only_the_dense_whitening(self):
-        h = make_cycle(50, 1.0)  # cap 45 leaves the Lanczos 20 rows
-        assert spectral_error(h, Clique(50, 1.0), cap=45).method == "clique"
+        h = make_cycle(50, 1.0)
+        assert spectral_error(h, Clique(50, 1.0), cap=40).method == "clique"
         with pytest.raises(SizeLimitError, match="dense cap"):
-            spectral_error(h, make_clique(50, 1.0), cap=45)
+            spectral_error(h, make_clique(50, 1.0), cap=40)
