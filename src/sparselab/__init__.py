@@ -61,12 +61,8 @@ from .martingale import EmpiricalTail, RevealTrace, empirical_tail, simulate_rev
 from .nbwalk import (
     CertificateReport,
     PseudoGirthReport,
-    TestVectors,
-    WalkTable,
     certify_lower_bound,
-    nb_walk_probabilities,
     pseudo_girth,
-    test_vectors,
 )
 from .rng import RNG_ALGORITHM, derive_seed, make_generator
 from .spectral import SpectralReport, laplacian, spectral_error

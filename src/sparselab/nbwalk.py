@@ -9,14 +9,17 @@ edges that carry its mass, so a step costs time in proportion to the
 walks' support, not to the edge count, and never enumerates paths.  Mass
 that reaches a degree-one vertex has nowhere to go and is tracked as
 deficiency rather than renormalized away.  Pseudo-girth balls grow the same
-way, a block of roots per pass, one frontier level at a time.
+way, a block of roots per pass, one frontier level at a time, and a ball
+stops growing once the report needs nothing more from it.
 
 The certificate aggregates, over every root r, the alternating and plain
 square-root sums of the walk tables (f_r and h_r) and their quadratic forms
 against L_H, the 1/n-weighted clique Laplacian, D_H and A_H; each root's
-forms are dense O(m) sums.  Contiguous ranges of roots run in forked
-children, one per CPU, and every root's terms are added in ascending root
-order, so the split changes no bit of the report.  The matrices
+forms are O(m) sums of the edge products f_u f_v and h_u h_v, and no BLAS
+call, so no sum depends on a thread count.  At every n, contiguous ranges
+of roots run in forked children, one per CPU, and every root's terms are
+added in ascending root order, so the split changes no bit of the report.
+The matrices
 X = sum f_r f_r' and Y = sum h_r h_r' are PSD by construction, so for any
 graph that is an eps spectral sparsifier of the weighted clique,
 
@@ -38,27 +41,6 @@ from .graph import WeightedGraph, _concat_ranges, is_connected
 
 FIRST_STEP_WEIGHT = "weight"  # first edge chosen proportionally to weight
 FIRST_STEP_UNIFORM = "uniform"  # first edge uniform over incident edges
-
-
-@dataclass(frozen=True)
-class WalkTable:
-    """Vertex-visit probabilities of the non-backtracking walk from one root."""
-
-    root: int
-    horizon: int
-    tables: tuple[dict[int, float], ...]  # index ell -> {vertex: probability}
-    deficiency: tuple[float, ...]  # mass lost to dead ends by step ell
-
-    def mass(self, ell: int) -> float:
-        return sum(self.tables[ell].values())
-
-
-@dataclass(frozen=True)
-class TestVectors:
-    root: int
-    horizon: int
-    f: np.ndarray  # alternating square-root sums
-    h: np.ndarray  # plain square-root sums
 
 
 @dataclass(frozen=True)
@@ -182,24 +164,27 @@ class CertificateReport:
 
 # -- block engine ------------------------------------------------------------------
 
-# Roots per block = _BLOCK_CELLS // max(n, directed edges), at least one.
-# A root's ball frontier, walk state or f/h row holds at most that width, so
-# a block's arrays stay near this many cells: 2^16 cells kept the peak memory
-# of a certificate within 1 MB of a one-root-at-a-time pass, and larger
-# blocks were no faster.  Blocks are visited in ascending root order.
+# Walk roots per block = _BLOCK_CELLS // max(n, directed edges), at least one.
+# A root's walk state or f/h row holds at most that width, so a block's
+# arrays stay near this many cells: 2^16 cells kept the peak memory of a
+# certificate within 1 MB of a one-root-at-a-time pass, and larger blocks
+# were no faster.  Blocks are visited in ascending root order.
 _BLOCK_CELLS = 1 << 16
+# A ball block fans out about _BALL_SLOTS CSR slots at its widest level, and
+# its (root, vertex) int32 depth scratch has at most _BALL_SCRATCH cells.
+# One process, medians of 5: n=2000, d=8, g=3 took 77, 59 and 55 ms at 2^13,
+# 2^14 and 2^16 slots, at peaks of 1.3, 1.5 and 2.1 MB; n=12000, d=4, g=2
+# took 0.85, 0.55 and 0.41 s at 2^16, 2^17 and 2^18 scratch cells.
+_BALL_SLOTS = 1 << 14
+_BALL_SCRATCH = 1 << 17
 
 # A root pass of less work than this, n * max(n, directed edges) * g, runs
-# in-process; a ball scan alone counts a quarter.  One process against two
-# forked workers, 2-core host: certificates of 4.0e6 (C_1000, g=2) took
-# 82-120 against 62-88 ms; ball scans of 2.4e7 before the quarter (n=1000,
-# d=8, g=3) 121-169 against 85-141 ms.
+# in-process; a ball scan alone counts an eighth.  One process against two
+# forked workers, 2-core host, medians of 7: certificates of the separation
+# graph (d=4, g=2) took 19-28 against 26-32 ms at n=600 (2.9e6) and 100-104
+# against 69-75 ms at n=1000 (8.0e6); ball scans of 2.4e7 before the eighth
+# (n=1000, d=8, g=3) 31-33 against 27-29 ms.
 _PARALLEL_WORK = 1 << 22
-# numpy's OpenBLAS threads a dot product of more than 10^4 entries, which
-# _block_forms takes of length-n rows, and forked workers that each do so
-# oversubscribe the CPUs (n=12000, g=2: 33 s split against 14.6 s in one
-# process), so such certificates stay in-process.
-_THREADED_DOT = 10_000
 
 
 def _root_blocks(n: int, width: int, lo: int, hi: int):
@@ -329,29 +314,6 @@ def _walk_levels(space: _EdgeSpace, roots: np.ndarray, g: int, first_step: str):
         ridx, s = nxt_r, nxt
 
 
-def _walk_checks(graph: WeightedGraph, r: int, g: int) -> None:
-    if g < 0:
-        raise InvalidArgumentError(f"horizon must be nonnegative, got {g}")
-    if not 0 <= r < graph.n:
-        raise InvalidArgumentError(f"root {r} out of range")
-    if graph.weighted_degrees()[r] <= 0:
-        raise InvalidArgumentError(f"root {r} is isolated")
-
-
-def nb_walk_probabilities(
-    graph: WeightedGraph, r: int, g: int, first_step: str = FIRST_STEP_WEIGHT
-) -> WalkTable:
-    """Vertex-visit probabilities of the ell-step walk for every ell in [0, g]."""
-    _walk_checks(graph, r, g)
-    tables = [{int(r): 1.0}]
-    deficiency = [0.0]
-    for marg, lost in _walk_levels(_EdgeSpace(graph), np.array([r]), g, first_step):
-        row = marg[0]
-        tables.append({int(v): float(row[v]) for v in np.flatnonzero(row)})
-        deficiency.append(float(lost[0]))
-    return WalkTable(root=r, horizon=g, tables=tuple(tables), deficiency=tuple(deficiency))
-
-
 def _vector_panels(space: _EdgeSpace, roots: np.ndarray, g: int, first_step: str):
     """(F, H, deficit): rows f_r and h_r for each root, and the sum over
     ell in [1, g] of the walk mass already lost by step ell (zero on
@@ -370,13 +332,6 @@ def _vector_panels(space: _EdgeSpace, roots: np.ndarray, g: int, first_step: str
     return f, h, deficit
 
 
-def test_vectors(graph: WeightedGraph, r: int, g: int, first_step: str = FIRST_STEP_WEIGHT) -> TestVectors:
-    """f_r(v) = sum_ell (-1)^ell sqrt(Pr_ell[v]) and h_r(v) = sum_ell sqrt(Pr_ell[v])."""
-    _walk_checks(graph, r, g)
-    f, h, _ = _vector_panels(_EdgeSpace(graph), np.array([r]), g, first_step)
-    return TestVectors(root=r, horizon=g, f=f[0], h=h[0])
-
-
 # -- pseudo-girth -----------------------------------------------------------------
 
 
@@ -388,51 +343,63 @@ def _ball_flags(graph: WeightedGraph, g: int, lo: int, hi: int) -> tuple[np.ndar
     bundles.  Expanding level L counts each root's edges from level L down to
     L-1 once and its edges inside level L twice, so after it the half-edge
     count covers the radius-L ball.  Each ball is connected, so it is
-    acyclic exactly when its edge count is one less than its vertex count.
-    A root whose radius-g ball has a cycle stops growing: its radius-2g ball
-    contains that cycle.
+    acyclic exactly when its edge count is one less than its vertex count,
+    and a cycle, once found, is in every larger ball.  So from level g on
+    only the balls with no cycle yet are fanned out: a ball with a cycle
+    within radius g-1 keeps the level-g vertices that level g-1 found, for
+    B, and its flags stay False.  Each block is sized to fan out about
+    _BALL_SLOTS slots, by the widest level of the block before it, and holds
+    at most _BALL_SCRATCH // n roots.
     """
     n = graph.n
     indptr, nbr, _ = graph.csr()
-    flags_g = np.zeros(n, dtype=bool)
-    flags_2g = np.zeros(n, dtype=bool)
+    flags_g = np.zeros(hi - lo, dtype=bool)
+    flags_2g = np.zeros(hi - lo, dtype=bool)
     bmax = 0
-    depth = stamp = None
-    for roots in _root_blocks(n, nbr.size, lo, hi):
-        nr = roots.size
-        if depth is None:  # scratch by root * n + vertex, sized by the first (largest) block
-            depth = np.full(nr * n, -1, dtype=np.int64)  # -1 outside the balls; reset after each block
-            stamp = np.empty(nr * n, dtype=np.int64)
-        front = np.arange(nr) * n + roots
+    cap = max(1, _BALL_SCRATCH // n)
+    # by root * n + vertex: the depth, -1 outside the balls (reset after each
+    # block), or -2 - i while entry i of a level's new cells claims its cell
+    depth = np.full(min(cap, hi - lo) * n, -1, dtype=np.int32)
+    b, step = lo, 1
+    while b < hi:
+        nr = min(step, hi - b)
+        front = np.arange(nr) * n + np.arange(b, b + nr)
         depth[front] = 0
         seen = [front]
         verts = np.ones(nr, dtype=np.int64)
         half = np.zeros(nr, dtype=np.int64)
+        acyclic = np.ones(nr, dtype=bool)
+        widest = 1
         for level in range(2 * g + 1):
+            if level == g:
+                front = front[acyclic[front // n]]
             cell, slot = _fan_out(indptr, front // n, front % n)
+            widest = max(widest, cell.size)
             keys = cell * n + nbr[slot]
             dk = depth[keys]
             if level:
                 half += 2 * np.bincount(cell[dk == level - 1], minlength=nr) + np.bincount(cell[dk == level], minlength=nr)
-            acyclic = half == 2 * (verts - 1)
+            acyclic &= half == 2 * (verts - 1)  # a stale count is never read: its flag is False already
             if level == g:
-                flags_g[roots] = acyclic
+                flags_g[b - lo:b - lo + nr] = acyclic
                 bmax = max(bmax, int(verts.max()))
             if level == 2 * g:
-                flags_2g[roots] = acyclic
+                flags_2g[b - lo:b - lo + nr] = acyclic
                 break
             grow = dk < 0
             if level >= g:
-                grow &= flags_g[roots][cell]
+                grow &= acyclic[cell]
             new = keys[grow]
-            pick = np.arange(new.size)
-            stamp[new] = pick
-            front = new[stamp[new] == pick]  # one entry per new (root, vertex)
+            claim = -2 - np.arange(new.size)
+            depth[new] = claim
+            front = new[depth[new] == claim]  # one entry per new (root, vertex)
             depth[front] = level + 1
             seen.append(front)
             verts += np.bincount(front // n, minlength=nr)
         depth[np.concatenate(seen)] = -1
-    return flags_g[lo:hi], flags_2g[lo:hi], bmax
+        b += nr
+        step = min(cap, max(1, _BALL_SLOTS * nr // widest))
+    return flags_g, flags_2g, bmax
 
 
 def _girth_report(n: int, g: int, balls: list, violating_cap: int) -> tuple[PseudoGirthReport, np.ndarray]:
@@ -459,7 +426,7 @@ def _pseudo_girth_scan(graph: WeightedGraph, g: int, violating_cap: int) -> tupl
     if not graph.is_simple:
         raise UnsupportedInputError("pseudo-girth needs a simple graph; collapse multiedges first")
     n = graph.n
-    work = n * max(n, graph.csr()[1].size) * g // 4
+    work = n * max(n, graph.csr()[1].size) * g // 8
     balls = split_ranges(partial(_ball_flags, graph, g), n, work, _PARALLEL_WORK)
     return _girth_report(n, g, balls, violating_cap)
 
@@ -481,39 +448,30 @@ def _block_forms(space: _EdgeSpace, f: np.ndarray, h: np.ndarray, deficit: np.nd
     """Per-root terms of the certificate's totals, one column per row of the f/h panels.
 
     Rows: f'L_H f, h'L_H h, f'L_K f, h'L_K h, h'D_H h, h'A_H h - f'A_H f,
-    |f|^2, |h|^2, (1'h)^2 and the mass deficit.  Each is the sum or BLAS dot
-    product over the root's row that the root-by-root expression
-    ``(ew * df * df).sum()`` or ``f @ f`` computes, so the values are the same
-    bit for bit.
+    |f|^2, |h|^2, (1'h)^2 and the mass deficit.  The forms come from the edge
+    products alone: x'L_H x = sum_v wdeg_v x_v^2 - 2 sum_e w_e x_u x_v and
+    (Y - X).A_H sums 2 sum_e w_e (h_u h_v - f_u f_v).  Each term is a per-row
+    einsum or sum, never a BLAS call, so a root's terms do not depend on the
+    other rows of its block or on the BLAS thread count.
     """
-    n, eu, ev, ew = space.n, space.eu, space.ev, space.ew
-    nf2 = np.vecdot(f, f)
-    nh2 = np.vecdot(h, h)
-    sf = f.sum(axis=1)
-    sh = h.sum(axis=1)
-    # four (roots, m) buffers, reused: a ends as f[eu] * f[ev], b as ew * (h[eu] * h[ev] - a)
-    a, b, c = f.take(eu, axis=1), f.take(ev, axis=1), np.empty((f.shape[0], eu.size))
-    np.subtract(a, b, out=c)
-    t = ew * c
-    t *= c
-    f_lh = t.sum(axis=1)
-    a *= b
-    h.take(eu, axis=1, out=b, mode="clip")
-    h.take(ev, axis=1, out=t, mode="clip")
-    np.subtract(b, t, out=c)
-    b *= t
-    np.multiply(ew, c, out=t)
-    t *= c
-    h_lh = t.sum(axis=1)
-    b -= a
-    b *= ew
+    n, eu, ev, ew, wdeg = space.n, space.eu, space.ev, space.ew, space.wdeg
+    ff, hh = f * f, h * h
+    nf2, nh2 = ff.sum(axis=1), hh.sum(axis=1)
+    sf, sh = f.sum(axis=1), h.sum(axis=1)
+    fd, hd = np.einsum("rn,n->r", ff, wdeg), np.einsum("rn,n->r", hh, wdeg)
+    prod = f.take(eu, axis=1)
+    prod *= f.take(ev, axis=1)
+    faf = np.einsum("rm,m->r", prod, ew)
+    h.take(eu, axis=1, out=prod)
+    prod *= h.take(ev, axis=1)
+    hah = np.einsum("rm,m->r", prod, ew)
     return np.stack([
-        f_lh,
-        h_lh,
+        fd - 2.0 * faf,
+        hd - 2.0 * hah,
         nf2 - sf * sf / n,
         nh2 - sh * sh / n,
-        np.vecdot(space.wdeg, h * h),
-        2.0 * b.sum(axis=1),
+        hd,
+        2.0 * (hah - faf),
         nf2,
         nh2,
         sh * sh,
@@ -559,7 +517,7 @@ def certify_lower_bound(
         raise InvalidArgumentError("certificate needs a connected graph")
     n = graph.n
     space = _EdgeSpace(graph)
-    work = n * max(n, space.m2) * g if n <= _THREADED_DOT else 0
+    work = n * max(n, space.m2) * g
     chunks = split_ranges(partial(_root_chunk, graph, space, g, first_step), n, work, _PARALLEL_WORK)
     pg, vprime = _girth_report(n, g, [balls for balls, _ in chunks], violating_cap=32)
     # one running sum over every root's terms, in ascending root order

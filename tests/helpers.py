@@ -8,6 +8,7 @@ edge scans, so tests compare two genuinely different routes to each value.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from sparselab.cuts import CutErrorReport, CutProfile, CutProfileRow, _profile_references
 from sparselab.errors import DegenerateInputError, InvalidArgumentError, SizeLimitError
 from sparselab.graph import Clique, WeightedGraph, bfs_depths
-from sparselab.nbwalk import FIRST_STEP_UNIFORM, FIRST_STEP_WEIGHT, PseudoGirthReport
+from sparselab.nbwalk import FIRST_STEP_UNIFORM, FIRST_STEP_WEIGHT, PseudoGirthReport, _EdgeSpace, _vector_panels, _walk_levels
 from sparselab.rng import derive_seed, make_generator
 from sparselab.spectral import DENSE_CAP, laplacian
 
@@ -260,6 +261,60 @@ def graph_pairs(draw, max_n=10):
     return h, draw(connected_graphs(h.n))
 
 
+# -- walk tables and test vectors of one root ------------------------------------------
+#
+# One-root views of the block engine in sparselab.nbwalk, which only tests read.
+
+
+@dataclass(frozen=True)
+class WalkTable:
+    """Vertex-visit probabilities of the non-backtracking walk from one root."""
+
+    root: int
+    horizon: int
+    tables: tuple[dict[int, float], ...]  # index ell -> {vertex: probability}
+    deficiency: tuple[float, ...]  # mass lost to dead ends by step ell
+
+    def mass(self, ell: int) -> float:
+        return sum(self.tables[ell].values())
+
+
+@dataclass(frozen=True)
+class WalkVectors:
+    root: int
+    horizon: int
+    f: np.ndarray  # alternating square-root sums
+    h: np.ndarray  # plain square-root sums
+
+
+def _walk_checks(graph: WeightedGraph, r: int, g: int) -> None:
+    if g < 0:
+        raise InvalidArgumentError(f"horizon must be nonnegative, got {g}")
+    if not 0 <= r < graph.n:
+        raise InvalidArgumentError(f"root {r} out of range")
+    if graph.weighted_degrees()[r] <= 0:
+        raise InvalidArgumentError(f"root {r} is isolated")
+
+
+def nb_walk_probabilities(graph: WeightedGraph, r: int, g: int, first_step: str = FIRST_STEP_WEIGHT) -> WalkTable:
+    """Vertex-visit probabilities of the ell-step walk for every ell in [0, g]."""
+    _walk_checks(graph, r, g)
+    tables = [{int(r): 1.0}]
+    deficiency = [0.0]
+    for marg, lost in _walk_levels(_EdgeSpace(graph), np.array([r]), g, first_step):
+        row = marg[0]
+        tables.append({int(v): float(row[v]) for v in np.flatnonzero(row)})
+        deficiency.append(float(lost[0]))
+    return WalkTable(root=r, horizon=g, tables=tuple(tables), deficiency=tuple(deficiency))
+
+
+def walk_vectors(graph: WeightedGraph, r: int, g: int, first_step: str = FIRST_STEP_WEIGHT) -> WalkVectors:
+    """f_r(v) = sum_ell (-1)^ell sqrt(Pr_ell[v]) and h_r(v) = sum_ell sqrt(Pr_ell[v])."""
+    _walk_checks(graph, r, g)
+    f, h, _ = _vector_panels(_EdgeSpace(graph), np.array([r]), g, first_step)
+    return WalkVectors(root=r, horizon=g, f=f[0], h=h[0])
+
+
 # -- per-root walk and pseudo-girth oracles -------------------------------------------
 #
 # The one-root-at-a-time certificate engine that the block engine in
@@ -376,7 +431,24 @@ def vectors_oracle(space: OracleEdgeSpace, r: int, g: int, first_step: str):
 
 
 def _root_terms_oracle(dense: OracleEdgeSpace, r: int, g: int, first_step: str) -> list[float]:
-    """The ten certificate terms of one root, in ``nbwalk._block_forms`` row order."""
+    """The ten certificate terms of one root, in ``nbwalk._block_forms`` row
+    order and product form: x'L_H x = sum_v wdeg_v x_v^2 - 2 sum_e w_e x_u x_v."""
+    n, eu, ev, ew, wdeg = dense.n, dense.eu, dense.ev, dense.ew, dense.wdeg
+    f, h, deficit = vectors_oracle(dense, r, g, first_step)
+    nf2 = float((f * f).sum())
+    nh2 = float((h * h).sum())
+    sf = float(f.sum())
+    sh = float(h.sum())
+    fd = float(np.einsum("n,n->", f * f, wdeg))
+    hd = float(np.einsum("n,n->", h * h, wdeg))
+    faf = float(np.einsum("m,m->", f[eu] * f[ev], ew))
+    hah = float(np.einsum("m,m->", h[eu] * h[ev], ew))
+    return [fd - 2.0 * faf, hd - 2.0 * hah, nf2 - sf * sf / n, nh2 - sh * sh / n, hd, 2.0 * (hah - faf), nf2, nh2, sh * sh, deficit]
+
+
+def root_terms_difference_oracle(dense: OracleEdgeSpace, r: int, g: int, first_step: str) -> list[float]:
+    """The same ten terms in edge-difference form, x'L_H x = sum_e w_e (x_u - x_v)^2,
+    with BLAS dot products: the forms the certificate used before the product form."""
     n, eu, ev, ew, wdeg = dense.n, dense.eu, dense.ev, dense.ew, dense.wdeg
     f, h, deficit = vectors_oracle(dense, r, g, first_step)
     df = f[eu] - f[ev]

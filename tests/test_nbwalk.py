@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sparselab.errors import DegenerateInputError, InvalidArgumentError, UnsupportedInputError
 from sparselab.graph import (
     WeightedGraph,
+    bfs_depths,
     collapse_multiedges,
     Clique,
     make_clique,
@@ -20,15 +21,7 @@ from sparselab.graph import (
 )
 from sparselab import nbwalk
 from sparselab.cli import main
-from sparselab.nbwalk import (
-    FIRST_STEP_UNIFORM,
-    FIRST_STEP_WEIGHT,
-    certify_lower_bound,
-    nb_walk_probabilities,
-    pseudo_girth,
-)
-
-walk_vectors = nbwalk.test_vectors  # aliased so pytest does not collect it
+from sparselab.nbwalk import FIRST_STEP_UNIFORM, FIRST_STEP_WEIGHT, certify_lower_bound, pseudo_girth
 from sparselab.rng import derive_seed, make_generator
 from sparselab.spectral import spectral_error
 
@@ -36,11 +29,14 @@ from helpers import (
     OracleEdgeSpace,
     ball_flags_oracle,
     certificate_sums_oracle,
+    nb_walk_probabilities,
     pseudo_girth_scan_oracle,
     random_connected_graph,
+    root_terms_difference_oracle,
     vectors_oracle,
     walk_terms_oracle,
     walk_tables_oracle,
+    walk_vectors,
 )
 
 
@@ -198,6 +194,39 @@ class TestPseudoGirth:
             rep = pseudo_girth(g, 1)
             fractions.append(rep.F / rep.n)
         assert np.median(fractions) < 0.25
+
+    def test_cycle_inside_radius_g_minus_one_is_not_forgotten(self):
+        # triangle 0-1-2 with a pendant 3 on vertex 1, root 0, g = 2: the
+        # radius-1 ball holds the triangle, and after level 1 its half-edge
+        # count reads 6 = 2 * (4 - 1) for the 4 vertices within radius 2, the
+        # count of a tree.  A scan that stops fanning out this ball must keep
+        # its flag False, not recompute it from that count.
+        graph = WeightedGraph(4, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (1, 3, 1.0)])
+        flags_g, flags_2g, bmax = nbwalk._ball_flags(graph, 2, 0, 1)
+        assert not flags_g[0] and not flags_2g[0] and bmax == 4
+        report = pseudo_girth(graph, 2)
+        assert report == pseudo_girth_scan_oracle(graph, 2, 32)[0]
+        assert report.acyclic_g == 0 and report.B == 4
+
+    def test_cyclic_balls_stop_fanning_out(self):
+        # every radius-3 ball here has a cycle; growing each one to radius 3,
+        # as a scan without the early stop does, fans out every CSR slot of
+        # every vertex within radius 3 of every root
+        graph = collapse_multiedges(sample_regular_multigraph(2000, 8, 0))
+        deg = np.diff(graph.csr()[0])
+        full = sum(int(deg[bfs_depths(graph, r, 3) >= 0].sum()) for r in range(graph.n))
+        slots = []
+        fan_out = nbwalk._fan_out
+
+        def counting(indptr, owners, items):
+            cell, slot = fan_out(indptr, owners, items)
+            slots.append(cell.size)
+            return cell, slot
+
+        with mock.patch.object(nbwalk, "_fan_out", counting):
+            flags_g, _, _ = nbwalk._ball_flags(graph, 3, 0, graph.n)
+        assert not flags_g.any()
+        assert 3 * sum(slots) <= full
 
     def test_dense_regime_saturates(self):
         # when deg^(4g) >> n the same heuristic predicts cycles everywhere
@@ -383,10 +412,10 @@ def walk_graphs(draw, connected=True):
 
 
 def _blocks_of(graph, roots):
-    """Patch the block constant so that blocks hold the given number of roots."""
+    """Patch the block constants so that blocks hold at most the given number of roots."""
     _, _, ws, _ = graph.edge_arrays()
     width = max(graph.n, 2 * int((ws > 0).sum()))
-    return mock.patch.object(nbwalk, "_BLOCK_CELLS", roots * width)
+    return mock.patch.multiple(nbwalk, _BLOCK_CELLS=roots * width, _BALL_SCRATCH=roots * graph.n)
 
 
 def _per_root():
@@ -453,6 +482,23 @@ class TestBlockEngineProperties:
         tv = walk_vectors(graph, r, g, first_step)
         f, h, _ = vectors_oracle(OracleEdgeSpace.of(graph), r, g, first_step)
         assert np.array_equal(tv.f, f) and np.array_equal(tv.h, h)
+
+    @_examples
+    @given(graph=walk_graphs(), g=st.integers(1, 3), first_step=_first_steps)
+    def test_product_forms_match_edge_difference_forms(self, graph, g, first_step):
+        # x'L_H x = sum wdeg x^2 - 2 sum w x_u x_v may cancel where the
+        # edge-difference form sum w (x_u - x_v)^2 cannot, so the L_H, D_H and
+        # A_H forms agree to 1e-12 of h'D_H h and the norms to 1e-12 of |h|^2
+        space = nbwalk._EdgeSpace(graph)
+        terms = nbwalk._walk_terms(space, g, first_step, 0, graph.n)
+        dense = OracleEdgeSpace.of(graph)
+        for r in range(graph.n):
+            old = root_terms_difference_oracle(dense, r, g, first_step)
+            new = terms[:, r]
+            weighted, plain = [0, 1, 4, 5], [2, 3, 6, 7, 8]
+            assert np.all(np.abs(new[weighted] - np.array(old)[weighted]) <= 1e-12 * old[4])
+            assert np.all(np.abs(new[plain] - np.array(old)[plain]) <= 1e-12 * old[7])
+            assert new[9] == old[9]
 
     @pytest.mark.parametrize("first_step", [FIRST_STEP_WEIGHT, FIRST_STEP_UNIFORM])
     def test_default_blocks_equal_per_root_oracle(self, first_step):
@@ -529,8 +575,9 @@ class TestParallelRoots:
             with pytest.raises(DegenerateInputError, match=f"process {os.getpid()}$"):
                 pseudo_girth(graph, 3)
 
-    def test_certificates_with_threaded_dot_products_stay_in_process(self):
-        # rows longer than the BLAS threading threshold would oversubscribe the CPUs in workers
+    def test_certificates_above_ten_thousand_vertices_fork(self):
+        # no pass calls BLAS, so the certificate splits its roots at every n
         with _cpus(2), mock.patch.object(nbwalk, "_root_chunk", _fail_in_worker):
-            with pytest.raises(DegenerateInputError, match=f"process {os.getpid()}$"):
-                certify_lower_bound(make_cycle(nbwalk._THREADED_DOT + 1), 1, 2.0)
+            with pytest.raises(DegenerateInputError, match="raised in process") as err:
+                certify_lower_bound(make_cycle(10_001), 1, 2.0)
+        assert not str(err.value).endswith(f" {os.getpid()}")
