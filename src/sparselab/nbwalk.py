@@ -9,8 +9,8 @@ edges that carry its mass, so a step costs time in proportion to the
 walks' support, not to the edge count, and never enumerates paths.  Mass
 that reaches a degree-one vertex has nowhere to go and is tracked as
 deficiency rather than renormalized away.  Pseudo-girth balls grow the same
-way, a block of roots per pass, one frontier level at a time, and a ball
-stops growing once the report needs nothing more from it.
+way, a block of roots per pass, one frontier level at a time; from radius
+g on, only the balls with no cycle yet are fanned out.
 
 The certificate aggregates, over every root r, the alternating and plain
 square-root sums of the walk tables (f_r and h_r) and their quadratic forms
@@ -19,9 +19,8 @@ forms are O(m) sums of the edge products f_u f_v and h_u h_v, and no BLAS
 call, so no sum depends on a thread count.  At every n, contiguous ranges
 of roots run in forked children, one per CPU, and every root's terms are
 added in ascending root order, so the split changes no bit of the report.
-The matrices
-X = sum f_r f_r' and Y = sum h_r h_r' are PSD by construction, so for any
-graph that is an eps spectral sparsifier of the weighted clique,
+The matrices X = sum f_r f_r' and Y = sum h_r h_r' are PSD by construction,
+so for any graph that is an eps spectral sparsifier of the weighted clique,
 
     (1 + eps)/(1 - eps) >= (X.L_H / X.L_K) (Y.L_K / Y.L_H) = R,
 

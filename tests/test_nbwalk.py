@@ -492,13 +492,12 @@ class TestBlockEngineProperties:
         space = nbwalk._EdgeSpace(graph)
         terms = nbwalk._walk_terms(space, g, first_step, 0, graph.n)
         dense = OracleEdgeSpace.of(graph)
+        weighted, plain = [0, 1, 4, 5], [2, 3, 6, 7, 8]
         for r in range(graph.n):
-            old = root_terms_difference_oracle(dense, r, g, first_step)
-            new = terms[:, r]
-            weighted, plain = [0, 1, 4, 5], [2, 3, 6, 7, 8]
-            assert np.all(np.abs(new[weighted] - np.array(old)[weighted]) <= 1e-12 * old[4])
-            assert np.all(np.abs(new[plain] - np.array(old)[plain]) <= 1e-12 * old[7])
-            assert new[9] == old[9]
+            old = np.array(root_terms_difference_oracle(dense, r, g, first_step))
+            gap = np.abs(terms[:, r] - old)
+            assert np.all(gap[weighted] <= 1e-12 * old[4]) and np.all(gap[plain] <= 1e-12 * old[7])
+            assert gap[9] == 0.0
 
     @pytest.mark.parametrize("first_step", [FIRST_STEP_WEIGHT, FIRST_STEP_UNIFORM])
     def test_default_blocks_equal_per_root_oracle(self, first_step):
