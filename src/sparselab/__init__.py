@@ -44,11 +44,9 @@ from .errors import (
 )
 from .graph import (
     Clique,
-    DegreeReport,
     Edge,
     WeightedGraph,
     collapse_multiedges,
-    degree_report,
     first_matchings_subgraph,
     make_clique,
     make_cycle,

@@ -6,19 +6,32 @@ from __future__ import annotations
 import os
 import pickle
 
+# A split of less work than this runs in-process.  Certificates count
+# n * max(n, directed edges) * g per root pass, a ball scan alone an eighth of
+# that.  One process against two forked workers, 2-core host, medians of 7:
+# certificates of the separation graph (d=4, g=2) took 19-28 against 26-32 ms
+# at n=600 (2.9e6) and 100-104 against 69-75 ms at n=1000 (8.0e6); ball scans
+# of 2.4e7 before the eighth (n=1000, d=8, g=3) 31-33 against 27-29 ms.
+# Martingale tails count trials * (n * d + 1400), the 1400 a trial's seeding
+# and looping (22 us a trial at n * d <= 16, 0.016 us per cell up to 6400).
+# Two forked workers against one process: n=200, d=16: 100-113 against
+# 103-130 ms for 1000 trials, 156-160 against 177-228 ms for 2000; n=8, d=1:
+# 55-89 against 60-102 ms for 3000 trials, 105-168 against 160-219 ms for 6000.
+_PARALLEL_WORK = 1 << 22
 
-def split_ranges(fn, count: int, work: float, floor: float) -> list:
+
+def split_ranges(fn, count: int, work: float) -> list:
     """``fn(lo, hi)`` over contiguous ranges that cover 0..count-1, in order.
 
     There is one range per CPU in this process's affinity mask, at most
     ``count``, each run in a forked child that pickles its result, or the
     exception it raised, into a pipe.  A single CPU, a platform without
-    ``fork`` or ``sched_getaffinity``, and ``work`` below ``floor`` give one
-    range, run in-process.  Every child is reaped before the first failed
+    ``fork`` or ``sched_getaffinity``, and ``work`` below ``_PARALLEL_WORK``
+    give one range, run in-process.  Every child is reaped before the first failed
     range's exception is raised here, with its own type.
     """
     workers = 1
-    if work >= floor and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+    if work >= _PARALLEL_WORK and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
         workers = min(len(os.sched_getaffinity(0)), count)
     if workers <= 1:
         return [fn(0, count)]

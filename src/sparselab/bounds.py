@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from .errors import InvalidArgumentError, OutOfRegimeError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -286,25 +284,6 @@ def verify_appendix_inequalities(
         violations_loglinear=tuple(vio_l),
         min_slack_loglinear=slack_l,
     )
-
-
-def default_appendix_grids(
-    ratio_points: int = 40,
-    c_points: int = 40,
-) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
-    """Dense log-spaced grids: ratios delta/C in (0, 1] with C in [0.1, 1e3] for the
-    Taylor form, and delta >= C >= 1 with delta up to 1e6 for the log-linear form."""
-    ratios = np.logspace(-3, 0, ratio_points)
-    cs = np.logspace(-1, 3, c_points)
-    taylor = [(float(r * c), float(c)) for r in ratios for c in cs]
-    cs2 = np.logspace(0, 6, c_points)
-    loglinear = [
-        (float(delta), float(c))
-        for c in cs2
-        for delta in np.logspace(math.log10(c), 6, ratio_points)
-        if delta >= c
-    ]
-    return taylor, loglinear
 
 
 def asymptotic_note() -> str:

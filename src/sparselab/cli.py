@@ -19,12 +19,13 @@ from .graph import (
 
 def _write_output(text: str, out: str | None) -> None:
     if out is None or out == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:  # a missing directory, a directory, no permission
+        raise InvalidArgumentError(f"cannot write {out}: {exc}") from None
 
 
 def _emit_json(report: dict, out: str | None) -> None:
@@ -220,8 +221,6 @@ def _dispatch(args: argparse.Namespace) -> None:
             args.target, args.cut_mode, args.samples,
         )
         _emit_json(report, args.out)
-        return
-    raise InvalidArgumentError(f"unknown command {args.command!r}")
 
 
 def main(argv: list[str] | None = None) -> int:

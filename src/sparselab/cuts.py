@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError, SizeLimitError
-from .graph import Clique, WeightedGraph, _concat_ranges, connected_component, is_connected
+from .graph import Clique, WeightedGraph, _component_labels, _concat_ranges
 from .rng import derive_seed, make_generator
 
 EXHAUSTIVE_CAP = 30
@@ -300,9 +300,9 @@ def _require_same_vertices(h: WeightedGraph, g: WeightedGraph | Clique) -> None:
 
 
 def _require_connected_reference(g: WeightedGraph | Clique) -> None:
-    if not isinstance(g, Clique) and not is_connected(g):
-        comp = connected_component(g, 0)
-        witness = comp if len(comp) <= g.n // 2 else sorted(set(range(g.n)) - set(comp))
+    first = True if isinstance(g, Clique) else _component_labels(g) == 0
+    if not np.all(first):  # the witness is vertex 0's component, or its complement if that is smaller
+        witness = np.flatnonzero(first if first.sum() <= g.n // 2 else ~first).tolist()
         raise DegenerateInputError(
             f"reference graph is disconnected; cut of S={tuple(witness)} is zero, no finite relative error exists"
         )

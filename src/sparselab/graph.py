@@ -40,20 +40,6 @@ class Edge:
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class DegreeReport:
-    """Per-vertex weighted and combinatorial degrees with summary stats."""
-
-    weighted: np.ndarray
-    combinatorial: np.ndarray
-    weighted_min: float
-    weighted_max: float
-    weighted_mean: float
-    combinatorial_min: int
-    combinatorial_max: int
-    combinatorial_mean: float
-
-
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -210,11 +196,6 @@ class WeightedGraph:
             wgt = np.concatenate([ws, ws])[order]
             self._csr = (np.searchsorted(src[order], np.arange(self.n + 1)), dst, wgt)
         return self._csr
-
-    def neighbors(self, vertices: np.ndarray) -> np.ndarray:
-        """Concatenated :meth:`csr` neighbor lists of the given vertices, in order."""
-        indptr, nbr, _ = self.csr()
-        return nbr[_concat_ranges(indptr[vertices], indptr[vertices + 1] - indptr[vertices])]
 
     def weight_matrix(self) -> np.ndarray:
         """Dense symmetric matrix of bundle weights (zero diagonal)."""
@@ -379,47 +360,34 @@ def collapse_multiedges(graph: WeightedGraph) -> WeightedGraph:
     return WeightedGraph.from_arrays(graph.n, us, vs, ws)
 
 
-def degree_report(graph: WeightedGraph) -> DegreeReport:
-    wd = graph.weighted_degrees()
-    cd = graph.combinatorial_degrees()
-    return DegreeReport(
-        weighted=wd,
-        combinatorial=cd,
-        weighted_min=float(wd.min()) if graph.n else 0.0,
-        weighted_max=float(wd.max()) if graph.n else 0.0,
-        weighted_mean=float(wd.mean()) if graph.n else 0.0,
-        combinatorial_min=int(cd.min()) if graph.n else 0,
-        combinatorial_max=int(cd.max()) if graph.n else 0,
-        combinatorial_mean=float(cd.mean()) if graph.n else 0.0,
-    )
-
-
 # -- structure queries ------------------------------------------------------
 
 
-def bfs_depths(graph: WeightedGraph, start: int, radius: int | None = None) -> np.ndarray:
-    """Breadth-first depth from start through positive-weight bundles, up to
-    the radius (unbounded if None); vertices not reached are -1."""
-    depth = np.full(graph.n, -1, dtype=np.int64)
-    depth[start] = 0
-    frontier = np.array([start], dtype=np.int64)
-    level = 0
-    while frontier.size and (radius is None or level < radius):
-        level += 1
-        flat = graph.neighbors(frontier)
-        frontier = np.unique(flat[depth[flat] < 0])
-        depth[frontier] = level
-    return depth
+def _component_labels(graph: WeightedGraph) -> np.ndarray:
+    """Each vertex's component through positive-weight bundles, labelled by its smallest vertex.
+
+    Hook and shortcut (Shiloach-Vishkin 1982): a round hooks every root under
+    the smallest root it shares a bundle with, then jumps pointers until every
+    label is a root.  Hooks only point to smaller roots, so the smallest vertex
+    of a component stays its root, and every root with a bundle to another
+    root merges within two rounds: O(log n) rounds of a few numpy calls.
+    """
+    us, vs, ws, _ = graph.edge_arrays()
+    us, vs = us[ws > 0], vs[ws > 0]
+    label = np.arange(graph.n)
+    while us.size:
+        lu, lv = label[us], label[vs]
+        cross = lu != lv
+        us, vs, lu, lv = us[cross], vs[cross], lu[cross], lv[cross]
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        while not np.array_equal(jumped := label[label], label):  # all the way to the roots, every round
+            label = jumped
+    return label
 
 
 def is_connected(graph: WeightedGraph) -> bool:
     """Connectivity through positive-weight bundles."""
-    return len(connected_component(graph)) == graph.n
-
-
-def connected_component(graph: WeightedGraph, start: int = 0) -> list[int]:
-    """Sorted vertex list of the positive-weight component containing start."""
-    return [int(v) for v in np.flatnonzero(bfs_depths(graph, start) >= 0)]
+    return not _component_labels(graph).any()
 
 
 def uniform_clique_weight(graph: WeightedGraph) -> float | None:
@@ -441,53 +409,60 @@ def write_edge_list(graph: WeightedGraph, dest) -> None:
     """Plain-text edge list: header ``n <N>``, one ``u v weight mult`` line per bundle.
 
     ``dest`` is a path or an open text stream.  Weights are printed with the
-    shortest decimal that round-trips exactly.
+    shortest decimal that round-trips exactly.  A path that cannot be written
+    raises InvalidArgumentError.
     """
-    with nullcontext(dest) if hasattr(dest, "write") else open(dest, "w", encoding="utf-8") as fh:
-        fh.write(f"n {graph.n}\n")
-        for e in graph.edges():
-            fh.write(f"{e.u} {e.v} {e.weight!r} {e.multiplicity}\n")
+    try:
+        with nullcontext(dest) if hasattr(dest, "write") else open(dest, "w", encoding="utf-8") as fh:
+            fh.write(f"n {graph.n}\n")
+            for e in graph.edges():
+                fh.write(f"{e.u} {e.v} {e.weight!r} {e.multiplicity}\n")
+    except OSError as exc:
+        raise InvalidArgumentError(f"cannot write the edge list: {exc}") from None
 
 
 def read_edge_list(path) -> WeightedGraph:
-    """Inverse of :func:`write_edge_list`; raises ParseError with line numbers."""
+    """Inverse of :func:`write_edge_list`; raises ParseError, with line numbers for bad text."""
     n = None
     records = []
     seen: set[tuple[int, int]] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if n is None:
-                if len(parts) != 2 or parts[0] != "n":
-                    raise ParseError("expected header 'n <count>'", lineno)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split()
+                if n is None:
+                    if len(parts) != 2 or parts[0] != "n":
+                        raise ParseError("expected header 'n <count>'", lineno)
+                    try:
+                        n = int(parts[1])
+                    except ValueError:
+                        raise ParseError(f"bad vertex count {parts[1]!r}", lineno) from None
+                    if n <= 0:
+                        raise ParseError(f"vertex count must be positive, got {n}", lineno)
+                    continue
+                if len(parts) != 4:
+                    raise ParseError(f"expected 'u v weight mult', got {len(parts)} fields", lineno)
                 try:
-                    n = int(parts[1])
+                    u, v = int(parts[0]), int(parts[1])
+                    w = float(parts[2])
+                    m = int(parts[3])
                 except ValueError:
-                    raise ParseError(f"bad vertex count {parts[1]!r}", lineno) from None
-                if n <= 0:
-                    raise ParseError(f"vertex count must be positive, got {n}", lineno)
-                continue
-            if len(parts) != 4:
-                raise ParseError(f"expected 'u v weight mult', got {len(parts)} fields", lineno)
-            try:
-                u, v = int(parts[0]), int(parts[1])
-                w = float(parts[2])
-                m = int(parts[3])
-            except ValueError:
-                raise ParseError(f"unparseable edge fields {parts!r}", lineno) from None
-            if not 0 <= u < v < n:
-                raise ParseError(f"edge ({u}, {v}) violates 0 <= u < v < n={n}", lineno)
-            if w < 0 or not np.isfinite(w):
-                raise ParseError(f"invalid weight {w}", lineno)
-            if m < 1:
-                raise ParseError(f"invalid multiplicity {m}", lineno)
-            if (u, v) in seen:
-                raise ParseError(f"duplicate pair ({u}, {v})", lineno)
-            seen.add((u, v))
-            records.append((u, v, w, m))
+                    raise ParseError(f"unparseable edge fields {parts!r}", lineno) from None
+                if not 0 <= u < v < n:
+                    raise ParseError(f"edge ({u}, {v}) violates 0 <= u < v < n={n}", lineno)
+                if w < 0 or not np.isfinite(w):
+                    raise ParseError(f"invalid weight {w}", lineno)
+                if m < 1:
+                    raise ParseError(f"invalid multiplicity {m}", lineno)
+                if (u, v) in seen:
+                    raise ParseError(f"duplicate pair ({u}, {v})", lineno)
+                seen.add((u, v))
+                records.append((u, v, w, m))
+    except (OSError, UnicodeDecodeError) as exc:  # a missing, unreadable or non-UTF-8 file
+        raise ParseError(f"cannot read {path}: {exc}") from None
     if n is None:
         raise ParseError("missing 'n <count>' header")
     us, vs, ws, ms = zip(*records) if records else ((), (), (), ())

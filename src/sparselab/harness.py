@@ -312,7 +312,6 @@ def run_concentration(
     master_seed: int = 0,
     mode: str = "auto",
     samples_per_seed: int = 500,
-    eps_factors: Sequence[float] = (1.0, 1.5, 2.0, 3.0),
 ) -> dict:
     """Spread, across seeds, of the maximum normalized cut at each size alpha*n,
     against the sub-Gaussian envelope 2 exp(-n eps^2 / d).
@@ -355,7 +354,7 @@ def run_concentration(
     for alpha, k, maxima in zip(alphas, ks, tops):
         mean = sum(maxima) / len(maxima)
         checks = []
-        for factor in eps_factors:
+        for factor in (1.0, 1.5, 2.0, 3.0):
             eps = factor * math.sqrt(d / n)
             exceed = sum(1 for m in maxima if abs(m - mean) > eps)
             envelope = 2.0 * math.exp(-n * eps * eps / d)
@@ -449,7 +448,7 @@ def run_martingale(
 ) -> tuple[dict, martingale.RevealTrace]:
     """The martingale report and the reveal trace it summarises.  The tail runs
     first, so an input outside the tail bound's domain fails before any sampling."""
-    tail = martingale.empirical_tail(n, k, d, delta, trials, seed) if delta is not None and trials > 0 else None
+    tail = martingale.empirical_tail(n, k, d, delta, trials, seed) if delta is not None and trials != 0 else None
     trace = martingale.simulate_reveal(n, k, d, seed)
     out = _base_report(
         "martingale",

@@ -171,14 +171,7 @@ class EmpiricalTail:
     bound: TailBound
 
 
-# Tails of less work than this run in-process.  A trial's work is its n * d
-# shuffled cells plus _TRIAL_CELLS for seeding and looping (22 us a trial at
-# n * d <= 16, 0.016 us per cell up to 6400).  Two forked workers against one
-# process, 2-core host: n=200, d=16: 100-113 against 103-130 ms for 1000
-# trials, 156-160 against 177-228 ms for 2000; n=8, d=1: 55-89 against 60-102
-# ms for 3000 trials, 105-168 against 160-219 ms for 6000.
-_PARALLEL_CELLS = 1 << 22
-_TRIAL_CELLS = 1400
+_TRIAL_CELLS = 1400  # a trial's seeding and looping, in shuffled cells; see _fork._PARALLEL_WORK
 
 
 def _tail_counts(n: int, k: int, d: int, expected: float, threshold: float, seed: int, lo: int, hi: int):
@@ -202,7 +195,7 @@ def _tail_sums(args: tuple, trials: int) -> tuple[int, int]:
     import numpy.random  # noqa: F401  (loaded once here, not once per worker)
 
     n, _, d = args[:3]
-    parts = split_ranges(partial(_tail_counts, *args), trials, trials * (n * d + _TRIAL_CELLS), _PARALLEL_CELLS)
+    parts = split_ranges(partial(_tail_counts, *args), trials, trials * (n * d + _TRIAL_CELLS))
     return sum(e for e, _ in parts), sum(t for _, t in parts)
 
 

@@ -50,7 +50,7 @@ class PseudoGirthReport:
     acyclic_2g: int  # |V''|: same at radius 2g
     F: int  # n - |V''|
     B: int  # largest radius-g ball
-    violating: tuple[int, ...]  # V''-violating vertices, capped
+    violating: tuple[int, ...]  # the first 32 V''-violating vertices
 
     def to_json_dict(self) -> dict:
         return {
@@ -176,14 +176,6 @@ _BLOCK_CELLS = 1 << 16
 # took 0.85, 0.55 and 0.41 s at 2^16, 2^17 and 2^18 scratch cells.
 _BALL_SLOTS = 1 << 14
 _BALL_SCRATCH = 1 << 17
-
-# A root pass of less work than this, n * max(n, directed edges) * g, runs
-# in-process; a ball scan alone counts an eighth.  One process against two
-# forked workers, 2-core host, medians of 7: certificates of the separation
-# graph (d=4, g=2) took 19-28 against 26-32 ms at n=600 (2.9e6) and 100-104
-# against 69-75 ms at n=1000 (8.0e6); ball scans of 2.4e7 before the eighth
-# (n=1000, d=8, g=3) 31-33 against 27-29 ms.
-_PARALLEL_WORK = 1 << 22
 
 
 def _root_blocks(n: int, width: int, lo: int, hi: int):
@@ -401,7 +393,7 @@ def _ball_flags(graph: WeightedGraph, g: int, lo: int, hi: int) -> tuple[np.ndar
     return flags_g, flags_2g, bmax
 
 
-def _girth_report(n: int, g: int, balls: list, violating_cap: int) -> tuple[PseudoGirthReport, np.ndarray]:
+def _girth_report(n: int, g: int, balls: list) -> tuple[PseudoGirthReport, np.ndarray]:
     """The report and the radius-g flags, from :func:`_ball_flags` of consecutive root ranges."""
     flags_g = np.concatenate([b[0] for b in balls])
     flags_2g = np.concatenate([b[1] for b in balls])
@@ -412,12 +404,12 @@ def _girth_report(n: int, g: int, balls: list, violating_cap: int) -> tuple[Pseu
         acyclic_2g=int(flags_2g.sum()),
         F=n - int(flags_2g.sum()),
         B=max(b[2] for b in balls),
-        violating=tuple(int(r) for r in np.flatnonzero(~flags_2g)[:violating_cap]),
+        violating=tuple(int(r) for r in np.flatnonzero(~flags_2g)[:32]),
     )
     return report, flags_g
 
 
-def _pseudo_girth_scan(graph: WeightedGraph, g: int, violating_cap: int) -> tuple[PseudoGirthReport, np.ndarray]:
+def _pseudo_girth_scan(graph: WeightedGraph, g: int) -> tuple[PseudoGirthReport, np.ndarray]:
     """The report, and the flags of roots whose radius-g ball is acyclic,
     with the roots split by :func:`split_ranges`."""
     if g < 0:
@@ -425,14 +417,14 @@ def _pseudo_girth_scan(graph: WeightedGraph, g: int, violating_cap: int) -> tupl
     if not graph.is_simple:
         raise UnsupportedInputError("pseudo-girth needs a simple graph; collapse multiedges first")
     n = graph.n
-    work = n * max(n, graph.csr()[1].size) * g // 8
-    balls = split_ranges(partial(_ball_flags, graph, g), n, work, _PARALLEL_WORK)
-    return _girth_report(n, g, balls, violating_cap)
+    work = n * max(n, graph.csr()[1].size) * g // 8  # _fork._PARALLEL_WORK has the units
+    balls = split_ranges(partial(_ball_flags, graph, g), n, work)
+    return _girth_report(n, g, balls)
 
 
-def pseudo_girth(graph: WeightedGraph, g: int, violating_cap: int = 32) -> PseudoGirthReport:
+def pseudo_girth(graph: WeightedGraph, g: int) -> PseudoGirthReport:
     """Cycle-free-ball counts at radii g and 2g, and the largest radius-g ball."""
-    return _pseudo_girth_scan(graph, g, violating_cap)[0]
+    return _pseudo_girth_scan(graph, g)[0]
 
 
 # -- the certificate ----------------------------------------------------------------
@@ -494,8 +486,6 @@ def certify_lower_bound(
     g: int,
     d: float,
     first_step: str = FIRST_STEP_WEIGHT,
-    identity_rtol: float = 1e-6,
-    norm_atol: float = 1e-9,
 ) -> CertificateReport:
     """Unconditional lower bound on the spectral error of H against the
     1/n-weighted clique on the same vertices.
@@ -508,17 +498,17 @@ def certify_lower_bound(
         raise InvalidArgumentError(f"certificate needs n >= 3, got {graph.n}")
     if g < 1:
         raise InvalidArgumentError(f"horizon must be >= 1, got {g}")
-    if d <= 0:
-        raise InvalidArgumentError(f"nominal degree must be positive, got {d}")
+    if not 0 < d < np.inf:
+        raise InvalidArgumentError(f"nominal degree must be positive and finite, got {d}")
     if not graph.is_simple:
         raise UnsupportedInputError("certificate needs a simple graph; collapse multiedges first")
     if not is_connected(graph):
         raise InvalidArgumentError("certificate needs a connected graph")
     n = graph.n
     space = _EdgeSpace(graph)
-    work = n * max(n, space.m2) * g
-    chunks = split_ranges(partial(_root_chunk, graph, space, g, first_step), n, work, _PARALLEL_WORK)
-    pg, vprime = _girth_report(n, g, [balls for balls, _ in chunks], violating_cap=32)
+    work = n * max(n, space.m2) * g  # _fork._PARALLEL_WORK has the units
+    chunks = split_ranges(partial(_root_chunk, graph, space, g, first_step), n, work)
+    pg, vprime = _girth_report(n, g, [balls for balls, _ in chunks])
     # one running sum over every root's terms, in ascending root order
     terms = np.hstack([t for _, t in chunks])
     totals = _running_sums(np.zeros(10), terms)
@@ -543,7 +533,7 @@ def certify_lower_bound(
     trace_upper = (1.0 + g * frac) * base
     norm_cap = (g + 1.0) ** 2
     yj_cap = norm_cap * pg.B * n
-    slack = identity_rtol * base
+    slack = 1e-6 * base  # relative tolerance of the trace brackets
     checks = IdentityChecks(
         max_vprime_norm_dev=worst_vprime_dev,
         max_norm_sq=worst_norm_sq,
@@ -555,8 +545,8 @@ def certify_lower_bound(
         y_dot_j=y_j,
         y_dot_j_cap=yj_cap,
         total_mass_loss=total_loss,
-        vprime_norms_ok=worst_vprime_dev <= norm_atol,
-        norm_cap_ok=worst_norm_sq <= norm_cap + norm_atol,
+        vprime_norms_ok=worst_vprime_dev <= 1e-9,
+        norm_cap_ok=worst_norm_sq <= norm_cap + 1e-9,
         traces_ok=(
             trace_lower - slack <= trace_x <= trace_upper + slack
             and trace_lower - slack <= trace_y <= trace_upper + slack

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from sparselab.cuts import CutErrorReport, CutProfile, CutProfileRow, _profile_references
 from sparselab.errors import DegenerateInputError, InvalidArgumentError, SizeLimitError
-from sparselab.graph import Clique, WeightedGraph, bfs_depths
+from sparselab.graph import Clique, WeightedGraph, _concat_ranges
 from sparselab.nbwalk import FIRST_STEP_UNIFORM, FIRST_STEP_WEIGHT, PseudoGirthReport, _EdgeSpace, _vector_panels, _walk_levels
 from sparselab.rng import derive_seed, make_generator
 from sparselab.spectral import DENSE_CAP, laplacian
@@ -495,10 +495,36 @@ def certificate_sums_oracle(space, g: int, first_step: str, vprime: np.ndarray):
     return totals, worst_vprime_dev, worst_norm_sq
 
 
+def neighbors(graph: WeightedGraph, vertices: np.ndarray) -> np.ndarray:
+    """Concatenated ``csr`` neighbor lists of the given vertices, in order."""
+    indptr, nbr, _ = graph.csr()
+    return nbr[_concat_ranges(indptr[vertices], indptr[vertices + 1] - indptr[vertices])]
+
+
+def bfs_depths(graph: WeightedGraph, start: int, radius: int | None = None) -> np.ndarray:
+    """Breadth-first depth from start through positive-weight bundles, up to
+    the radius (unbounded if None); vertices not reached are -1."""
+    depth = np.full(graph.n, -1, dtype=np.int64)
+    depth[start] = 0
+    frontier = np.array([start], dtype=np.int64)
+    level = 0
+    while frontier.size and (radius is None or level < radius):
+        level += 1
+        flat = neighbors(graph, frontier)
+        frontier = np.unique(flat[depth[flat] < 0])
+        depth[frontier] = level
+    return depth
+
+
+def connected_component(graph: WeightedGraph, start: int = 0) -> list[int]:
+    """Sorted vertex list of the positive-weight component containing start."""
+    return [int(v) for v in np.flatnonzero(bfs_depths(graph, start) >= 0)]
+
+
 def _ball_edges(graph: WeightedGraph, depth: np.ndarray, radius: int) -> tuple[int, int]:
     """(vertices, edges) of the subgraph induced by depth <= radius."""
     members = np.flatnonzero((depth >= 0) & (depth <= radius))
-    d = depth[graph.neighbors(members)]
+    d = depth[neighbors(graph, members)]
     deg_sum = int(((d >= 0) & (d <= radius)).sum())
     return members.size, deg_sum // 2
 
@@ -518,7 +544,7 @@ def ball_flags_oracle(graph: WeightedGraph, g: int, lo: int, hi: int):
     return flags_g, flags_2g, bmax
 
 
-def pseudo_girth_scan_oracle(graph: WeightedGraph, g: int, violating_cap: int):
+def pseudo_girth_scan_oracle(graph: WeightedGraph, g: int):
     """The report and radius-g flags of ``nbwalk._pseudo_girth_scan``, one root at a time."""
     n = graph.n
     flags_g, flags_2g, bmax = ball_flags_oracle(graph, g, 0, n)
@@ -529,9 +555,31 @@ def pseudo_girth_scan_oracle(graph: WeightedGraph, g: int, violating_cap: int):
         acyclic_2g=int(flags_2g.sum()),
         F=n - int(flags_2g.sum()),
         B=bmax,
-        violating=tuple(int(r) for r in np.flatnonzero(~flags_2g)[:violating_cap]),
+        violating=tuple(int(r) for r in np.flatnonzero(~flags_2g)[:32]),
     )
     return report, flags_g
+
+
+# -- appendix grids -------------------------------------------------------------------
+
+
+def default_appendix_grids(
+    ratio_points: int = 40,
+    c_points: int = 40,
+) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
+    """Dense log-spaced grids: ratios delta/C in (0, 1] with C in [0.1, 1e3] for the
+    Taylor form, and delta >= C >= 1 with delta up to 1e6 for the log-linear form."""
+    ratios = np.logspace(-3, 0, ratio_points)
+    cs = np.logspace(-1, 3, c_points)
+    taylor = [(float(r * c), float(c)) for r in ratios for c in cs]
+    cs2 = np.logspace(0, 6, c_points)
+    loglinear = [
+        (float(delta), float(c))
+        for c in cs2
+        for delta in np.logspace(math.log10(c), 6, ratio_points)
+        if delta >= c
+    ]
+    return taylor, loglinear
 
 
 # -- one-matching sampler oracle ----------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 
 from sparselab.bounds import (
     azuma_fan_bound,
-    default_appendix_grids,
     erf,
     erf_inv,
     main_constant,
@@ -21,7 +20,7 @@ from sparselab.errors import InvalidArgumentError, OutOfRegimeError
 from sparselab.graph import sample_matching_partners
 from sparselab.rng import make_generator
 
-from helpers import erf_inv_bisect, erf_quadrature, erf_series
+from helpers import default_appendix_grids, erf_inv_bisect, erf_quadrature, erf_series
 
 
 class TestErf:

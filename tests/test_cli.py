@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparselab import cuts, errors, harness, martingale, spectral
 from sparselab.cli import main
@@ -134,6 +138,48 @@ class TestSpectralAndCertify:
         h = tmp_path / "h.edges"
         write_edge_list(WeightedGraph(6, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0)]), h)
         assert run_cli(["certify", "--h-file", h, "--g", "2", "--d", "2"]) == 2
+
+
+def _one_error_line(capsys, *phrases):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
+    assert all(phrase in err for phrase in phrases), err
+
+
+class TestUnreadableAndUnwritableFiles:
+    @pytest.mark.parametrize("case", ["missing", "directory", "not_utf8"])
+    def test_unreadable_edge_list_exits_2(self, case, tmp_path, capsys):
+        path = {"missing": tmp_path / "missing.edges", "directory": tmp_path, "not_utf8": tmp_path / "bytes.edges"}[case]
+        if case == "not_utf8":
+            path.write_bytes(b"n 3\n0 1 \xff 1\n")
+        assert run_cli(["certify", "--h-file", path, "--g", "2", "--d", "2"]) == 2
+        _one_error_line(capsys, "cannot read")
+
+    @pytest.mark.parametrize("flag", ["--out", "--trace-out"])
+    def test_unwritable_output_exits_2(self, flag, tmp_path, capsys):
+        dest = tmp_path / "missing" / "x.json"
+        assert run_cli(["martingale", "--n", "8", "--k", "2", "--d", "2", flag, dest]) == 2
+        _one_error_line(capsys, "cannot write", str(dest))
+        assert run_cli(["martingale", "--n", "8", "--k", "2", "--d", "2", flag, tmp_path]) == 2
+        _one_error_line(capsys, "cannot write", "Is a directory")
+
+    def test_unwritable_edge_list_exits_2(self, tmp_path, capsys):
+        dest = tmp_path / "missing" / "h.edges"
+        assert run_cli(["generate", "--n", "8", "--d", "2", "--out", dest]) == 2
+        _one_error_line(capsys, "cannot write", str(dest))
+
+
+class TestDomainHoles:
+    @pytest.mark.parametrize("d", ["nan", "inf", "-inf", "0"])
+    def test_certify_degree_must_be_positive_and_finite(self, d, graph_files, capsys):
+        h, _ = graph_files
+        assert run_cli(["certify", "--h-file", h, "--g", "2", f"--d={d}"]) == 2
+        _one_error_line(capsys, "nominal degree must be positive and finite")
+
+    @pytest.mark.parametrize("trials", ["-3", "-1"])
+    def test_negative_trials_with_a_delta_exits_2(self, trials, capsys):
+        assert run_cli(["martingale", "--n", "40", "--k", "4", "--d", "3", f"--trials={trials}", "--delta", "1.0"]) == 2
+        _one_error_line(capsys, "need at least one trial")
 
 
 class TestReferenceFile:
@@ -368,3 +414,124 @@ def test_fork_helper_adds_no_other_module_to_the_import():
     ]
     assert "sparselab._fork" in loaded[0]
     assert loaded[0] == loaded[1]
+
+
+# -- random argv ---------------------------------------------------------------------
+
+_WEIRD = ["nan", "inf", "-inf", "x", "", "-0", "1e3", "0.5"]
+_NUMBERS = {
+    # n stays at most 16 or jumps to 64, past the exhaustive cap, so no draw enumerates long
+    "n": [-2, 0, 1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 64],
+    "small": [-3, -1, 0, 1, 2, 3],
+    "degree": [-1, 0, 1, 2, 3, 4, 8, 16, 64],
+    "trials": [-3, 0, 1, 2, 17, 200],
+    "float": ["-1", "0", "0.25", "0.5", "1", "2", "4", "36.75", "nan", "inf", "-inf"],
+    "floats": ["0.25,0.5", "0.1,0.5,0.9", "0", "-1", "0.6", "nan", "inf", "0.5,x", ","],
+    "ints": ["4,16", "2", "0", "-1", "1,2,3", "2,x", "64", ","],
+    "grid": ["2000,10,16", "64,2,4;64,3,8", "10,5,4", "1,2", "a,b,c", "0,0,0", "64,2,nan", ";"],
+    "seeds": [-1, 0, 1, 2, 3],
+}
+_FILES = ["cycle", "clique", "split", "zero", "missing", "directory", "latin1", "garbled"]
+_OUTS = ["file", "-", "missing_dir", "directory"]
+_COMMANDS = {
+    # flag: (kind, required)
+    "generate": {"--n": ("n", True), "--d": ("degree", True), "--seed": ("small", False), "--out": ("out", False)},
+    "cut-error": {
+        "--h-file": ("file", True), "--g-file": ("file", True), "--exhaustive": ("switch", False),
+        "--samples": ("small", False), "--sizes": ("ints", False), "--seed": ("small", False), "--out": ("out", False),
+    },
+    "spectral-error": {"--h-file": ("file", True), "--g-file": ("file", True), "--out": ("out", False)},
+    "certify": {
+        "--h-file": ("file", True), "--g": ("small", True), "--d": ("float", True),
+        "--first-step": (["weight", "uniform", "other"], False), "--out": ("out", False),
+    },
+    "bounds": {
+        "--alphas": ("floats", False), "--tail-grid": ("grid", False), "--ramanujan-ds": ("ints", False),
+        "--format": (["csv", "json", "xml"], False), "--out": ("out", False),
+    },
+    "martingale": {
+        "--n": ("n", True), "--k": ("degree", True), "--d": ("degree", True), "--seed": ("small", False),
+        "--trials": ("trials", False), "--delta": ("float", False), "--trace-out": ("out", False), "--out": ("out", False),
+    },
+    "concentration": {
+        "--n": ("n", True), "--alphas": ("floats", True), "--d": ("degree", True), "--seeds": ("seeds", True),
+        "--seed": ("small", False), "--mode": (["auto", "exhaustive", "sampled", "other"], False),
+        "--samples": ("trials", False), "--out": ("out", False),
+    },
+    "clique-sparsify": {
+        "--n": ("n", True), "--d": ("degree", True), "--seeds": ("seeds", True), "--seed": ("small", False),
+        "--cut-mode": (["exhaustive", "sampled", "other"], False), "--samples": ("trials", False),
+        "--profile-reference": (["density", "expectation"], False), "--format": (["json", "csv"], False),
+        "--out": ("out", False),
+    },
+    "separation": {
+        "--n": ("n", True), "--big-degree": ("degree", True), "--d": ("degree", True), "--seeds": ("seeds", True),
+        "--seed": ("small", False), "--g": ("small", False), "--target": (["clique", "parent"], False),
+        "--cut-mode": (["auto", "exhaustive", "sampled"], False), "--samples": ("trials", False),
+        "--out": ("out", False),
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def argv_paths(tmp_path_factory):
+    """Paths the random argv may name: edge lists that parse, one that does not,
+    files that cannot be read, and output paths that can or cannot be written."""
+    root = tmp_path_factory.mktemp("argv")
+    graphs = {
+        "cycle": make_cycle(6, 0.5),
+        "clique": make_clique(6, 0.2),
+        "split": WeightedGraph(6, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0)]),
+        "zero": WeightedGraph(6, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0), (3, 4, 1.0), (4, 5, 1.0), (0, 5, 0.0)]),
+    }
+    paths = {}
+    for name, graph in graphs.items():
+        paths[name] = root / f"{name}.edges"
+        write_edge_list(graph, paths[name])
+    paths["missing"] = root / "no_such.edges"
+    paths["directory"] = root
+    paths["latin1"] = root / "latin1.edges"
+    paths["latin1"].write_bytes(b"n 3\n0 1 1.0 1\n# caf\xe9\n")
+    paths["garbled"] = root / "garbled.edges"
+    paths["garbled"].write_text("n 3\n0 1 x 1\n")
+    paths["file"] = root / "out.json"
+    paths["-"] = "-"
+    paths["missing_dir"] = root / "no_such_dir" / "out.json"
+    return paths
+
+
+@st.composite
+def _argv(draw, paths):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = [command]
+    for flag, (kind, required) in _COMMANDS[command].items():
+        if not draw(st.integers(0, 19)) if required else draw(st.booleans()):
+            continue  # a required flag is left out now and then, for argparse's exit 2
+        if kind == "switch":
+            argv.append(flag)
+            continue
+        if isinstance(kind, list):
+            value = draw(st.sampled_from(kind))
+        elif kind in ("file", "out"):
+            value = str(paths[draw(st.sampled_from(_FILES if kind == "file" else _OUTS))])
+        else:
+            value = str(draw(st.sampled_from(_NUMBERS[kind]) | st.sampled_from(_WEIRD)))
+        argv.append(f"{flag}={value}")  # the = form lets a value start with '-'
+    return argv
+
+
+class TestRandomArgv:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_every_exit_is_documented(self, argv_paths, data):
+        argv = data.draw(_argv(argv_paths), label="argv")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in stderr.getvalue()
+        if code:
+            assert stderr.getvalue().splitlines()[-1].startswith(("error:", "sparselab"))

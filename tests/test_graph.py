@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparselab import graph
-from sparselab.errors import InvalidArgumentError, ParseError, UnsupportedInputError
+from sparselab import cuts, graph
+from sparselab.errors import DegenerateInputError, InvalidArgumentError, ParseError, UnsupportedInputError
 from sparselab.graph import (
     Clique,
     WeightedGraph,
     collapse_multiedges,
-    degree_report,
     first_matchings_subgraph,
     is_connected,
     make_clique,
@@ -29,7 +28,7 @@ from sparselab.graph import (
 from sparselab.cuts import cut_value
 from sparselab.rng import derive_seed, make_generator
 
-from helpers import dict_coalesce, random_connected_graph, sample_matching_oracle
+from helpers import connected_component, dict_coalesce, random_connected_graph, sample_matching_oracle
 
 
 class TestWeightedGraph:
@@ -64,13 +63,12 @@ class TestWeightedGraph:
 
     def test_handshake_identity(self):
         g = sample_regular_multigraph(20, 5, seed=3)
-        rep = degree_report(g)
-        assert rep.weighted.sum() == pytest.approx(2 * g.total_weight, rel=1e-12)
+        assert g.weighted_degrees().sum() == pytest.approx(2 * g.total_weight, rel=1e-12)
 
     def test_bundle_degrees_count_multiplicity(self):
-        rep = degree_report(WeightedGraph(2, [(0, 1, 3.0, 3)]))
-        assert np.allclose(rep.weighted, 3.0)
-        assert np.all(rep.combinatorial == 3)
+        g = WeightedGraph(2, [(0, 1, 3.0, 3)])
+        assert np.allclose(g.weighted_degrees(), 3.0)
+        assert np.all(g.combinatorial_degrees() == 3)
 
 
 class TestClique:
@@ -80,9 +78,9 @@ class TestClique:
         assert all(e.weight == 1.0 for e in g.edges())
 
     def test_quarter_weight_degrees(self):
-        rep = degree_report(make_clique(4, 0.25))
-        assert np.allclose(rep.weighted, 0.75)
-        assert rep.combinatorial_min == rep.combinatorial_max == 3
+        g = make_clique(4, 0.25)
+        assert np.allclose(g.weighted_degrees(), 0.75)
+        assert np.all(g.combinatorial_degrees() == 3)
 
     def test_singleton_cut(self):
         g = make_clique(5, 1.0)
@@ -292,11 +290,81 @@ class TestPersistence:
         g = read_edge_list(path)
         assert g.weight(0, 2) == 1.5
 
+    def test_missing_file_is_a_parse_error(self, tmp_path):
+        with pytest.raises(ParseError, match="cannot read .*No such file"):
+            read_edge_list(tmp_path / "missing.edges")
+
+    def test_directory_is_a_parse_error(self, tmp_path):
+        with pytest.raises(ParseError, match="cannot read .*Is a directory"):
+            read_edge_list(tmp_path)
+
+    def test_non_utf8_file_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "bytes.edges"
+        path.write_bytes(b"n 3\n0 1 1.0 1\n# \xff\n")
+        with pytest.raises(ParseError, match="cannot read .*can't decode byte 0xff"):
+            read_edge_list(path)
+
+    def test_unwritable_path_is_an_invalid_argument(self, tmp_path):
+        for dest in (tmp_path / "missing" / "g.edges", tmp_path):
+            with pytest.raises(InvalidArgumentError, match=f"cannot write the edge list: .*{re.escape(str(dest))}"):
+                write_edge_list(make_cycle(4), dest)
+
 
 def test_is_connected():
     assert is_connected(make_clique(5, 1.0))
     assert not is_connected(WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)]))
     assert not is_connected(WeightedGraph(2, [(0, 1, 0.0)]))  # zero-weight bundles do not connect
+
+
+# -- component labels against the BFS oracle ---------------------------------------
+
+
+@st.composite
+def labelling_graphs(draw):
+    """Random graphs with zero-weight bundles and isolated vertices, and long
+    paths under a random relabelling, cut into a few pieces now and then."""
+    n = draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        pairs = list(zip(order, order[1:]))
+        weights = [0.0 if draw(st.integers(0, 15)) == 0 else 1.0 for _ in pairs]
+    else:
+        vertex = st.integers(0, n - 1)
+        pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]), max_size=2 * n))
+        weights = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=len(pairs), max_size=len(pairs)))
+    return WeightedGraph(n, [(min(u, v), max(u, v), w) for (u, v), w in zip(pairs, weights)])
+
+
+class TestComponentLabels:
+    @settings(max_examples=120, deadline=None)
+    @given(g=labelling_graphs())
+    def test_labels_match_breadth_first_search(self, g):
+        labels = graph._component_labels(g)
+        assert labels.tolist() == [connected_component(g, v)[0] for v in range(g.n)]
+        comp = connected_component(g, 0)
+        assert is_connected(g) == (len(comp) == g.n)
+        if len(comp) == g.n:
+            cuts._require_connected_reference(g)
+            return
+        witness = comp if len(comp) <= g.n // 2 else sorted(set(range(g.n)) - set(comp))
+        with pytest.raises(DegenerateInputError) as err:
+            cuts._require_connected_reference(g)
+        assert str(err.value) == (
+            f"reference graph is disconnected; cut of S={tuple(witness)} is zero, no finite relative error exists"
+        )
+
+    def test_relabelled_long_path(self):
+        n = 5000
+        order = make_generator(3).permutation(n)
+        us, vs = np.minimum(order[:-1], order[1:]), np.maximum(order[:-1], order[1:])
+        path = WeightedGraph.from_arrays(n, us, vs, np.ones(n - 1))
+        assert is_connected(path)
+        cut = WeightedGraph.from_arrays(n, us, vs, np.where(np.arange(n - 1) == n // 3, 0.0, 1.0))
+        head, tail = order[: n // 3 + 1], order[n // 3 + 1 :]
+        expected = np.empty(n, dtype=np.int64)
+        expected[head], expected[tail] = head.min(), tail.min()
+        assert np.array_equal(graph._component_labels(cut), expected)
+        assert connected_component(cut, int(tail[0])) == sorted(tail.tolist())
 
 
 # -- coalescing against the dict accumulation ----------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparselab import martingale
+from sparselab import _fork, martingale
 from sparselab.bounds import phi_matching
 from sparselab.cli import main
 from sparselab.cuts import interior_edge_weight
@@ -167,11 +167,11 @@ class TestParallelTail:
         k = 2 + k_draw % ((n - 1) // 2 - 1)  # 2 <= k < n/2
         in_process = empirical_tail(n, k, d, delta, trials, seed)
         for workers in (1, 2, 3):
-            with _cpus(workers), mock.patch.object(martingale, "_PARALLEL_CELLS", 0):
+            with _cpus(workers), mock.patch.object(_fork, "_PARALLEL_WORK", 0):
                 assert empirical_tail(n, k, d, delta, trials, seed) == in_process
 
     def test_worker_error_keeps_its_type_and_exit_code(self, capsys):
-        with _cpus(2), mock.patch.object(martingale, "_PARALLEL_CELLS", 0):
+        with _cpus(2), mock.patch.object(_fork, "_PARALLEL_WORK", 0):
             with mock.patch.object(martingale, "_tail_counts", _fail_in_worker):
                 with pytest.raises(SizeLimitError, match="raised in process") as err:
                     empirical_tail(40, 4, 3, delta=1.0, trials=10, seed=9)
@@ -181,7 +181,7 @@ class TestParallelTail:
         assert "raised in process" in capsys.readouterr().err
 
     def test_worker_that_dies_is_an_error(self):
-        with _cpus(2), mock.patch.object(martingale, "_PARALLEL_CELLS", 0):
+        with _cpus(2), mock.patch.object(_fork, "_PARALLEL_WORK", 0):
             with mock.patch.object(martingale, "_tail_counts", _die_in_worker):
                 with pytest.raises(RuntimeError, match="no result"):
                     empirical_tail(40, 4, 3, delta=1.0, trials=10, seed=9)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from sparselab.errors import DegenerateInputError, InvalidArgumentError, UnsupportedInputError
 from sparselab.graph import (
     WeightedGraph,
-    bfs_depths,
     collapse_multiedges,
     Clique,
     make_clique,
@@ -19,7 +18,7 @@ from sparselab.graph import (
     scale_weights,
     write_edge_list,
 )
-from sparselab import nbwalk
+from sparselab import _fork, nbwalk
 from sparselab.cli import main
 from sparselab.nbwalk import FIRST_STEP_UNIFORM, FIRST_STEP_WEIGHT, certify_lower_bound, pseudo_girth
 from sparselab.rng import derive_seed, make_generator
@@ -28,6 +27,7 @@ from sparselab.spectral import spectral_error
 from helpers import (
     OracleEdgeSpace,
     ball_flags_oracle,
+    bfs_depths,
     certificate_sums_oracle,
     nb_walk_probabilities,
     pseudo_girth_scan_oracle,
@@ -205,7 +205,7 @@ class TestPseudoGirth:
         flags_g, flags_2g, bmax = nbwalk._ball_flags(graph, 2, 0, 1)
         assert not flags_g[0] and not flags_2g[0] and bmax == 4
         report = pseudo_girth(graph, 2)
-        assert report == pseudo_girth_scan_oracle(graph, 2, 32)[0]
+        assert report == pseudo_girth_scan_oracle(graph, 2)[0]
         assert report.acyclic_g == 0 and report.B == 4
 
     def test_cyclic_balls_stop_fanning_out(self):
@@ -425,7 +425,7 @@ def _per_root():
 
 def _assert_python_sums(report, graph, g, first_step):
     """The report's totals are the per-root terms added one root at a time in Python."""
-    vprime = pseudo_girth_scan_oracle(graph, g, 32)[1]
+    vprime = pseudo_girth_scan_oracle(graph, g)[1]
     totals, worst_dev, worst_norm = certificate_sums_oracle(nbwalk._EdgeSpace(graph), g, first_step, vprime)
     checks = report.identity_checks
     assert [
@@ -468,8 +468,8 @@ class TestBlockEngineProperties:
     @given(graph=st.one_of(walk_graphs(), walk_graphs(connected=False)), g=st.integers(0, 3), roots=_roots_per_block)
     def test_pseudo_girth_equals_per_root_bfs(self, graph, g, roots):
         with _blocks_of(graph, roots):
-            report, flags = nbwalk._pseudo_girth_scan(graph, g, 32)
-        oracle_report, oracle_flags = pseudo_girth_scan_oracle(graph, g, 32)
+            report, flags = nbwalk._pseudo_girth_scan(graph, g)
+        oracle_report, oracle_flags = pseudo_girth_scan_oracle(graph, g)
         assert report == oracle_report
         assert np.array_equal(flags, oracle_flags)
 
@@ -538,24 +538,24 @@ class TestParallelRoots:
         with _blocks_of(graph, roots):
             in_process = _certify(graph, g, 3.0, first_step=first_step)
             for workers in (1, 2, 3):
-                with _cpus(workers), mock.patch.object(nbwalk, "_PARALLEL_WORK", 0):
+                with _cpus(workers), mock.patch.object(_fork, "_PARALLEL_WORK", 0):
                     assert _certify(graph, g, 3.0, first_step=first_step) == in_process
 
     @settings(max_examples=30, deadline=None)
     @given(graph=st.one_of(walk_graphs(), walk_graphs(connected=False)), g=st.integers(0, 3), roots=_roots_per_block)
     def test_worker_count_does_not_change_pseudo_girth(self, graph, g, roots):
         with _blocks_of(graph, roots):
-            report, flags = nbwalk._pseudo_girth_scan(graph, g, 32)
+            report, flags = nbwalk._pseudo_girth_scan(graph, g)
             for workers in (1, 2, 3):
-                with _cpus(workers), mock.patch.object(nbwalk, "_PARALLEL_WORK", 0):
-                    split_report, split_flags = nbwalk._pseudo_girth_scan(graph, g, 32)
+                with _cpus(workers), mock.patch.object(_fork, "_PARALLEL_WORK", 0):
+                    split_report, split_flags = nbwalk._pseudo_girth_scan(graph, g)
                 assert split_report == report
                 assert np.array_equal(split_flags, flags)
 
     def test_worker_error_keeps_its_type_and_exit_code(self, tmp_path, capsys):
         h = tmp_path / "h.edges"
         write_edge_list(make_cycle(50, 0.5), h)
-        with _cpus(2), mock.patch.object(nbwalk, "_PARALLEL_WORK", 0):
+        with _cpus(2), mock.patch.object(_fork, "_PARALLEL_WORK", 0):
             with mock.patch.object(nbwalk, "_root_chunk", _fail_in_worker):
                 with pytest.raises(DegenerateInputError, match="raised in process") as err:
                     certify_lower_bound(make_cycle(50, 0.5), 2, 2.0)
