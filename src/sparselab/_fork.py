@@ -27,8 +27,8 @@ def split_ranges(fn, count: int, work: float) -> list:
     ``count``, each run in a forked child that pickles its result, or the
     exception it raised, into a pipe.  A single CPU, a platform without
     ``fork`` or ``sched_getaffinity``, and ``work`` below ``_PARALLEL_WORK``
-    give one range, run in-process.  Every child is reaped before the first failed
-    range's exception is raised here, with its own type.
+    give one range, run in-process.  Every child is reaped before the first
+    failed range's exception is raised here, with its own type.
     """
     workers = 1
     if work >= _PARALLEL_WORK and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 invalid arguments or unparsable input, 3 size-cap
-violations, 4 degenerate inputs (zero reference cuts, incomparable kernels).
+Exit codes: 0 success, 2 invalid arguments, unreadable or unparsable input
+and unwritable output, 3 size-cap violations, 4 degenerate inputs (zero
+reference cuts, incomparable kernels).
 """
 
 from __future__ import annotations

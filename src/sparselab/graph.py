@@ -408,9 +408,8 @@ def uniform_clique_weight(graph: WeightedGraph) -> float | None:
 def write_edge_list(graph: WeightedGraph, dest) -> None:
     """Plain-text edge list: header ``n <N>``, one ``u v weight mult`` line per bundle.
 
-    ``dest`` is a path or an open text stream.  Weights are printed with the
-    shortest decimal that round-trips exactly.  A path that cannot be written
-    raises InvalidArgumentError.
+    ``dest`` is an open text stream or a path; InvalidArgumentError if it cannot
+    be written.  Weights print as the shortest decimal that round-trips exactly.
     """
     try:
         with nullcontext(dest) if hasattr(dest, "write") else open(dest, "w", encoding="utf-8") as fh:
