@@ -54,6 +54,12 @@ def _require_seeds(seeds: int) -> None:
         raise InvalidArgumentError(f"need at least one seed, got {seeds}")
 
 
+def _require_samples(samples: int) -> None:
+    """Checked in every cut mode, because the report echoes the count in every mode."""
+    if samples < 0:
+        raise InvalidArgumentError(f"samples must be nonnegative, got {samples}")
+
+
 # -- clique sparsification --------------------------------------------------------
 
 
@@ -76,6 +82,7 @@ def run_clique_sparsify(
     if d < 1:
         raise InvalidArgumentError(f"degree must be >= 1, got {d}")
     _require_seeds(seeds)
+    _require_samples(samples_per_size)
     if cut_mode not in ("exhaustive", "sampled"):
         raise InvalidArgumentError(f"unknown cut mode {cut_mode!r}")
     if cut_mode == "exhaustive" and n > cuts.EXHAUSTIVE_CAP:
@@ -168,6 +175,7 @@ def run_separation(
     if d > big_degree:
         raise InvalidArgumentError(f"prefix degree {d} exceeds parent degree {big_degree}")
     _require_seeds(seeds)
+    _require_samples(samples_per_size)
     if target not in ("clique", "parent"):
         raise InvalidArgumentError(f"unknown target {target!r}")
     if cut_mode not in ("auto", "exhaustive", "sampled"):
@@ -325,6 +333,7 @@ def run_concentration(
     if mode not in ("auto", "exhaustive", "sampled"):
         raise InvalidArgumentError(f"unknown mode {mode!r}")
     _require_seeds(seeds)
+    _require_samples(samples_per_seed)
     exhaustive = mode == "exhaustive" or (mode == "auto" and n <= cuts.EXHAUSTIVE_CAP)
     if mode == "exhaustive" and n > cuts.EXHAUSTIVE_CAP:
         raise InvalidArgumentError(f"exhaustive mode needs n <= {cuts.EXHAUSTIVE_CAP}")
@@ -406,6 +415,9 @@ def run_cut_error(
     sizes: Sequence[int],
     seed: int,
 ) -> dict:
+    _require_samples(samples_per_size)
+    if min(sizes, default=0) < 0:
+        raise InvalidArgumentError(f"sizes must be nonnegative, got {list(sizes)}")
     if exhaustive:
         rep = cuts.cut_error_exhaustive(h, g)
     else:
@@ -448,6 +460,8 @@ def run_martingale(
 ) -> tuple[dict, martingale.RevealTrace]:
     """The martingale report and the reveal trace it summarises.  The tail runs
     first, so an input outside the tail bound's domain fails before any sampling."""
+    if trials < 0:
+        raise InvalidArgumentError(f"need at least one trial, or 0 for no tail, got {trials}")
     tail = martingale.empirical_tail(n, k, d, delta, trials, seed) if delta is not None and trials != 0 else None
     trace = martingale.simulate_reveal(n, k, d, seed)
     out = _base_report(

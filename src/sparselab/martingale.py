@@ -32,7 +32,7 @@ from ._fork import split_ranges
 from .bounds import TailBound, phi_matching, tail_bound_generic
 from .errors import InvalidArgumentError
 from .graph import WeightedGraph, _shuffled_rows, sample_matching_partners, union_of_matchings
-from .rng import derive_seed, make_generator
+from .rng import derived_generators, make_generator
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,7 @@ class EmpiricalTail:
     bound: TailBound
 
 
-_TRIAL_CELLS = 1400  # a trial's seeding and looping, in shuffled cells; see _fork._PARALLEL_WORK
+_TRIAL_CELLS = 700  # a trial's seeding and looping, in shuffled cells; see _fork._PARALLEL_WORK
 
 
 def _tail_counts(n: int, k: int, d: int, expected: float, threshold: float, seed: int, lo: int, hi: int):
@@ -181,8 +181,8 @@ def _tail_counts(n: int, k: int, d: int, expected: float, threshold: float, seed
     edge lies inside S exactly when both entries of its pair are below k.
     """
     exceed = total = 0
-    for t in range(lo, hi):
-        inside = _shuffled_rows(make_generator(derive_seed(seed, t)), n, d) < k
+    for rng in derived_generators(seed, lo, hi):
+        inside = _shuffled_rows(rng, n, d) < k
         e = int(np.count_nonzero(inside[:, 0::2] & inside[:, 1::2]))
         total += e
         if abs(e - expected) >= threshold:

@@ -181,6 +181,23 @@ class TestDomainHoles:
         assert run_cli(["martingale", "--n", "40", "--k", "4", "--d", "3", f"--trials={trials}", "--delta", "1.0"]) == 2
         _one_error_line(capsys, "need at least one trial")
 
+    @pytest.mark.parametrize("trials", ["-3", "-1"])
+    def test_negative_trials_without_a_delta_exits_2(self, trials, capsys):
+        assert run_cli(["martingale", "--n", "8", "--k", "2", "--d", "2", f"--trials={trials}"]) == 2
+        _one_error_line(capsys, "need at least one trial", f"got {trials}")
+
+    @pytest.mark.parametrize("argv", [
+        ["clique-sparsify", "--n", "8", "--d", "2", "--seeds", "1", "--samples=-3"],
+        ["separation", "--n", "8", "--big-degree", "4", "--d", "2", "--seeds", "1", "--samples=-3"],
+        ["concentration", "--n", "8", "--alphas", "0.5", "--d", "2", "--seeds", "1", "--samples=-3"],
+        ["cut-error", "--exhaustive", "--sizes=-1"],
+    ])
+    def test_negative_counts_exit_2_where_the_cut_mode_ignores_them(self, argv, graph_files, capsys):
+        h, g = graph_files
+        files = ["--h-file", h, "--g-file", g] if argv[0] == "cut-error" else []
+        assert run_cli(argv + files) == 2
+        _one_error_line(capsys, "must be nonnegative, got ")
+
 
 class TestReferenceFile:
     """A --g-file holding a complete graph of one weight is measured as a Clique."""
@@ -521,6 +538,15 @@ def _argv(draw, paths):
     return argv
 
 
+def _negative_counts(node, key=""):
+    """Keys of the negative integers in a report, leaving out seeds, which may be negative."""
+    if isinstance(node, dict):
+        return [k for key, v in node.items() for k in _negative_counts(v, key)]
+    if isinstance(node, list):
+        return [k for v in node for k in _negative_counts(v, key)]
+    return [key] if type(node) is int and node < 0 and "seed" not in key else []
+
+
 class TestRandomArgv:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -536,3 +562,10 @@ class TestRandomArgv:
         assert "Traceback" not in stderr.getvalue()
         if code:
             assert stderr.getvalue().splitlines()[-1].startswith(("error:", "sparselab"))
+            return
+        out = argv_paths["file"].read_text() if f"--out={argv_paths['file']}" in argv else stdout.getvalue()
+        try:
+            report = json.loads(out)
+        except ValueError:  # an edge list, a CSV table or a trace
+            return
+        assert not _negative_counts(report), report

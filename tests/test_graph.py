@@ -284,6 +284,28 @@ class TestPersistence:
         with pytest.raises(ParseError, match="header"):
             read_edge_list(path)
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_roundtrip_extreme_weights(self, tmp_path_factory, data):
+        small = st.one_of(
+            st.just(0.0),
+            st.floats(5e-324, 2.2250738585072014e-308),  # subnormal, and the smallest normal
+            st.floats(1e-6, 1e6),
+        )
+        n = data.draw(st.integers(2, 12), label="n")
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] < p[1])
+        edges = []
+        for i, (u, v) in enumerate(data.draw(st.lists(pairs, unique=True, max_size=20), label="pairs")):
+            # one bundle near 1e308, and perhaps one ulp below it: the total stays finite
+            w = data.draw(small | st.floats(1e307, 8e307) if i == 0 else small, label="weight")
+            if i % 2 and data.draw(st.booleans(), label="ulp"):
+                w = math.nextafter(edges[-1][2], 0.0)  # one ulp below the previous bundle's weight
+            edges.append((u, v, w, data.draw(st.integers(1, 5), label="mult")))
+        g = WeightedGraph(n, edges)
+        path = tmp_path_factory.getbasetemp() / "roundtrip.edges"
+        write_edge_list(g, path)
+        assert read_edge_list(path) == g
+
     def test_comments_and_blank_lines_ok(self, tmp_path):
         path = tmp_path / "c.edges"
         path.write_text("# a comment\nn 3\n\n0 2 1.5 1\n# tail\n")
