@@ -12,12 +12,12 @@ import pickle
 # certificates of the separation graph (d=4, g=2) took 19-28 against 26-32 ms
 # at n=600 (2.9e6) and 100-104 against 69-75 ms at n=1000 (8.0e6); ball scans
 # of 2.4e7 before the eighth (n=1000, d=8, g=3) 31-33 against 27-29 ms.
-# Martingale tails count trials * (n * d + 700), the 700 a trial's seeding
-# and looping (10 us a trial at n * d <= 16, 0.0147 us per cell up to 6400,
-# best of 7 over 3000 trials in one process).  Two forked workers against one
-# process, medians of 7: n=8, d=1: 69 against 53 ms for 3000 trials (2.1e6),
-# 96 against 85 ms for 6000 (4.2e6), 115 against 175 ms for 12000 (8.5e6);
-# n=200, d=16: 50 against 75 ms for 1000 trials (3.9e6).
+# Martingale tails count trials * (n * d + 600), the 600 a trial's seeding
+# and looping (a least-squares fit of 9.2 us a trial plus 0.0155 us per cell,
+# n * d from 8 to 6400, best of 7 over 3000 trials in one process).  Two
+# forked workers against one process, medians of 7: n=8, d=1: 69 against
+# 53 ms for 3000 trials, 96 against 85 ms for 6000, 115 against 175 ms for
+# 12000; n=200, d=16: 50 against 75 ms for 1000 trials.
 _PARALLEL_WORK = 1 << 22
 
 

@@ -171,7 +171,7 @@ class EmpiricalTail:
     bound: TailBound
 
 
-_TRIAL_CELLS = 700  # a trial's seeding and looping, in shuffled cells; see _fork._PARALLEL_WORK
+_TRIAL_CELLS = 600  # a trial's seeding and looping, in shuffled cells; see _fork._PARALLEL_WORK
 
 
 def _tail_counts(n: int, k: int, d: int, expected: float, threshold: float, seed: int, lo: int, hi: int):
