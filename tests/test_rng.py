@@ -35,6 +35,7 @@ def test_seed_words_match_numpy_seed_sequence_at_the_word_edges():
 @example(seed=2**32, lo=3, length=1, chunk=rng._CHUNK)
 @example(seed=2**63, lo=rng._CHUNK - 2, length=5, chunk=rng._CHUNK)
 @example(seed=2**64 - 1, lo=10**6, length=6, chunk=3)
+@example(seed=11, lo=rng._CHUNK - 3, length=2 * rng._CHUNK + 6, chunk=rng._CHUNK)  # over two full chunks
 def test_derived_generators_draw_the_derived_streams(seed, lo, length, chunk):
     with mock.patch.object(rng, "_CHUNK", chunk):
         for t, gen in zip(range(lo, lo + length), derived_generators(seed, lo, lo + length), strict=True):
@@ -42,8 +43,3 @@ def test_derived_generators_draw_the_derived_streams(seed, lo, length, chunk):
             assert gen.bit_generator.state == ref.bit_generator.state
             assert np.array_equal(gen.permutation(50), ref.permutation(50))
 
-
-def test_derived_generators_cross_a_full_chunk():
-    lo, hi = rng._CHUNK - 3, rng._CHUNK * 2 + 3
-    states = [gen.bit_generator.state["state"]["state"] for gen in derived_generators(11, lo, hi)]
-    assert states == [make_generator(derive_seed(11, t)).bit_generator.state["state"]["state"] for t in range(lo, hi)]
