@@ -63,6 +63,6 @@ from .nbwalk import (
     pseudo_girth,
 )
 from .rng import RNG_ALGORITHM, derive_seed, make_generator
-from .spectral import SpectralReport, laplacian, spectral_error
+from .spectral import SpectralReport, spectral_error
 
 __version__ = "0.1.0"

@@ -197,14 +197,6 @@ class WeightedGraph:
             self._csr = (np.searchsorted(src[order], np.arange(self.n + 1)), dst, wgt)
         return self._csr
 
-    def weight_matrix(self) -> np.ndarray:
-        """Dense symmetric matrix of bundle weights (zero diagonal)."""
-        us, vs, ws, _ = self.edge_arrays()
-        a = np.zeros((self.n, self.n))
-        a[us, vs] = ws
-        a[vs, us] = ws
-        return a
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedGraph):
             return NotImplemented

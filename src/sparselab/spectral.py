@@ -1,14 +1,13 @@
-"""Laplacians and the spectral sparsification error.
+"""The relative spectral error of a graph against a reference.
 
 The relative spectral error of H against G is the worst deviation from 1 of
-the generalized eigenvalues of (L_H, L_G) restricted to the range of L_G.
-The reference's type picks the path.  A :class:`Clique` reference needs only
-the extreme eigenvalues of L_H on the complement of the all-ones vector,
-because the clique Laplacian acts as w*n times the identity there; a
-thick-restart Lanczos iteration with a basis of at most 64 vectors finds
-them from the edge arrays, with no n x n array and in memory linear in n.  A
-:class:`WeightedGraph` reference is whitened with the pseudo-inverse square
-root of L_G, a dense solve of at most ``cap`` vertices.
+the generalized eigenvalues of (L_H, L_G) on range(L_G).  One thick-restart
+Lanczos iteration on L_G^+ L_H, self-adjoint in the L_G inner product
+(Parlett, The Symmetric Eigenvalue Problem, ch. 15), finds both extremes for
+either reference type with no n x n array.  A reference supplies only
+y -> L_G^+ y: a closed form for a :class:`Clique`, whose L_G is w*n on the
+complement of the all-ones vector, and Jacobi-preconditioned conjugate
+gradients (Hestenes and Stiefel, 1952) for a :class:`WeightedGraph`.
 """
 
 from __future__ import annotations
@@ -19,156 +18,166 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NotComparableError, SizeLimitError
-from .graph import Clique, WeightedGraph
+from .graph import Clique, WeightedGraph, _component_labels
 from .rng import make_generator
 
-DENSE_CAP = 4000
-_KERNEL_SPLIT_RTOL = 1e-10  # eigenvalues of L_G below this (relative) are kernel
-_KERNEL_CONTAIN_RTOL = 1e-8  # tolerance for kernel(L_G) inside kernel(L_H)
-_LANCZOS_RTOL = 1e-13  # extreme Ritz residuals below this times ||L_H|| have converged
+BASIS_CAP = 4000  # the Lanczos basis and its images hold at most BASIS_CAP**2 numbers
+_LANCZOS_RTOL = 1e-13  # extreme Ritz residuals below this times max ||L_G^+ L_H v|| have converged
 _LANCZOS_SEED = 0  # the start vector is fixed, so replays are identical
-_BASIS_ROWS = 64  # Lanczos basis rows, the all-ones row included
+_BASIS_ROWS = 63  # Lanczos basis rows
 _KEEP = 8  # at most this many Ritz vectors kept at each end of the spectrum at a restart
 _STEPS_PER_VERTEX = 100  # a solve that takes more than this many steps per vertex fails
+_CG_RTOL = 1e-14  # backward error at which a conjugate-gradient solve stops
+_CG_STEPS_PER_VERTEX = 10  # a conjugate-gradient solve that takes more steps per vertex than this fails
 
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """The spectral error and the solver's own data.
-
-    ``iterations`` and ``residual`` describe the Lanczos solve of the clique
-    path: its number of products with L_H, over all its restarts, and the
-    larger extreme Ritz residual relative to the Gershgorin bound on ||L_H||.
-    The dense whitening solve leaves them None.  They stay out of the JSON
-    report.
-    """
+    """The spectral error, and solver data that stays out of the JSON: ``method``
+    ("clique", or "cg" for a graph's conjugate-gradient L_G^+), Lanczos steps over
+    all restarts, and the larger extreme Ritz residual relative to max ||L_G^+ L_H v||."""
 
     epsilon: float
     lambda_min: float
     lambda_max: float
-    kernel_ok: bool
     n: int
     method: str
-    iterations: int | None = None
-    residual: float | None = None
+    iterations: int
+    residual: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "lambda_min": self.lambda_min,
-            "lambda_max": self.lambda_max,
-            "kernel_ok": self.kernel_ok,
-            "n": self.n,
-        }
+        # a report exists only for a comparable pair: kernel(L_G) lies in kernel(L_H)
+        return {"epsilon": self.epsilon, "lambda_min": self.lambda_min, "lambda_max": self.lambda_max,
+                "kernel_ok": True, "n": self.n}
 
 
-def laplacian(graph: WeightedGraph) -> np.ndarray:
-    """L = D - A with D the diagonal of weighted degrees; rows sum to zero exactly."""
-    a = graph.weight_matrix()
-    d = a.sum(axis=1)
-    lap = -a
-    lap[np.diag_indices(graph.n)] = d
-    return lap
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    return float(np.einsum("i,i", x, y))
 
 
-def _lanczos_extremes(h: WeightedGraph, norm: float, cap: int) -> tuple[float, float, int, float]:
-    """Smallest and largest eigenvalue of L_H on the complement of the all-ones vector.
+def _laplacian_product(graph: WeightedGraph):
+    """x -> L x, summing each adjacency row with ``reduceat`` through one bundle-sized buffer."""
+    indptr, nbr, wgt = graph.csr()
+    deg, buf, rows = graph.weighted_degrees(), np.empty(nbr.size), np.diff(indptr) > 0  # no empty segments
 
-    Thick-restart Lanczos (Wu and Simon, 2000) from a fixed random start, with
-    L_H x formed from the edge arrays.  Row 0 of the basis V is the unit
-    all-ones vector.  The image L_H v of each new row is kept, and what is
-    left of it after two classical Gram-Schmidt passes against V, of norm
-    beta, gives the next row.  V has at most 64 rows, and V and the images
-    together hold at most cap**2 numbers.  When V is full, or beta is near
-    breakdown, a Rayleigh-Ritz step on V (L_H V)' gives Ritz pairs whose
-    residuals are beta |s_last|.  Once both extreme residuals are at most
-    _LANCZOS_RTOL * norm, it returns.  Otherwise it keeps the smallest and
-    largest Ritz vectors, _KEEP at each end and at most a quarter of the
-    rows, with their images, and goes on from the residual direction, so the
-    Lanczos relation holds across the restart.  The coefficients come from
-    ``einsum``, which does not split a sum across BLAS threads, so the result
-    is the same on any number of CPUs.  Returns (theta_min, theta_max, steps,
-    residual / norm).
+    def product(x: np.ndarray) -> np.ndarray:
+        y = deg * x  # indices are in range; "clip" only lets take write into the buffer
+        y[rows] -= np.add.reduceat(np.multiply(wgt, np.take(x, nbr, out=buf, mode="clip"), out=buf), indptr[:-1][rows])
+        return y
+
+    return product
+
+
+def _cg_solver(g: WeightedGraph, project):
+    """y -> L_G^+ y for y in range(L_G) by Jacobi-preconditioned conjugate gradients, kept in
+    range(L_G) by projecting each preconditioned residual.  A solve stops at residual
+    _CG_RTOL * (||L_G|| ||x|| + scale), a backward error that rounding lets it reach however
+    ill-conditioned L_G is, or raises SizeLimitError after _CG_STEPS_PER_VERTEX * n products."""
+    apply, deg = _laplacian_product(g), g.weighted_degrees()
+    inv_deg = np.divide(1.0, deg, out=np.zeros(g.n), where=deg > 0)  # isolated vertices are projected out
+    norm, budget = 2.0 * float(deg.max()), int(_CG_STEPS_PER_VERTEX * g.n)  # Gershgorin bound on ||L_G||
+
+    def solve(y: np.ndarray, scale: float) -> np.ndarray:
+        x, r = np.zeros(g.n), y.copy()
+        p = s = project(inv_deg * r)
+        rs = _dot(r, s)
+        for _ in range(budget):
+            if math.sqrt(_dot(r, r)) <= _CG_RTOL * (norm * math.sqrt(_dot(x, x)) + scale):
+                return x
+            q = apply(p)
+            alpha = rs / _dot(p, q)
+            x += alpha * p
+            r -= alpha * q
+            s = project(inv_deg * r)
+            rs, rs_old = _dot(r, s), rs
+            p = s + (rs / rs_old) * p
+        raise SizeLimitError(f"conjugate gradients did not converge within {budget} steps at n={g.n}")
+
+    return solve
+
+
+def _lanczos_extremes(lh, solve, project, u: np.ndarray, rank: int, cap: int) -> tuple[float, float, int, float]:
+    """Smallest and largest eigenvalue of A = L_G^+ L_H on range(L_G), of dimension rank.
+
+    Thick-restart Lanczos (Wu and Simon, 2000) from u = L_G w, w in range(L_G).
+    The rows v of V are orthonormal in <x, y> = x' L_G y and kept with their
+    images L_G v.  As V lies in range(L_G), <V, L_G^+ L_H v> = V L_H v: the
+    first Gram-Schmidt pass gives the new column of T = V L_H V'.  Both passes
+    act on the new direction's image u, minus the rows' images; component
+    means, which the L_G norm does not see, leave u; w = L_G^+ u has L_G norm
+    beta = sqrt(w'u).  When V is full (63 rows, or cap**2 numbers with the
+    images) or beta nears breakdown, Ritz pairs of T have residuals
+    beta |s_last|; it returns once both extremes' are at most _LANCZOS_RTOL *
+    max ||A v||, else keeps _KEEP Ritz vectors at each end (at most a quarter
+    of the rows) and goes on from w, so the Lanczos relation holds.  Dots are
+    ``einsum``s, which do not split sums across BLAS threads, so the result is
+    the same on any number of CPUs.  Returns (theta_min, theta_max, steps, residual / norm).
     """
-    n = h.n
-    rows = min(n, _BASIS_ROWS, cap * cap // (2 * n))
-    ends = min(_KEEP, (rows - 1) // 4)
-    if rows < n and ends < 1:
+    n = u.size
+    rows = min(rank, _BASIS_ROWS, cap * cap // (2 * n))
+    ends = min(_KEEP, rows // 4)
+    if rows < rank and ends < 1:
         raise SizeLimitError(f"cap {cap} leaves {rows} Lanczos rows at n={n}, too few to restart")
-    us, vs, ws, _ = h.edge_arrays()
-    deg = h.weighted_degrees()
-    basis, images = np.zeros((rows, n)), np.zeros((rows, n))
-    basis[0] = 1.0 / math.sqrt(n)
-    w = make_generator(_LANCZOS_SEED).standard_normal(n)
-    k, steps = 1, 0  # basis rows in use; products with L_H
+    basis, images, t = np.zeros((rows, n)), np.zeros((rows, n)), np.zeros((rows, rows))  # T in its lower triangle
+    w = solve(u, math.sqrt(_dot(u, u)))
+    b = math.sqrt(max(_dot(w, u), 0.0))
+    k, steps, norm = 0, 0, np.finfo(float).tiny  # basis rows in use; products with L_H; max ||A v||
     while True:
-        for _ in range(2):
-            w -= np.einsum("ij,j->i", basis[:k], w) @ basis[:k]
-        b = math.sqrt(np.einsum("i,i", w, w))
         if k == rows or b <= math.sqrt(_LANCZOS_RTOL) * norm:
-            m = np.einsum("ij,kj->ik", basis[1:k], images[1:k])
-            theta, s = np.linalg.eigh((m + m.T) / 2.0)
+            theta, s = np.linalg.eigh(t[:k, :k])
             residual = b * float(np.abs(s[-1, [0, -1]]).max()) / norm
             if residual <= _LANCZOS_RTOL:
                 return float(theta[0]), float(theta[-1]), steps, residual
-            keep = s if k <= 2 * ends + 1 else s[:, np.r_[:ends, -ends:0]]
-            kept = 1 + keep.shape[1]
-            basis[1:kept], images[1:kept] = keep.T @ basis[1:k], keep.T @ images[1:k]
-            k = kept
+            keep = np.r_[:k] if k <= 2 * ends else np.r_[:ends, -ends:0]
+            basis[: keep.size], images[: keep.size] = s[:, keep].T @ basis[:k], s[:, keep].T @ images[:k]
+            k = keep.size
+            t[:k, :k] = np.diag(theta[keep])
         if steps == _STEPS_PER_VERTEX * n:
             raise SizeLimitError(f"Lanczos did not converge within {steps} steps at n={n}")
-        v = basis[k]
-        np.divide(w, b, out=v)
-        images[k] = deg * v - np.bincount(us, ws * v[vs], n) - np.bincount(vs, ws * v[us], n)
-        w = images[k].copy()
+        np.divide(w, b, out=basis[k])
+        np.divide(u, b, out=images[k])
+        z = lh(basis[k])
         k, steps = k + 1, steps + 1
+        c = t[k - 1, :k] = np.einsum("ij,j->i", basis[:k], z)
+        u = z - c @ images[:k]
+        u = project(u - np.einsum("ij,j->i", basis[:k], u) @ images[:k])
+        w = solve(u, math.sqrt(_dot(z, z)))
+        b = math.sqrt(max(_dot(w, u), 0.0))
+        norm = max(norm, math.sqrt(_dot(c, c) + b * b))
 
 
-def spectral_error(h: WeightedGraph, g: WeightedGraph | Clique, cap: int = DENSE_CAP) -> SpectralReport:
+def spectral_error(h: WeightedGraph, g: WeightedGraph | Clique, cap: int = BASIS_CAP) -> SpectralReport:
     """Relative spectral error: max |lambda - 1| over generalized eigenvalues
     of (L_H, L_G) on range(L_G).
 
-    ``cap`` bounds the dense whitening solve at cap vertices, and the Lanczos
-    basis with its L_H images at cap**2 numbers.  A Lanczos solve raises
-    SizeLimitError when cap leaves it too few rows to restart, or when it has
-    not converged within _STEPS_PER_VERTEX * n steps, so no unconverged value
-    is reported.
-    Raises NotComparableError when kernel(L_G) is not contained in kernel(L_H)
-    numerically, since no finite relative error exists there.
+    ``cap`` bounds the Lanczos basis and its images at cap**2 numbers.  Raises
+    SizeLimitError when cap leaves too few rows to restart, or the Lanczos or a
+    conjugate-gradient solve runs past its step budget, so no unconverged value
+    is reported.  kernel(L_G) is spanned by the indicators of G's components, so
+    raises NotComparableError exactly when a positive-weight bundle of H joins
+    two of them, or G has no positive-weight bundle.
     """
     if h.n != g.n:
         raise InvalidArgumentError(f"vertex sets differ: {h.n} vs {g.n}")
     n = h.n
     if n < 2:
         raise InvalidArgumentError("need at least 2 vertices for a spectral error")
-    # Gershgorin bound on ||L_H||: within a factor 2 of the true spectral norm.
-    lh_norm = max(2.0 * float(h.weighted_degrees().max(initial=0.0)), np.finfo(float).tiny)
+    labels = np.zeros(n, dtype=np.int64) if isinstance(g, Clique) else _component_labels(g)
+    us, vs, ws, _ = h.edge_arrays()
+    joined = (ws > 0) & (labels[us] != labels[vs])
+    if joined.any():
+        i = int(np.argmax(joined))
+        raise NotComparableError(f"bundle ({us[i]}, {vs[i]}) of H joins two components of the reference")
+    _, comp = np.unique(labels, return_inverse=True)
+    size = np.bincount(comp)
+    if size.size == n:
+        raise NotComparableError("the reference has no positive-weight bundle")
 
-    if isinstance(g, Clique):
-        # kernel(L_G) = span(1) lies in kernel(L_H) for every graph
-        lo, hi, iterations, residual = _lanczos_extremes(h, lh_norm, cap)
-        lam_min, lam_max, method = lo / (g.w * n), hi / (g.w * n), "clique"
-    else:
-        if n > cap:
-            raise SizeLimitError(f"n={n} exceeds dense cap {cap}")
-        lh = laplacian(h)
-        w, vecs = np.linalg.eigh(laplacian(g))
-        kernel = w <= _KERNEL_SPLIT_RTOL * max(float(np.abs(w).max()), np.finfo(float).tiny)
-        for v in vecs[:, kernel].T:
-            if float(np.linalg.norm(lh @ v)) > _KERNEL_CONTAIN_RTOL * lh_norm:
-                raise NotComparableError("kernel of the reference Laplacian is not annihilated by L_H")
-        white = vecs[:, ~kernel] / np.sqrt(w[~kernel])
-        m = white.T @ lh @ white
-        evals = np.linalg.eigvalsh((m + m.T) / 2.0)
-        lam_min, lam_max, method = float(evals[0]), float(evals[-1]), "whitening"
-        iterations = residual = None
-    return SpectralReport(
-        epsilon=max(abs(lam_min - 1.0), abs(lam_max - 1.0)),
-        lambda_min=lam_min,
-        lambda_max=lam_max,
-        kernel_ok=True,
-        n=n,
-        method=method,
-        iterations=iterations,
-        residual=residual,
-    )
+    def project(x: np.ndarray) -> np.ndarray:
+        return x - (np.bincount(comp, x, size.size) / size)[comp]
+
+    clique = isinstance(g, Clique)
+    solve = (lambda y, scale: y / (g.w * n)) if clique else _cg_solver(g, project)
+    start = project(make_generator(_LANCZOS_SEED).standard_normal(n))
+    lo, hi, steps, residual = _lanczos_extremes(_laplacian_product(h), solve, project, start, n - size.size, cap)
+    return SpectralReport(max(abs(lo - 1.0), abs(hi - 1.0)), lo, hi, n, "clique" if clique else "cg", steps, residual)

@@ -20,7 +20,8 @@ from sparselab.errors import DegenerateInputError, InvalidArgumentError, SizeLim
 from sparselab.graph import Clique, WeightedGraph, _concat_ranges
 from sparselab.nbwalk import FIRST_STEP_UNIFORM, FIRST_STEP_WEIGHT, PseudoGirthReport, _EdgeSpace, _vector_panels, _walk_levels
 from sparselab.rng import derive_seed, make_generator
-from sparselab.spectral import DENSE_CAP, laplacian
+
+DENSE_CAP = 4000  # the dense oracles stop at this many vertices
 
 
 def erf_series(x: float, terms: int = 120) -> float:
@@ -127,6 +128,24 @@ def random_weighted_graph(rng: np.random.Generator, n: int, density: float) -> W
     return WeightedGraph(n, edges)
 
 
+def weight_matrix(graph: WeightedGraph) -> np.ndarray:
+    """Dense symmetric matrix of bundle weights (zero diagonal)."""
+    us, vs, ws, _ = graph.edge_arrays()
+    a = np.zeros((graph.n, graph.n))
+    a[us, vs] = ws
+    a[vs, us] = ws
+    return a
+
+
+def laplacian(graph: WeightedGraph) -> np.ndarray:
+    """L = D - A with D the diagonal of weighted degrees; rows sum to zero exactly."""
+    a = weight_matrix(graph)
+    d = a.sum(axis=1)
+    lap = -a
+    lap[np.diag_indices(graph.n)] = d
+    return lap
+
+
 def symmetric_eigenvalues(a, cap: int = DENSE_CAP) -> np.ndarray:
     """All eigenvalues in ascending order (LAPACK dense solver)."""
     arr = np.asarray(a, dtype=np.float64)
@@ -147,35 +166,47 @@ def regular_clique_epsilon_oracle(h_unscaled: WeightedGraph, d: int) -> float:
     deg = h_unscaled.combinatorial_degrees()
     if not np.all(deg == d):
         raise InvalidArgumentError("oracle requires an unweighted d-regular multigraph")
-    eta = symmetric_eigenvalues(h_unscaled.weight_matrix())
+    eta = symmetric_eigenvalues(weight_matrix(h_unscaled))
     eta = eta[:-1]  # drop the Perron eigenvalue (= d for connected H)
     lam = (n - 1) * (d - eta) / (d * n)
     return float(np.abs(lam - 1.0).max())
 
 
-def pair_scan_oracle(h: WeightedGraph, g: Clique, row_block: int = 1024):
-    """(best, witness, examined) of the singleton and pair scan against a clique,
-    over the dense weight matrix of H in row blocks.
+def pair_scan_oracle(h: WeightedGraph, g: WeightedGraph | Clique, row_block: int = 1024):
+    """(best, witness, examined) of the singleton and pair scan, over the dense
+    weight matrices in row blocks.
 
-    The scan the sampled cut error used before it read the clique's pairs
-    from the edge arrays; the witness is a worst singleton, else the first
-    worst pair in row order.
+    The scan the sampled cut error used before it read the pairs from the
+    edge arrays; the witness is a worst singleton, else the first worst pair
+    in row order.
     """
     n = h.n
+    clique = isinstance(g, Clique)
     dh = h.weighted_degrees()
-    dev1 = np.abs(dh / g.cut(1) - 1.0)
+    dg = np.full(n, g.cut(1)) if clique else g.weighted_degrees()
+    if np.any(dg <= 0):
+        v = int(np.argmax(dg <= 0))
+        raise DegenerateInputError(f"reference cut is zero for S=({v},); no finite relative error exists")
+    dev1 = np.abs(dh / dg - 1.0)
     i = int(np.argmax(dev1))
     best, witness = float(dev1[i]), (i,)
     examined = n
     if n >= 3:
-        wh = h.weight_matrix()
+        wh, wg = weight_matrix(h), (None if clique else weight_matrix(g))
         for lo in range(0, n, row_block):
             hi = min(lo + row_block, n)
             ch = (dh[lo:hi, None] + dh[None, :]) - 2.0 * wh[lo:hi]
+            cg = np.full(ch.shape, g.cut(2)) if clique else (dg[lo:hi, None] + dg[None, :]) - 2.0 * wg[lo:hi]
             iu, iv = np.triu_indices(hi - lo, k=1, m=n)
             keep = iv > iu + lo
             iu, iv = iu[keep], iv[keep]
-            dev = np.abs(ch[iu, iv] / g.cut(2) - 1.0)
+            ch, cg = ch[iu, iv], cg[iu, iv]
+            if np.any(cg <= 0):
+                j = int(np.argmax(cg <= 0))
+                raise DegenerateInputError(
+                    f"reference cut is zero for S=({iu[j] + lo}, {iv[j]}); no finite relative error exists"
+                )
+            dev = np.abs(ch / cg - 1.0)
             examined += dev.size
             j = int(np.argmax(dev)) if dev.size else 0
             if dev.size and dev[j] > best:
@@ -189,9 +220,26 @@ def clique_pairs_oracle(h: WeightedGraph, cut2: float) -> tuple[float, tuple[int
     row order, from the dense weight matrix of H."""
     dh = h.weighted_degrees()
     iu, iv = np.triu_indices(h.n, k=1)
-    dev = np.abs(((dh[iu] + dh[iv]) - 2.0 * h.weight_matrix()[iu, iv]) / cut2 - 1.0)
+    dev = np.abs(((dh[iu] + dh[iv]) - 2.0 * weight_matrix(h)[iu, iv]) / cut2 - 1.0)
     j = int(np.argmax(dev))
     return float(dev[j]), (int(iu[j]), int(iv[j]))
+
+
+def whitening_extremes_oracle(h: WeightedGraph, g: WeightedGraph) -> tuple[float, float]:
+    """(lambda_min, lambda_max) of the pencil (L_H, L_G) on range(L_G), by dense whitening.
+
+    The eigenvectors of L_G with eigenvalues above 1e-10 of its largest span
+    its range; scaling them by the inverse square roots of their eigenvalues
+    whitens L_G, and the extremes are those of L_H in that basis.  The
+    spectral error computed both references this way before it ran one
+    Lanczos solver for both.
+    """
+    w, vecs = np.linalg.eigh(laplacian(g))
+    kernel = w <= 1e-10 * max(float(np.abs(w).max()), np.finfo(float).tiny)
+    white = vecs[:, ~kernel] / np.sqrt(w[~kernel])
+    m = white.T @ laplacian(h) @ white
+    evals = np.linalg.eigvalsh((m + m.T) / 2.0)
+    return float(evals[0]), float(evals[-1])
 
 
 def spectral_extremes_oracle(h: WeightedGraph, g: Clique) -> tuple[float, float]:

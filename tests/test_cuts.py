@@ -23,7 +23,15 @@ from sparselab.cuts import (
     regular_vs_clique_exhaustive,
 )
 from sparselab.errors import DegenerateInputError, InvalidArgumentError, SizeLimitError
-from sparselab.graph import Clique, WeightedGraph, make_clique, make_cycle, sample_regular_multigraph, scale_weights
+from sparselab.graph import (
+    Clique,
+    WeightedGraph,
+    first_matchings_subgraph,
+    make_clique,
+    make_cycle,
+    sample_regular_multigraph,
+    scale_weights,
+)
 from sparselab.rng import make_generator
 from sparselab.spectral import spectral_error
 
@@ -239,6 +247,36 @@ class TestCliquePairScan:
         # and a vertex cuts 6 against 5: the pairs without an edge all tie at the worst, 1/2
         best, witness, examined = cuts._pair_scan(make_cycle(6, 3.0), Clique(6, 1.0))
         assert (best, witness, examined) == (0.5, (0, 2), 6 + 15)
+
+
+class TestGraphPairScan:
+    @settings(max_examples=50, deadline=None)
+    @given(pair=graph_pairs(max_n=12), slab=st.sampled_from([None, 1, 20]))
+    def test_equals_the_dense_scan(self, pair, slab):
+        h, g = pair
+        with mock.patch.object(cuts, "_SLAB_CELLS", slab or cuts._SLAB_CELLS):  # 1: one row per slab
+            assert cuts._pair_scan(h, g) == pair_scan_oracle(h, g)
+            assert cuts._pair_scan(g, h) == pair_scan_oracle(g, h)
+
+    def test_first_zero_reference_pair_is_named(self):
+        # {1, 2} is a component of the reference, so its pair cut is zero; slabs of one row
+        h, g = make_cycle(5, 1.0), WeightedGraph(5, [(0, 3, 1.0), (3, 4, 1.0), (0, 4, 1.0), (1, 2, 1.0)])
+        with mock.patch.object(cuts, "_SLAB_CELLS", 1), pytest.raises(DegenerateInputError, match=r"S=\(1, 2\)"):
+            cuts._pair_scan(h, g)
+        with pytest.raises(DegenerateInputError, match=r"S=\(1, 2\)"):
+            pair_scan_oracle(h, g)
+
+    def test_slabs_hold_no_dense_matrix(self):
+        # the dense scan held two n x n matrices, 2 * 8 * 2000**2 bytes = 64 MB at n = 2000
+        g = sample_regular_multigraph(2000, 16, 0)
+        h = scale_weights(first_matchings_subgraph(g, 4), 4.0)
+        tracemalloc.start()
+        try:
+            cuts._pair_scan(h, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestCutProfile:
@@ -523,5 +561,5 @@ class TestReferenceProperties:
         b = cut_error_sampled(h, graph, 5, range(1, h.n), seed)
         assert abs(a.epsilon - b.epsilon) <= 1e-9 and a.subsets_examined == b.subsets_examined
         a, b = spectral_error(h, clique), spectral_error(h, graph)
-        assert (a.method, b.method) == ("clique", "whitening")
+        assert (a.method, b.method) == ("clique", "cg")
         assert abs(a.epsilon - b.epsilon) <= 1e-9

@@ -5,7 +5,6 @@ import pytest
 
 from sparselab import cuts, harness, spectral
 from sparselab.errors import InvalidArgumentError
-from sparselab.graph import WeightedGraph
 from sparselab.harness import (
     bounds_table_csv,
     run_bounds_table,
@@ -80,13 +79,20 @@ class TestSeparation:
         run_separation(16, 6, 3, seeds=2, g=2, master_seed=4, target=target)
         assert len(calls) == 2 * solves_per_seed
 
-    def test_clique_target_builds_no_dense_matrix(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("n x n array on the clique path")
+    @pytest.mark.parametrize("target", ["clique", "parent"])
+    def test_no_target_builds_a_dense_matrix(self, monkeypatch, target):
+        n = 64
 
-        monkeypatch.setattr(WeightedGraph, "weight_matrix", refuse)
-        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-        rep = run_separation(64, 8, 4, seeds=2, g=2, master_seed=3, target="clique", cut_mode="sampled")
+        def refuse(solver):
+            def guarded(a, *args, **kwargs):
+                assert len(a) < n, "n x n eigenproblem"  # the Lanczos basis holds at most n - 1 rows
+                return solver(a, *args, **kwargs)
+
+            return guarded
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse(getattr(np.linalg, name)))
+        rep = run_separation(n, 8, 4, seeds=2, g=2, master_seed=3, target=target, cut_mode="sampled")
         assert len(rep["records"]) == 2
 
     def test_sampled_mode(self):

@@ -22,14 +22,17 @@ from sparselab.graph import (
     write_edge_list,
 )
 from sparselab.rng import make_generator
-from sparselab.spectral import laplacian, spectral_error
+from sparselab.spectral import spectral_error
 
 from helpers import (
+    DENSE_CAP,
     graph_pairs,
+    laplacian,
     random_connected_graph,
     regular_clique_epsilon_oracle,
     spectral_extremes_oracle,
     symmetric_eigenvalues,
+    whitening_extremes_oracle,
 )
 
 
@@ -121,7 +124,7 @@ class TestSpectralError:
             h = random_connected_graph(rng, 14, 25)
             a = spectral_error(h, Clique(14, 0.7))
             b = spectral_error(h, make_clique(14, 0.7))
-            assert (a.method, b.method) == ("clique", "whitening")
+            assert (a.method, b.method) == ("clique", "cg")
             assert a.epsilon == pytest.approx(b.epsilon, abs=1e-9)
 
     def test_dominates_cut_error(self):
@@ -151,7 +154,7 @@ class TestSpectralError:
         g = WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
         rep = spectral_error(g, g)
         assert rep.epsilon == pytest.approx(0.0, abs=1e-10)
-        assert rep.method == "whitening"
+        assert rep.method == "cg"
 
     def test_vertex_mismatch(self):
         with pytest.raises(InvalidArgumentError):
@@ -165,7 +168,7 @@ class TestAdjacencyOracle:
         n, d = 100, 6
         for seed in range(3):
             h = sample_regular_multigraph(n, d, seed=seed)
-            direct = spectral_error(scale_weights(h, (n - 1) / d), make_clique(n, 1.0))  # whitening
+            direct = spectral_error(scale_weights(h, (n - 1) / d), make_clique(n, 1.0))  # conjugate gradients
             oracle = regular_clique_epsilon_oracle(h, d)
             assert direct.epsilon == pytest.approx(oracle, abs=1e-8)
 
@@ -239,7 +242,7 @@ class TestLanczos:
     @given(h=lanczos_graphs(), w=st.floats(0.1, 10.0), rows=st.one_of(st.none(), st.integers(18, 30)))
     def test_extremes_match_the_dense_oracle(self, h, w, rows):
         # a cap that leaves 18-30 basis rows restarts on the larger graphs
-        cap = spectral.DENSE_CAP if rows is None else _cap_for_rows(h.n, rows)
+        cap = spectral.BASIS_CAP if rows is None else _cap_for_rows(h.n, rows)
         rep = spectral_error(h, Clique(h.n, w), cap=cap)
         norm = max(2.0 * float(h.weighted_degrees().max()), np.finfo(float).tiny)
         tol = 1e-10 * norm / (w * h.n)
@@ -267,7 +270,7 @@ class TestLanczos:
     def test_hypercube_above_the_dense_cap(self):
         w = 0.3
         h = _hypercube(12)
-        assert h.n == 4096 > spectral.DENSE_CAP
+        assert h.n == 4096 > DENSE_CAP
         rep = spectral_error(h, Clique(h.n, w))
         tol = 1e-10 * 24.0 / (w * h.n)
         assert rep.lambda_min == pytest.approx(2.0 / (w * h.n), abs=tol)
@@ -284,8 +287,10 @@ class TestLanczos:
         assert 1 <= rep.iterations <= _budget(h.n)
         assert 0.0 <= rep.residual <= spectral._LANCZOS_RTOL
         assert set(rep.to_json_dict()) == {"epsilon", "lambda_min", "lambda_max", "kernel_ok", "n"}
-        whitened = spectral_error(h, make_clique(h.n, 1.0))
-        assert (whitened.iterations, whitened.residual) == (None, None)
+        graph = spectral_error(h, make_clique(h.n, 1.0))
+        assert graph.method == "cg"
+        assert 1 <= graph.iterations <= _budget(h.n)
+        assert 0.0 <= graph.residual <= spectral._LANCZOS_RTOL
 
     def test_restarted_solve_matches_the_full_basis(self):
         # cap 300 leaves 45 rows at n = 1000; a basis that only grows stopped there after 89 steps
@@ -301,8 +306,8 @@ class TestLanczos:
     def test_unconverged_solve_is_a_size_limit(self, monkeypatch):
         h = make_cycle(200, 0.5)
         assert spectral_error(h, Clique(200, 1.0), cap=_cap_for_rows(200, 18)).residual <= spectral._LANCZOS_RTOL
-        with pytest.raises(SizeLimitError, match="too few to restart"):  # 4 rows keep no Ritz vector at either end
-            spectral_error(h, Clique(200, 1.0), cap=_cap_for_rows(200, 5) - 1)
+        with pytest.raises(SizeLimitError, match="too few to restart"):  # 3 rows keep no Ritz vector at either end
+            spectral_error(h, Clique(200, 1.0), cap=_cap_for_rows(200, 4) - 1)
         path = WeightedGraph(400, [(i, i + 1, 1.0) for i in range(399)])
         assert spectral_error(path, Clique(400, 1.0)).iterations > 400
         monkeypatch.setattr(spectral, "_STEPS_PER_VERTEX", 1)
@@ -313,12 +318,109 @@ class TestLanczos:
         h, g = tmp_path / "h.edges", tmp_path / "g.edges"
         write_edge_list(make_cycle(200, 0.5), h)
         write_edge_list(make_clique(200, 1.0), g)
-        monkeypatch.setattr(spectral, "spectral_error", functools.partial(spectral.spectral_error, cap=40))
+        monkeypatch.setattr(spectral, "spectral_error", functools.partial(spectral.spectral_error, cap=30))
         assert main(["spectral-error", "--h-file", str(h), "--g-file", str(g)]) == 3
         assert "too few to restart" in capsys.readouterr().err
 
-    def test_cap_bounds_only_the_dense_whitening(self):
+    def test_graph_reference_above_the_cap_matches_the_clique(self):
+        # cap 40 leaves 16 rows at n = 50, so both solves restart
         h = make_cycle(50, 1.0)
-        assert spectral_error(h, Clique(50, 1.0), cap=40).method == "clique"
-        with pytest.raises(SizeLimitError, match="dense cap"):
-            spectral_error(h, make_clique(50, 1.0), cap=40)
+        a, b = spectral_error(h, Clique(50, 1.0), cap=40), spectral_error(h, make_clique(50, 1.0), cap=40)
+        assert (a.method, b.method) == ("clique", "cg")
+        assert abs(a.lambda_min - b.lambda_min) <= 1e-10 * a.lambda_max
+        assert abs(a.lambda_max - b.lambda_max) <= 1e-10 * a.lambda_max
+
+
+@st.composite
+def component_pairs(draw):
+    """(h, g, crossed) on 2..12 vertices: g is connected inside each of its 1..4
+    components, with g's weights scaled by 1e-3..1e3; h's bundles stay inside
+    g's components, or carry zero weight, except for one positive bundle
+    across two components when ``crossed``."""
+    n = draw(st.integers(2, 12))
+    label = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    scale = draw(st.floats(1e-3, 1e3))
+    g_edges, h_edges = {}, {}
+    for v in range(1, n):  # each vertex hangs off an earlier vertex of its component, if it has one
+        earlier = [u for u in range(v) if label[u] == label[v]]
+        if earlier:
+            g_edges[(draw(st.sampled_from(earlier)), v)] = scale * draw(st.floats(0.2, 2.0))
+    for u, v, w in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.floats(0.2, 2.0)), max_size=2 * n)):
+        u, v = min(u, v), max(u, v)
+        if u != v:
+            (g_edges if label[u] == label[v] and draw(st.booleans()) else h_edges)[(u, v)] = w if label[u] == label[v] else 0.0
+    apart = [(u, v) for u in range(n) for v in range(u + 1, n) if label[u] != label[v]]
+    crossed = bool(apart) and draw(st.booleans())
+    if crossed:
+        h_edges[draw(st.sampled_from(apart))] = draw(st.floats(1e-12, 2.0))
+    return (
+        WeightedGraph(n, [(u, v, w) for (u, v), w in h_edges.items()]),
+        WeightedGraph(n, [(u, v, w) for (u, v), w in g_edges.items()]),
+        crossed,
+    )
+
+
+def _assert_matches_whitening(h: WeightedGraph, g: WeightedGraph) -> None:
+    rep = spectral_error(h, g)
+    lo, hi = whitening_extremes_oracle(h, g)
+    assert rep.method == "cg"
+    assert abs(rep.lambda_min - lo) <= 1e-10 * hi
+    assert abs(rep.lambda_max - hi) <= 1e-10 * hi
+    assert rep.residual <= spectral._LANCZOS_RTOL
+
+
+class TestGraphReference:
+    @settings(max_examples=50, deadline=None)
+    @given(pair=graph_pairs(max_n=12), c=st.floats(1e-3, 1e3))
+    def test_connected_reference_matches_the_whitening(self, pair, c):
+        h, g = pair
+        _assert_matches_whitening(h, scale_weights(g, c))
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=component_pairs())
+    def test_not_comparable_exactly_when_a_bundle_joins_components(self, case):
+        h, g, crossed = case
+        if not g.num_bundles:
+            with pytest.raises(NotComparableError):
+                spectral_error(h, g)
+        elif crossed:
+            with pytest.raises(NotComparableError, match="joins two components"):
+                spectral_error(h, g)
+        else:
+            _assert_matches_whitening(h, g)
+
+    def test_tiny_bundle_across_components_is_not_comparable(self, tmp_path, capsys):
+        # the dense whitening's kernel tolerances passed this pair with epsilon 5e-13
+        g = WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
+        h = WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0), (1, 2, 1e-12)])
+        with pytest.raises(NotComparableError, match=r"bundle \(1, 2\) of H joins two components"):
+            spectral_error(h, g)
+        write_edge_list(h, tmp_path / "h.edges")
+        write_edge_list(g, tmp_path / "g.edges")
+        capsys.readouterr()
+        argv = ["spectral-error", "--h-file", str(tmp_path / "h.edges"), "--g-file", str(tmp_path / "g.edges")]
+        assert main(argv) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
+
+    def test_reference_without_edges_is_not_comparable(self):
+        # the dense whitening indexed an empty spectrum here
+        for h in (WeightedGraph(3, []), WeightedGraph(3, [(0, 1, 0.0)])):
+            with pytest.raises(NotComparableError, match="no positive-weight bundle"):
+                spectral_error(h, WeightedGraph(3, [(0, 1, 0.0)]))
+
+    def test_conjugate_gradient_budget_is_a_size_limit(self, tmp_path, monkeypatch, capsys):
+        # a path is the worst-conditioned connected reference: CG takes n - 1 steps per solve
+        n = 60
+        path = WeightedGraph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+        h = make_cycle(n, 1.0)
+        assert spectral_error(h, path).residual <= spectral._LANCZOS_RTOL
+        monkeypatch.setattr(spectral, "_CG_STEPS_PER_VERTEX", 0.5)
+        with pytest.raises(SizeLimitError, match=f"conjugate gradients did not converge within {n // 2} steps"):
+            spectral_error(h, path)
+        write_edge_list(h, tmp_path / "h.edges")
+        write_edge_list(path, tmp_path / "g.edges")
+        capsys.readouterr()
+        argv = ["spectral-error", "--h-file", str(tmp_path / "h.edges"), "--g-file", str(tmp_path / "g.edges")]
+        assert main(argv) == 3
+        assert "conjugate gradients did not converge" in capsys.readouterr().err
