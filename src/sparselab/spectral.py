@@ -59,10 +59,11 @@ def _laplacian_product(graph: WeightedGraph):
     """x -> L x, summing each adjacency row with ``reduceat`` through one bundle-sized buffer."""
     indptr, nbr, wgt = graph.csr()
     deg, buf, rows = graph.weighted_degrees(), np.empty(nbr.size), np.diff(indptr) > 0  # no empty segments
+    starts, rows = indptr[:-1][rows], slice(None) if rows.all() else rows
 
     def product(x: np.ndarray) -> np.ndarray:
         y = deg * x  # indices are in range; "clip" only lets take write into the buffer
-        y[rows] -= np.add.reduceat(np.multiply(wgt, np.take(x, nbr, out=buf, mode="clip"), out=buf), indptr[:-1][rows])
+        y[rows] -= np.add.reduceat(np.multiply(wgt, np.take(x, nbr, out=buf, mode="clip"), out=buf), starts)
         return y
 
     return product
@@ -180,4 +181,5 @@ def spectral_error(h: WeightedGraph, g: WeightedGraph | Clique, cap: int = BASIS
     solve = (lambda y, scale: y / (g.w * n)) if clique else _cg_solver(g, project)
     start = project(make_generator(_LANCZOS_SEED).standard_normal(n))
     lo, hi, steps, residual = _lanczos_extremes(_laplacian_product(h), solve, project, start, n - size.size, cap)
-    return SpectralReport(max(abs(lo - 1.0), abs(hi - 1.0)), lo, hi, n, "clique" if clique else "cg", steps, residual)
+    return SpectralReport(epsilon=max(abs(lo - 1.0), abs(hi - 1.0)), lambda_min=lo, lambda_max=hi, n=n,
+                          method="clique" if clique else "cg", iterations=steps, residual=residual)

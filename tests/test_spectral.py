@@ -334,9 +334,10 @@ class TestLanczos:
 @st.composite
 def component_pairs(draw):
     """(h, g, crossed) on 2..12 vertices: g is connected inside each of its 1..4
-    components, with g's weights scaled by 1e-3..1e3; h's bundles stay inside
-    g's components, or carry zero weight, except for one positive bundle
-    across two components when ``crossed``."""
+    components, its spanning-tree weights scaled by 1e-3..1e3 against its
+    other bundles; h's bundles stay inside g's components, or carry zero
+    weight, except for one positive bundle across two components when
+    ``crossed``."""
     n = draw(st.integers(2, 12))
     label = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
     scale = draw(st.floats(1e-3, 1e3))
@@ -345,10 +346,15 @@ def component_pairs(draw):
         earlier = [u for u in range(v) if label[u] == label[v]]
         if earlier:
             g_edges[(draw(st.sampled_from(earlier)), v)] = scale * draw(st.floats(0.2, 2.0))
-    for u, v, w in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.floats(0.2, 2.0)), max_size=2 * n)):
+    extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.floats(0.2, 2.0))
+    for u, v, w in draw(st.lists(extra, max_size=2 * n)):
         u, v = min(u, v), max(u, v)
-        if u != v:
-            (g_edges if label[u] == label[v] and draw(st.booleans()) else h_edges)[(u, v)] = w if label[u] == label[v] else 0.0
+        if u == v:
+            continue
+        if label[u] != label[v]:
+            h_edges[(u, v)] = 0.0
+        else:
+            (g_edges if draw(st.booleans()) else h_edges)[(u, v)] = w
     apart = [(u, v) for u in range(n) for v in range(u + 1, n) if label[u] != label[v]]
     crossed = bool(apart) and draw(st.booleans())
     if crossed:
