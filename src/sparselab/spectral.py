@@ -58,8 +58,8 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
 def _laplacian_product(graph: WeightedGraph):
     """x -> L x, summing each adjacency row with ``reduceat`` through one bundle-sized buffer."""
     indptr, nbr, wgt = graph.csr()
-    deg, buf, rows = graph.weighted_degrees(), np.empty(nbr.size), np.diff(indptr) > 0  # no empty segments
-    starts, rows = indptr[:-1][rows], slice(None) if rows.all() else rows
+    deg, buf, rows = graph.weighted_degrees(), np.empty(nbr.size), np.diff(indptr) > 0
+    starts, rows = indptr[:-1][rows], slice(None) if rows.all() else rows  # reduceat reads an empty row as one term
 
     def product(x: np.ndarray) -> np.ndarray:
         y = deg * x  # indices are in range; "clip" only lets take write into the buffer
@@ -108,8 +108,8 @@ def _lanczos_extremes(lh, solve, project, u: np.ndarray, rank: int, cap: int) ->
     means, which the L_G norm does not see, leave u; w = L_G^+ u has L_G norm
     beta = sqrt(w'u).  When V is full (63 rows, or cap**2 numbers with the
     images) or beta nears breakdown, Ritz pairs of T have residuals
-    beta |s_last|; it returns once both extremes' are at most _LANCZOS_RTOL *
-    max ||A v||, else keeps _KEEP Ritz vectors at each end (at most a quarter
+    beta |s_last|; it returns once both extreme ones are at most _LANCZOS_RTOL
+    * max ||A v||, else keeps _KEEP Ritz vectors at each end (at most a quarter
     of the rows) and goes on from w, so the Lanczos relation holds.  Dots are
     ``einsum``s, which do not split sums across BLAS threads, so the result is
     the same on any number of CPUs.  Returns (theta_min, theta_max, steps, residual / norm).
