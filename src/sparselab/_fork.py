@@ -6,12 +6,16 @@ from __future__ import annotations
 import os
 import pickle
 
-# A split of less work than this runs in-process.  Certificates count
-# n * max(n, directed edges) * g per root pass, a ball scan alone an eighth of
-# that.  One process against two forked workers, 2-core host, medians of 7:
-# certificates of the separation graph (d=4, g=2) took 19-28 against 26-32 ms
-# at n=600 (2.9e6) and 100-104 against 69-75 ms at n=1000 (8.0e6); ball scans
-# of 2.4e7 before the eighth (n=1000, d=8, g=3) 31-33 against 27-29 ms.
+# A split of less work than this runs in-process.  A certificate counts 32
+# per walk entry it expects, so it splits from 2^17 entries on; a ball scan
+# alone counts n * max(n, directed edges) * g / 8.  One process against two
+# forked workers, 2-core host, medians of 9: certificates of the separation
+# graph (d=4) took 20 against 41 ms at n=1000, g=2 (2.0e4 entries) and 31
+# against 53 ms at g=3 (6.8e4); of generated graphs, 62 against 57 ms at
+# n=2000, d=8, g=2 (1.4e5), 107 against 85 ms at n=1000, d=8, g=3 (5.2e5),
+# 301 against 178 ms at n=2000 (1.0e6) and 0.90 against 0.51 s at n=12000,
+# d=4, g=2 (2.4e5).  Ball scans of 2.4e7 before the eighth (n=1000, d=8,
+# g=3), medians of 7: 31-33 against 27-29 ms.
 # Martingale tails count trials * (n * d + 600), the 600 a trial's seeding
 # and looping (a least-squares fit of 9.2 us a trial plus 0.0155 us per cell,
 # n * d from 8 to 6400, best of 7 over 3000 trials in one process).  Two

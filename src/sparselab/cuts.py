@@ -353,7 +353,7 @@ def _clique_pairs(h: WeightedGraph, dh: np.ndarray, cut2: float) -> tuple[float,
     """
     n = h.n
     us, vs, ws, _ = h.edge_arrays()
-    keys = us * n + vs
+    keys = np.append(us * n + vs, -1)  # the sorted bundle keys, and -1 for a lookup past the last
 
     def dev(cut):
         return np.abs(cut / cut2 - 1.0)
@@ -365,7 +365,8 @@ def _clique_pairs(h: WeightedGraph, dh: np.ndarray, cut2: float) -> tuple[float,
     apart = []
     for order in (np.argsort(-dh, kind="stable"), np.argsort(dh, kind="stable")):
         lo, hi = np.minimum(owner, order[slot]), np.maximum(owner, order[slot])
-        free = (lo != hi) & ~np.isin(lo * n + hi, keys)
+        pair = lo * n + hi
+        free = (lo != hi) & (keys[np.searchsorted(keys[:-1], pair)] != pair)
         apart.append(dev(dh[lo[free]] + dh[hi[free]]).max(initial=-np.inf))
     worst_joined = joined.max(initial=-np.inf)
     best = max(worst_joined, *apart)
@@ -382,8 +383,9 @@ def _clique_pairs(h: WeightedGraph, dh: np.ndarray, cut2: float) -> tuple[float,
         for r0 in range(0, rows.size, step):
             r = rows[r0 : r0 + step]
             hit = (dev(dh[r, None] + dh) == best) & (np.arange(n) > r[:, None])
-            inside = np.isin(us, r)
-            hit[np.searchsorted(r, us[inside]), vs[inside]] = False
+            at = np.searchsorted(r, us)
+            inside = np.append(r, -1)[at] == us
+            hit[at[inside], vs[inside]] = False
             if hit.any():
                 i, v = divmod(int(np.argmax(hit)), n)
                 first.append((int(r[i]), v))

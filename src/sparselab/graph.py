@@ -413,48 +413,55 @@ def write_edge_list(graph: WeightedGraph, dest) -> None:
 
 
 def read_edge_list(path) -> WeightedGraph:
-    """Inverse of :func:`write_edge_list`; raises ParseError, with line numbers for bad text."""
-    n = None
-    records = []
-    seen: set[tuple[int, int]] = set()
+    """Inverse of :func:`write_edge_list`; raises ParseError, with line numbers for bad text.
+
+    The file is read whole, each edge column is converted in one pass and
+    checked as an array, and the error names the first bad line in file
+    order, with the first of its faults that a line-by-line reader would find.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split()
-                if n is None:
-                    if len(parts) != 2 or parts[0] != "n":
-                        raise ParseError("expected header 'n <count>'", lineno)
-                    try:
-                        n = int(parts[1])
-                    except ValueError:
-                        raise ParseError(f"bad vertex count {parts[1]!r}", lineno) from None
-                    if n <= 0:
-                        raise ParseError(f"vertex count must be positive, got {n}", lineno)
-                    continue
-                if len(parts) != 4:
-                    raise ParseError(f"expected 'u v weight mult', got {len(parts)} fields", lineno)
-                try:
-                    u, v = int(parts[0]), int(parts[1])
-                    w = float(parts[2])
-                    m = int(parts[3])
-                except ValueError:
-                    raise ParseError(f"unparseable edge fields {parts!r}", lineno) from None
-                if not 0 <= u < v < n:
-                    raise ParseError(f"edge ({u}, {v}) violates 0 <= u < v < n={n}", lineno)
-                if w < 0 or not np.isfinite(w):
-                    raise ParseError(f"invalid weight {w}", lineno)
-                if m < 1:
-                    raise ParseError(f"invalid multiplicity {m}", lineno)
-                if (u, v) in seen:
-                    raise ParseError(f"duplicate pair ({u}, {v})", lineno)
-                seen.add((u, v))
-                records.append((u, v, w, m))
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:  # a missing, unreadable or non-UTF-8 file
         raise ParseError(f"cannot read {path}: {exc}") from None
-    if n is None:
+    kept = [(i, line) for i, line in enumerate(map(str.strip, text.split("\n")), start=1) if line and line[0] != "#"]
+    if not kept:
         raise ParseError("missing 'n <count>' header")
-    us, vs, ws, ms = zip(*records) if records else ((), (), (), ())
-    return WeightedGraph.from_arrays(n, us, vs, ws, ms)
+    lineno, parts = kept[0][0], kept[0][1].split()
+    if len(parts) != 2 or parts[0] != "n":
+        raise ParseError("expected header 'n <count>'", lineno)
+    try:
+        n = int(parts[1])
+    except ValueError:
+        raise ParseError(f"bad vertex count {parts[1]!r}", lineno) from None
+    if n <= 0:
+        raise ParseError(f"vertex count must be positive, got {n}", lineno)
+    rows = [line.split() for _, line in kept[1:]]
+    types = (int, int, float, int)
+    stop = next((k for k, parts in enumerate(rows) if len(parts) != 4), len(rows))  # rows before stop are good so far
+    fault = f"expected 'u v weight mult', got {len(rows[stop])} fields" if stop < len(rows) else None
+    columns = list(zip(*rows[:stop])) or [()] * 4
+    try:
+        us, vs, ws, ms = (list(map(t, column)) for t, column in zip(types, columns))
+    except ValueError:
+        for stop, parts in enumerate(rows):  # the first row with a field that its type rejects
+            try:
+                list(map(lambda t, x: t(x), types, parts))
+            except ValueError:
+                break
+        fault = f"unparseable edge fields {rows[stop]!r}"
+        us, vs, ws, ms = (list(map(t, column[:stop])) for t, column in zip(types, columns))
+    u, v, w, m = np.array(us), np.array(vs), np.array(ws, dtype=np.float64), np.array(ms)
+    order = np.lexsort((v, u))  # stable, so a repeated pair's later rows follow its first
+    repeat = np.zeros(u.size, dtype=bool)
+    repeat[order[1:]] = (u[order[1:]] == u[order[:-1]]) & (v[order[1:]] == v[order[:-1]])
+    faults = np.stack([~((0 <= u) & (u < v) & (v < n)), (w < 0) | ~np.isfinite(w), m < 1, repeat])
+    bad = np.flatnonzero(faults.any(axis=0))
+    if bad.size:
+        stop = int(bad[0])
+        pair = f"({us[stop]}, {vs[stop]})"
+        fault = (f"edge {pair} violates 0 <= u < v < n={n}", f"invalid weight {ws[stop]}",
+                 f"invalid multiplicity {ms[stop]}", f"duplicate pair {pair}")[int(np.argmax(faults[:, stop]))]
+    if fault is not None:
+        raise ParseError(fault, kept[1 + stop][0])
+    return WeightedGraph.from_arrays(n, u, v, w, m)

@@ -4,21 +4,22 @@ lower-bound certificate.
 The walk state lives on directed edges: from directed edge (u, v) the walk
 moves to (v, w) for each neighbor w != u with probability w_{v,w}/(w(v) -
 w_{v,u}), the weighted non-backtracking (Hashimoto) operator.  Walks from a
-fixed block of roots advance together, and each keeps only the directed
-edges that carry its mass, so a step costs time in proportion to the
-walks' support, not to the edge count, and never enumerates paths.  Mass
-that reaches a degree-one vertex has nowhere to go and is tracked as
-deficiency rather than renormalized away.  Pseudo-girth balls grow the same
-way, a block of roots per pass, one frontier level at a time; from radius
-g on, only the balls with no cycle yet are fanned out.
+block of roots advance together, and each keeps only the directed edges
+that carry its mass; their vertex probabilities and test vectors live on
+the (root, vertex) cells they reach, numbered by first touch in an int32
+scratch, so a root costs time in proportion to its walk and its ball, not
+to n.  Mass that reaches a degree-one vertex has nowhere to go and is
+tracked as deficiency rather than renormalized away.  Pseudo-girth balls
+grow the same way, a block of roots per pass, one frontier level at a time;
+from radius g on, only the balls with no cycle yet are fanned out.
 
 The certificate aggregates, over every root r, the alternating and plain
 square-root sums of the walk tables (f_r and h_r) and their quadratic forms
-against L_H, the 1/n-weighted clique Laplacian, D_H and A_H; each root's
-forms are O(m) sums of the edge products f_u f_v and h_u h_v, and no BLAS
-call, so no sum depends on a thread count.  At every n, contiguous ranges
-of roots run in forked children, one per CPU, and every root's terms are
-added in ascending root order, so the split changes no bit of the report.
+against L_H, the 1/n-weighted clique Laplacian, D_H and A_H, each summed
+over the root's support with no BLAS call.  Above the fork floor,
+contiguous ranges of roots run in forked children, one per CPU, and every
+root's terms are added in ascending root order, so the split changes no
+bit of the report.
 The matrices X = sum f_r f_r' and Y = sum h_r h_r' are PSD by construction,
 so for any graph that is an eps spectral sparsifier of the weighted clique,
 
@@ -161,27 +162,21 @@ class CertificateReport:
         }
 
 
-# -- block engine ------------------------------------------------------------------
+# -- walk engine -------------------------------------------------------------------
 
-# Walk roots per block = _BLOCK_CELLS // max(n, directed edges), at least one.
-# A root's walk state or f/h row holds at most that width, so a block's
-# arrays stay near this many cells: 2^16 cells kept the peak memory of a
-# certificate within 1 MB of a one-root-at-a-time pass, and larger blocks
-# were no faster.  Blocks are visited in ascending root order.
-_BLOCK_CELLS = 1 << 16
-# A ball block fans out about _BALL_SLOTS CSR slots at its widest level, and
-# its (root, vertex) int32 depth scratch has at most _BALL_SCRATCH cells.
-# One process, medians of 5: n=2000, d=8, g=3 took 77, 59 and 55 ms at 2^13,
-# 2^14 and 2^16 slots, at peaks of 1.3, 1.5 and 2.1 MB; n=12000, d=4, g=2
-# took 0.85, 0.55 and 0.41 s at 2^16, 2^17 and 2^18 scratch cells.
+# A walk block holds about _WALK_ENTRIES (root, directed edge) entries over
+# its levels, sized by the entries per root of the block before it.  A ball
+# block fans out about _BALL_SLOTS CSR slots at its widest level.  Both hold
+# at most _BALL_SCRATCH // n roots, so their (root, vertex) int32 scratch has
+# at most _BALL_SCRATCH cells.  One process, medians of 5: the walk terms of
+# n=2000, d=16, g=3 took 1.65, 1.73 and 1.57 s at 2^15, 2^17 and 2^18
+# entries, at traced peaks of 8, 31 and 60 MB; ball scans of n=2000, d=8,
+# g=3 took 77, 59 and 55 ms at 2^13, 2^14 and 2^16 slots, at peaks of 1.3,
+# 1.5 and 2.1 MB; n=12000, d=4, g=2 took 0.85, 0.55 and 0.41 s at 2^16, 2^17
+# and 2^18 scratch cells.
+_WALK_ENTRIES = 1 << 15
 _BALL_SLOTS = 1 << 14
 _BALL_SCRATCH = 1 << 17
-
-
-def _root_blocks(n: int, width: int, lo: int, hi: int):
-    """Consecutive blocks of the roots lo..hi-1, each an int64 array."""
-    step = max(1, _BLOCK_CELLS // max(n, width))
-    return (np.arange(b, min(b + step, hi)) for b in range(lo, hi, step))
 
 
 def _fan_out(indptr: np.ndarray, owners: np.ndarray, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -223,15 +218,13 @@ class _EdgeSpace:
 
     Directed edge ids follow the bundles: id b is us[b] -> vs[b] and id m + b
     its reverse.  The arrays are stored by slot, sorted by source and then
-    by id, so each vertex's out-edges are one CSR range.  Because bundles are
-    sorted by (u, v), the in-edges of a vertex come in the same order by slot
-    as by id: both sort them by source.
+    by id, so each vertex's out-edges are one CSR range, its up[v] edges to
+    higher vertices first.  Because bundles are sorted by (u, v), the
+    in-edges of a vertex come in the same order by slot as by id: both sort
+    them by source.
     """
 
-    __slots__ = (
-        "n", "m2", "dst", "w", "rev", "denom", "dead", "dead_pos", "num_dead",
-        "out_ptr", "wdeg", "deg", "eu", "ev", "ew",
-    )
+    __slots__ = ("n", "m2", "dst", "w", "rev", "denom", "dead", "num_dead", "out_ptr", "wdeg", "deg", "up")
 
     def __init__(self, graph: WeightedGraph):
         if not graph.is_simple:
@@ -241,12 +234,12 @@ class _EdgeSpace:
         us, vs, ws = us[positive], vs[positive], ws[positive]
         n, m = graph.n, len(us)
         self.n, self.m2 = n, 2 * m
-        self.eu, self.ev, self.ew = us, vs, ws
         src = np.concatenate([us, vs])
         dst = np.concatenate([vs, us])
         w = np.concatenate([ws, ws])
         self.wdeg = graph.weighted_degrees()
         self.deg = np.bincount(src, minlength=n)
+        self.up = np.bincount(us, minlength=n)
         dead = self.deg[dst] == 1  # walk mass entering a leaf cannot continue
         order = np.argsort(src, kind="stable")
         slot = np.empty_like(order)
@@ -254,23 +247,27 @@ class _EdgeSpace:
         self.dst, self.w, self.dead = dst[order], w[order], dead[order]
         self.rev = slot[np.concatenate([np.arange(m, 2 * m), np.arange(0, m)])[order]]
         self.denom = _leave_one_out_sums(n, dst, w)[order]
-        self.dead_pos = (np.cumsum(dead) - 1)[order]  # rank of a dead edge among the dead edges, by id
         self.num_dead = int(dead.sum())
         self.out_ptr = np.concatenate(([0], np.cumsum(self.deg)))
 
 
-def _walk_levels(space: _EdgeSpace, roots: np.ndarray, g: int, first_step: str):
-    """Yield, for ell = 1..g, the (roots, n) panel of ell-step vertex
-    probabilities and each root's walk mass lost to dead ends before step ell.
+def _walk_levels(space: _EdgeSpace, roots: np.ndarray, g: int, first_step: str, index: np.ndarray):
+    """Yield, for ell = 1..g, the block's support cells, the ell-step vertex
+    probabilities on them, each root's walk mass lost to dead ends before
+    step ell, and the level's entry count.
 
-    The state is a sparse list of (root, directed edge, probability) entries
-    in (root, slot) order, so vertex sums add the same terms in the same
-    order as a dense pass over all directed edges.  One step applies the
-    weighted Hashimoto (non-backtracking) operator: from (u, v) to (v, x),
-    x != u, with probability w_vx / (w(v) - w_vu).  Mass on an edge into a
-    degree-one vertex cannot continue and is lost.
+    A cell is (root position) * n + vertex.  The support lists the roots' own
+    cells, then each cell a level reaches first, in the order its entries
+    reach it; ``index``, an int32 scratch of roots.size * n cells that are -1
+    on entry, maps each listed cell to its position, and the caller resets
+    it.  The state is a sparse list of (root, directed edge, probability)
+    entries in (root, slot) order, so a cell's probability adds the same
+    terms in the same order as a dense pass over all directed edges.  One
+    step applies the weighted Hashimoto (non-backtracking) operator: from
+    (u, v) to (v, x), x != u, with probability w_vx / (w(v) - w_vu).  Mass on
+    an edge into a degree-one vertex cannot continue and is lost.
     """
-    n, m2, nr = space.n, space.m2, roots.size
+    n, nr = space.n, roots.size
     ridx, s = _fan_out(space.out_ptr, np.arange(nr), roots)
     if first_step == FIRST_STEP_WEIGHT:
         p = space.w[s] / space.wdeg[roots][ridx]
@@ -278,49 +275,59 @@ def _walk_levels(space: _EdgeSpace, roots: np.ndarray, g: int, first_step: str):
         p = 1.0 / space.deg[roots][ridx]
     else:
         raise InvalidArgumentError(f"unknown first-step rule {first_step!r}")
+    cells = np.arange(nr) * n + roots
+    index[cells] = np.arange(nr)
     lost = np.zeros(nr)
     for ell in range(1, g + 1):
         at = ridx * n + space.dst[s]
-        yield np.bincount(at, weights=p, minlength=nr * n).reshape(nr, n), lost
+        new = at[index[at] < 0]
+        claim = -2 - np.arange(new.size)
+        index[new] = claim
+        new = new[index[new] == claim]  # one entry per newly reached cell claims it
+        index[new] = np.arange(cells.size, cells.size + new.size)
+        cells = np.concatenate([cells, new])
+        at = index[at]
+        yield cells, np.bincount(at, weights=p, minlength=cells.size), lost, at.size
         if ell == g:
             return
         dead = space.dead[s]
         if space.num_dead:
-            # each root's loss is summed over the row of all dead edges in id order, as a dense pass sums it
-            stuck = np.zeros((nr, space.num_dead))
-            stuck[ridx[dead], space.dead_pos[s[dead]]] = p[dead]
-            lost = lost + stuck.sum(axis=1)
+            lost = lost + np.bincount(ridx[dead], weights=p[dead], minlength=nr)
         contrib = np.zeros_like(p)
         np.divide(p, space.denom[s], out=contrib, where=~dead)
-        q = np.bincount(at, weights=contrib, minlength=nr * n)
-        hot = np.flatnonzero(q)  # (root, vertex) cells that pass mass on
-        cell, nxt = _fan_out(space.out_ptr, hot, hot % n)
-        nxt_r = cell // n
-        keys = ridx * m2 + s
-        want = nxt_r * m2 + space.rev[nxt]
-        back = np.minimum(np.searchsorted(keys, want), keys.size - 1)  # the reverse edge's entry, if any
-        back_contrib = np.where(keys[back] == want, contrib[back], 0.0)
-        p = space.w[nxt] * (q[cell] - back_contrib)
+        q = np.bincount(at, weights=contrib, minlength=cells.size).astype(np.float64, copy=False)  # int64 when empty
+        hot = np.flatnonzero(q)  # the cells that pass mass on, sorted so the next state is in (root, slot) order
+        hot = hot[np.argsort(cells[hot])]
+        hr, hv = np.divmod(cells[hot], n)
+        ridx, nxt = _fan_out(space.out_ptr, hr, hv)
+        counts = space.deg[hv]
+        first = np.full(cells.size, -1)  # a hot cell's first next entry
+        first[hot] = np.cumsum(counts) - counts
+        diff = q[hot].repeat(counts)
+        start, back = first[at], first[at] >= 0  # entry (u, v) takes its contribution off next entry (v, u)
+        diff[start[back] + space.rev[s[back]] - space.out_ptr[space.dst[s[back]]]] -= contrib[back]
+        p = space.w[nxt] * diff
         np.maximum(p, 0.0, out=p)  # guard rounding at exact cancellations
-        ridx, s = nxt_r, nxt
+        s = nxt
 
 
-def _vector_panels(space: _EdgeSpace, roots: np.ndarray, g: int, first_step: str):
-    """(F, H, deficit): rows f_r and h_r for each root, and the sum over
-    ell in [1, g] of the walk mass already lost by step ell (zero on
-    min-degree-2 graphs)."""
-    f = np.zeros((roots.size, space.n))
-    f[np.arange(roots.size), roots] = 1.0
-    h = f.copy()
-    deficit = np.zeros(roots.size)
-    sign = -1.0
-    for marg, lost in _walk_levels(space, roots, g, first_step):
+def _support_vectors(space: _EdgeSpace, roots: np.ndarray, g: int, first_step: str, index: np.ndarray):
+    """(cells, f, h, deficit, entries): the support cells of :func:`_walk_levels`,
+    f_r and h_r on them, each root's sum over ell in [1, g] of the walk mass
+    already lost by step ell (zero on min-degree-2 graphs), and the walk's
+    entry count.  ``index`` maps the cells to their positions on return."""
+    nr = roots.size
+    cells, f, h = np.arange(nr) * space.n + roots, np.ones(nr), np.ones(nr)
+    deficit, entries, sign = np.zeros(nr), 0, -1.0
+    for cells, marg, lost, width in _walk_levels(space, roots, g, first_step, index):
         s = np.sqrt(marg)
-        f += sign * s
-        h += s
+        pad = np.zeros(s.size - f.size)
+        f = np.concatenate([f, pad]) + sign * s
+        h = np.concatenate([h, pad]) + s
         deficit += lost
+        entries += width
         sign = -sign
-    return f, h, deficit
+    return cells, f, h, deficit, entries
 
 
 # -- pseudo-girth -----------------------------------------------------------------
@@ -398,13 +405,8 @@ def _girth_report(n: int, g: int, balls: list) -> tuple[PseudoGirthReport, np.nd
     flags_g = np.concatenate([b[0] for b in balls])
     flags_2g = np.concatenate([b[1] for b in balls])
     report = PseudoGirthReport(
-        g=g,
-        n=n,
-        acyclic_g=int(flags_g.sum()),
-        acyclic_2g=int(flags_2g.sum()),
-        F=n - int(flags_2g.sum()),
-        B=max(b[2] for b in balls),
-        violating=tuple(int(r) for r in np.flatnonzero(~flags_2g)[:32]),
+        g=g, n=n, acyclic_g=int(flags_g.sum()), acyclic_2g=int(flags_2g.sum()), F=n - int(flags_2g.sum()),
+        B=max(b[2] for b in balls), violating=tuple(int(r) for r in np.flatnonzero(~flags_2g)[:32]),
     )
     return report, flags_g
 
@@ -435,45 +437,46 @@ def _running_sums(totals: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return np.cumsum(np.column_stack([totals, terms]), axis=1)[:, -1]
 
 
-def _block_forms(space: _EdgeSpace, f: np.ndarray, h: np.ndarray, deficit: np.ndarray) -> np.ndarray:
-    """Per-root terms of the certificate's totals, one column per row of the f/h panels.
+def _walk_terms(space: _EdgeSpace, g: int, first_step: str, lo: int, hi: int) -> np.ndarray:
+    """Per-root terms of the certificate's totals for the roots lo..hi-1, one column per root.
 
     Rows: f'L_H f, h'L_H h, f'L_K f, h'L_K h, h'D_H h, h'A_H h - f'A_H f,
-    |f|^2, |h|^2, (1'h)^2 and the mass deficit.  The forms come from the edge
-    products alone: x'L_H x = sum_v wdeg_v x_v^2 - 2 sum_e w_e x_u x_v and
-    (Y - X).A_H sums 2 sum_e w_e (h_u h_v - f_u f_v).  Each term is a per-row
-    einsum or sum, never a BLAS call, so a root's terms do not depend on the
-    other rows of its block or on the BLAS thread count.
+    |f|^2, |h|^2, (1'h)^2 and the mass deficit.  f_r and h_r live on the
+    root's support, and the forms come from the edge products alone: x'L_H x
+    = sum_v wdeg_v x_v^2 - 2 sum_e w_e x_u x_v and (Y - X).A_H sums 2 sum_e
+    w_e (h_u h_v - f_u f_v).  Each support cell fans out over its edges to
+    higher vertices and finds the other end in the index scratch, so an edge
+    inside the support is counted once.  Every per-root sum adds that root's
+    terms in the order of its own walk, and no BLAS call is made, so a
+    root's terms do not depend on the other roots of its block or on a
+    thread count.  Blocks follow the sizing at _WALK_ENTRIES.
     """
-    n, eu, ev, ew, wdeg = space.n, space.eu, space.ev, space.ew, space.wdeg
-    ff, hh = f * f, h * h
-    nf2, nh2 = ff.sum(axis=1), hh.sum(axis=1)
-    sf, sh = f.sum(axis=1), h.sum(axis=1)
-    fd, hd = np.einsum("rn,n->r", ff, wdeg), np.einsum("rn,n->r", hh, wdeg)
-    prod = f.take(eu, axis=1)
-    prod *= f.take(ev, axis=1)
-    faf = np.einsum("rm,m->r", prod, ew)
-    h.take(eu, axis=1, out=prod)
-    prod *= h.take(ev, axis=1)
-    hah = np.einsum("rm,m->r", prod, ew)
-    return np.stack([
-        fd - 2.0 * faf,
-        hd - 2.0 * hah,
-        nf2 - sf * sf / n,
-        nh2 - sh * sh / n,
-        hd,
-        2.0 * (hah - faf),
-        nf2,
-        nh2,
-        sh * sh,
-        deficit,
-    ])
-
-
-def _walk_terms(space: _EdgeSpace, g: int, first_step: str, lo: int, hi: int) -> np.ndarray:
-    """The (10, hi - lo) columns of :func:`_block_forms` for the roots lo..hi-1."""
-    blocks = _root_blocks(space.n, space.m2, lo, hi)
-    return np.hstack([_block_forms(space, *_vector_panels(space, roots, g, first_step)) for roots in blocks])
+    n, wdeg = space.n, space.wdeg
+    cap = max(1, _BALL_SCRATCH // n)
+    index = np.full(min(cap, hi - lo) * n, -1, dtype=np.int32)
+    columns = []
+    b, step = lo, 1
+    while b < hi:
+        roots = np.arange(b, min(b + step, hi))
+        nr = roots.size
+        cells, f, h, deficit, entries = _support_vectors(space, roots, g, first_step, index)
+        rid, v = np.divmod(cells, n)
+        slot = _concat_ranges(space.out_ptr[v], space.up[v])
+        other = index[np.repeat(cells - v, space.up[v]) + space.dst[slot]]
+        index[cells] = -1
+        inside = np.flatnonzero(other >= 0)
+        owner, other, w = np.repeat(np.arange(cells.size), space.up[v])[inside], other[inside], space.w[slot[inside]]
+        up_f, up_h = (np.bincount(owner, x[other] * w, minlength=cells.size) for x in (f, h))  # sum_{v > u} w x_v
+        ff, hh = f * f, h * h
+        per_root = partial(np.bincount, rid, minlength=nr)
+        nf2, nh2, sf, sh, fd, hd, faf, hah = map(per_root, (ff, hh, f, h, ff * wdeg[v], hh * wdeg[v], f * up_f, h * up_h))
+        columns.append(np.stack([
+            fd - 2.0 * faf, hd - 2.0 * hah, nf2 - sf * sf / n, nh2 - sh * sh / n, hd, 2.0 * (hah - faf),
+            nf2, nh2, sh * sh, deficit,
+        ]))
+        b += nr
+        step = min(cap, max(1, _WALK_ENTRIES * nr // max(entries, 1)))
+    return np.hstack(columns)
 
 
 def _root_chunk(graph: WeightedGraph, space: _EdgeSpace, g: int, first_step: str, lo: int, hi: int):
@@ -506,7 +509,10 @@ def certify_lower_bound(
         raise InvalidArgumentError("certificate needs a connected graph")
     n = graph.n
     space = _EdgeSpace(graph)
-    work = n * max(n, space.m2) * g  # _fork._PARALLEL_WORK has the units
+    # 32 per expected walk entry (see _fork._PARALLEL_WORK): a tree-like ball of mean degree dbar
+    # has dbar (dbar - 1)^(ell - 1) cells at depth ell, and each one below depth g fans out dbar entries
+    dbar = space.m2 / n
+    work = 32 * n * dbar * (1 + sum(min(n, dbar * (dbar - 1) ** (ell - 1)) for ell in range(1, g)))
     chunks = split_ranges(partial(_root_chunk, graph, space, g, first_step), n, work)
     pg, vprime = _girth_report(n, g, [balls for balls, _ in chunks])
     # one running sum over every root's terms, in ascending root order
@@ -516,7 +522,7 @@ def certify_lower_bound(
     worst_vprime_dev = float(np.maximum(np.abs(nf2 - expected), np.abs(nh2 - expected))[vprime].max(initial=0.0))
     worst_norm_sq = float(np.maximum(nf2, nh2).max(initial=0.0))
     x_lh, y_lh, x_lk, y_lk, y_dh, ymx_ah, trace_x, trace_y, y_j, total_loss = map(float, totals)
-    ew, wdeg = space.ew, space.wdeg
+    wdeg = space.wdeg
 
     if y_lh <= 0.0:
         raise DegenerateInputError("Y.L_H is not positive; certificate ratio undefined")
@@ -535,16 +541,9 @@ def certify_lower_bound(
     yj_cap = norm_cap * pg.B * n
     slack = 1e-6 * base  # relative tolerance of the trace brackets
     checks = IdentityChecks(
-        max_vprime_norm_dev=worst_vprime_dev,
-        max_norm_sq=worst_norm_sq,
-        norm_sq_cap=norm_cap,
-        trace_x=trace_x,
-        trace_y=trace_y,
-        trace_lower=trace_lower,
-        trace_upper=trace_upper,
-        y_dot_j=y_j,
-        y_dot_j_cap=yj_cap,
-        total_mass_loss=total_loss,
+        max_vprime_norm_dev=worst_vprime_dev, max_norm_sq=worst_norm_sq, norm_sq_cap=norm_cap,
+        trace_x=trace_x, trace_y=trace_y, trace_lower=trace_lower, trace_upper=trace_upper,
+        y_dot_j=y_j, y_dot_j_cap=yj_cap, total_mass_loss=total_loss,
         vprime_norms_ok=worst_vprime_dev <= 1e-9,
         norm_cap_ok=worst_norm_sq <= norm_cap + 1e-9,
         traces_ok=(
@@ -556,7 +555,7 @@ def certify_lower_bound(
 
     cdeg = space.deg
     sqrt_d = float(np.sqrt(d))
-    max_w = float(ew.max()) if ew.size else 0.0
+    max_w = float(space.w.max(initial=0.0))
     assumptions = AssumptionChecks(
         d=float(d),
         min_combinatorial_degree=int(cdeg.min()),
@@ -569,19 +568,7 @@ def certify_lower_bound(
     )
 
     return CertificateReport(
-        n=n,
-        g=g,
-        d=float(d),
-        first_step=first_step,
-        x_dot_lh=x_lh,
-        x_dot_lk=x_lk,
-        y_dot_lh=y_lh,
-        y_dot_lk=y_lk,
-        y_dot_dh=y_dh,
-        ymx_dot_ah=ymx_ah,
-        ratio=ratio,
-        epsilon_lb=eps_lb,
-        pseudo_girth=pg,
-        identity_checks=checks,
-        assumptions=assumptions,
+        n=n, g=g, d=float(d), first_step=first_step,
+        x_dot_lh=x_lh, x_dot_lk=x_lk, y_dot_lh=y_lh, y_dot_lk=y_lk, y_dot_dh=y_dh, ymx_dot_ah=ymx_ah,
+        ratio=ratio, epsilon_lb=eps_lb, pseudo_girth=pg, identity_checks=checks, assumptions=assumptions,
     )

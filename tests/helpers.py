@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from sparselab.cuts import CutErrorReport, CutProfile, CutProfileRow, _profile_references
 from sparselab.errors import DegenerateInputError, InvalidArgumentError, SizeLimitError
 from sparselab.graph import Clique, WeightedGraph, _concat_ranges
-from sparselab.nbwalk import FIRST_STEP_UNIFORM, FIRST_STEP_WEIGHT, PseudoGirthReport, _EdgeSpace, _vector_panels, _walk_levels
+from sparselab.nbwalk import FIRST_STEP_UNIFORM, FIRST_STEP_WEIGHT, PseudoGirthReport, _EdgeSpace, _support_vectors, _walk_levels
 from sparselab.rng import derive_seed, make_generator
 
 DENSE_CAP = 4000  # the dense oracles stop at this many vertices
@@ -311,7 +311,7 @@ def graph_pairs(draw, max_n=10):
 
 # -- walk tables and test vectors of one root ------------------------------------------
 #
-# One-root views of the block engine in sparselab.nbwalk, which only tests read.
+# One-root views of the support engine in sparselab.nbwalk, which only tests read.
 
 
 @dataclass(frozen=True)
@@ -349,9 +349,9 @@ def nb_walk_probabilities(graph: WeightedGraph, r: int, g: int, first_step: str 
     _walk_checks(graph, r, g)
     tables = [{int(r): 1.0}]
     deficiency = [0.0]
-    for marg, lost in _walk_levels(_EdgeSpace(graph), np.array([r]), g, first_step):
-        row = marg[0]
-        tables.append({int(v): float(row[v]) for v in np.flatnonzero(row)})
+    index = np.full(graph.n, -1, dtype=np.int32)  # one root: a cell is its vertex
+    for cells, marg, lost, _ in _walk_levels(_EdgeSpace(graph), np.array([r]), g, first_step, index):
+        tables.append({v: p for v, p in zip(cells.tolist(), marg.tolist()) if p})
         deficiency.append(float(lost[0]))
     return WalkTable(root=r, horizon=g, tables=tuple(tables), deficiency=tuple(deficiency))
 
@@ -359,16 +359,21 @@ def nb_walk_probabilities(graph: WeightedGraph, r: int, g: int, first_step: str 
 def walk_vectors(graph: WeightedGraph, r: int, g: int, first_step: str = FIRST_STEP_WEIGHT) -> WalkVectors:
     """f_r(v) = sum_ell (-1)^ell sqrt(Pr_ell[v]) and h_r(v) = sum_ell sqrt(Pr_ell[v])."""
     _walk_checks(graph, r, g)
-    f, h, _ = _vector_panels(_EdgeSpace(graph), np.array([r]), g, first_step)
-    return WalkVectors(root=r, horizon=g, f=f[0], h=h[0])
+    index = np.full(graph.n, -1, dtype=np.int32)
+    cells, f_support, h_support, _, _ = _support_vectors(_EdgeSpace(graph), np.array([r]), g, first_step, index)
+    f, h = np.zeros(graph.n), np.zeros(graph.n)
+    f[cells], h[cells] = f_support, h_support
+    return WalkVectors(root=r, horizon=g, f=f, h=h)
 
 
 # -- per-root walk and pseudo-girth oracles -------------------------------------------
 #
-# The one-root-at-a-time certificate engine that the block engine in
-# sparselab.nbwalk replaced: dense walks over every directed edge in id order,
-# one BFS per root, and per-root accumulation of the quadratic forms.  The
-# block engine must agree with these bit for bit.
+# A one-root-at-a-time certificate engine: dense walks over every directed
+# edge in id order, one BFS per root, and quadratic forms over all n vertices
+# and m edges.  The support engine in sparselab.nbwalk agrees with its walk
+# tables, f and h bit for bit, with its ball flags exactly, and with its
+# forms to 1e-12, because it sums each root's forms over the root's support
+# in another order.
 
 
 class OracleEdgeSpace:
@@ -394,6 +399,12 @@ class OracleEdgeSpace:
         us, vs, ws, _ = graph.edge_arrays()
         positive = ws > 0
         return cls(graph.n, us[positive], vs[positive], ws[positive], graph.weighted_degrees())
+
+    @classmethod
+    def of_space(cls, space) -> "OracleEdgeSpace":
+        """The edges of an ``nbwalk._EdgeSpace``, read in bundle order off its slots to higher vertices."""
+        upper = _concat_ranges(space.out_ptr[:-1], space.up)
+        return cls(space.n, np.repeat(np.arange(space.n), space.up), space.dst[upper], space.w[upper], space.wdeg)
 
     def _leave_one_out_sums(self) -> np.ndarray:
         order = np.argsort(self.dst, kind="stable")
@@ -479,7 +490,7 @@ def vectors_oracle(space: OracleEdgeSpace, r: int, g: int, first_step: str):
 
 
 def _root_terms_oracle(dense: OracleEdgeSpace, r: int, g: int, first_step: str) -> list[float]:
-    """The ten certificate terms of one root, in ``nbwalk._block_forms`` row
+    """The ten certificate terms of one root, in ``nbwalk._walk_terms`` row
     order and product form: x'L_H x = sum_v wdeg_v x_v^2 - 2 sum_e w_e x_u x_v."""
     n, eu, ev, ew, wdeg = dense.n, dense.eu, dense.ev, dense.ew, dense.wdeg
     f, h, deficit = vectors_oracle(dense, r, g, first_step)
@@ -521,21 +532,19 @@ def root_terms_difference_oracle(dense: OracleEdgeSpace, r: int, g: int, first_s
 
 def walk_terms_oracle(space, g: int, first_step: str, lo: int, hi: int) -> np.ndarray:
     """Drop-in for ``nbwalk._walk_terms``: the same (10, roots) columns, root by root."""
-    dense = OracleEdgeSpace(space.n, space.eu, space.ev, space.ew, space.wdeg)
+    dense = OracleEdgeSpace.of_space(space)
     return np.array([_root_terms_oracle(dense, r, g, first_step) for r in range(lo, hi)]).reshape(hi - lo, 10).T
 
 
-def certificate_sums_oracle(space, g: int, first_step: str, vprime: np.ndarray):
-    """The certificate's ten totals, added root by root in Python, the worst
-    V' norm deviation and the largest squared norm."""
-    dense = OracleEdgeSpace(space.n, space.eu, space.ev, space.ew, space.wdeg)
+def certificate_sums_oracle(terms: np.ndarray, g: int, vprime: np.ndarray):
+    """The certificate's ten totals of the (10, n) per-root terms, added root
+    by root in Python, the worst V' norm deviation and the largest squared norm."""
     totals = [0.0] * 10
     worst_vprime_dev = 0.0
     worst_norm_sq = 0.0
-    for r in range(space.n):
-        terms = _root_terms_oracle(dense, r, g, first_step)
-        totals = [total + term for total, term in zip(totals, terms)]
-        nf2, nh2, deficit = terms[6], terms[7], terms[9]
+    for r, column in enumerate(terms.T.tolist()):
+        totals = [total + term for total, term in zip(totals, column)]
+        nf2, nh2, deficit = column[6], column[7], column[9]
         if vprime[r]:
             expected = (g + 1) - deficit
             worst_vprime_dev = max(worst_vprime_dev, abs(nf2 - expected), abs(nh2 - expected))

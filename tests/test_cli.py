@@ -419,6 +419,20 @@ def test_cli_import_leaves_out_the_process_pool():
     assert out.stdout.strip() == "[]"
 
 
+def test_separation_leaves_numpy_ma_unloaded(tmp_path):
+    # np.isin and np.unique import numpy.ma on first use (12-27 ms on a 2-core host); the
+    # clique pair scan looks its keys up with searchsorted instead
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = "import sys; from sparselab.cli import main; main(sys.argv[1:]); print('numpy.ma' in sys.modules)"
+    argv = [
+        "separation", "--n", "1000", "--big-degree", "16", "--d", "4", "--g", "2", "--cut-mode", "sampled",
+        "--seeds", "1", "--out", str(tmp_path / "report.json"),
+    ]
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_fork_helper_adds_no_other_module_to_the_import():
     # the shared fork helper imports only modules that the rest of the CLI already loads
     src = Path(__file__).resolve().parents[1] / "src"

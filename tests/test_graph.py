@@ -284,6 +284,50 @@ class TestPersistence:
         with pytest.raises(ParseError, match="header"):
             read_edge_list(path)
 
+    _GOOD = ["# edges", "n 6", "0 1 1.0 1", "", "1 2 0.5 2", "2 3 1.5 1", "# more", "3 4 2.0 1", "4 5 1.0 3"]
+
+    @pytest.mark.parametrize("bad, message", [
+        ("0 5 1.0", "expected 'u v weight mult', got 3 fields"),
+        ("0 5 1.0 1 7", "expected 'u v weight mult', got 5 fields"),
+        ("0 x 1.0 1", "unparseable edge fields \\['0', 'x', '1.0', '1'\\]"),
+        ("0 5 heavy 1", "unparseable edge fields"),
+        ("0 5 1.0 1.5", "unparseable edge fields"),
+        ("5 0 1.0 1", "edge \\(5, 0\\) violates 0 <= u < v < n=6"),
+        ("0 6 1.0 1", "edge \\(0, 6\\) violates"),
+        ("-1 2 1.0 1", "edge \\(-1, 2\\) violates"),
+        ("0 5 -2.0 1", "invalid weight -2.0"),
+        ("0 5 nan 1", "invalid weight nan"),
+        ("0 5 inf 1", "invalid weight inf"),
+        ("0 5 1.0 0", "invalid multiplicity 0"),
+        ("1 2 3.0 1", "duplicate pair \\(1, 2\\)"),
+    ])
+    def test_bad_line_in_the_middle_names_its_line(self, tmp_path, bad, message):
+        # the bad line is line 7 of 10; a later bad line of another kind must not win
+        lines = self._GOOD[:6] + [bad] + self._GOOD[6:] + ["9 9 -1 0"]
+        path = tmp_path / "bad.edges"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"^line 7: {message}") as err:
+            read_edge_list(path)
+        assert err.value.line_number == 7
+
+    @pytest.mark.parametrize("bad, message", [
+        ("1 2 -1.0 1", "invalid weight -1.0"),  # a repeated pair with a bad weight: the weight is found first
+        ("2 1 1.0 0", "edge \\(2, 1\\) violates"),  # a bad range and a bad multiplicity: the range first
+        ("1 2 1.0 0", "invalid multiplicity 0"),
+    ])
+    def test_a_line_with_two_faults_names_the_first(self, tmp_path, bad, message):
+        path = tmp_path / "bad.edges"
+        path.write_text("\n".join(self._GOOD + [bad]) + "\n")
+        with pytest.raises(ParseError, match=f"^line 10: {message}"):
+            read_edge_list(path)
+
+    def test_good_lines_between_comments_and_blanks_read_as_one_graph(self, tmp_path):
+        path = tmp_path / "good.edges"
+        path.write_text("\r\n".join(self._GOOD) + "\r\n")
+        assert read_edge_list(path) == WeightedGraph(
+            6, [(0, 1, 1.0, 1), (1, 2, 0.5, 2), (2, 3, 1.5, 1), (3, 4, 2.0, 1), (4, 5, 1.0, 3)]
+        )
+
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_roundtrip_extreme_weights(self, tmp_path_factory, data):
