@@ -424,10 +424,12 @@ def read_edge_list(path) -> WeightedGraph:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:  # a missing, unreadable or non-UTF-8 file
         raise ParseError(f"cannot read {path}: {exc}") from None
-    kept = [(i, line) for i, line in enumerate(map(str.strip, text.split("\n")), start=1) if line and line[0] != "#"]
+    lines = list(map(str.strip, text.split("\n")))
+    del text
+    kept = [i for i, line in enumerate(lines) if line and line[0] != "#"]  # 0-based line numbers
     if not kept:
         raise ParseError("missing 'n <count>' header")
-    lineno, parts = kept[0][0], kept[0][1].split()
+    lineno, parts = kept[0] + 1, lines[kept[0]].split()
     if len(parts) != 2 or parts[0] != "n":
         raise ParseError("expected header 'n <count>'", lineno)
     try:
@@ -436,22 +438,23 @@ def read_edge_list(path) -> WeightedGraph:
         raise ParseError(f"bad vertex count {parts[1]!r}", lineno) from None
     if n <= 0:
         raise ParseError(f"vertex count must be positive, got {n}", lineno)
-    rows = [line.split() for _, line in kept[1:]]
+    rows = [lines[i] for i in kept[1:]]
     types = (int, int, float, int)
-    stop = next((k for k, parts in enumerate(rows) if len(parts) != 4), len(rows))  # rows before stop are good so far
-    fault = f"expected 'u v weight mult', got {len(rows[stop])} fields" if stop < len(rows) else None
-    columns = list(zip(*rows[:stop])) or [()] * 4
+    widths = list(map(len, map(str.split, rows)))
+    stop = next((k for k, width in enumerate(widths) if width != 4), len(rows))  # rows before stop are good so far
+    fault = f"expected 'u v weight mult', got {widths[stop]} fields" if stop < len(rows) else None
+    fields = " ".join(rows[:stop]).split()  # one list, not a list per row: less memory
     try:
-        us, vs, ws, ms = (list(map(t, column)) for t, column in zip(types, columns))
+        u, v, w, m = (np.array(list(map(t, fields[j::4]))) for j, t in enumerate(types))
     except ValueError:
-        for stop, parts in enumerate(rows):  # the first row with a field that its type rejects
+        for stop, row in enumerate(rows):  # the first row with a field that its type rejects
             try:
-                list(map(lambda t, x: t(x), types, parts))
+                list(map(lambda t, x: t(x), types, row.split()))
             except ValueError:
                 break
-        fault = f"unparseable edge fields {rows[stop]!r}"
-        us, vs, ws, ms = (list(map(t, column[:stop])) for t, column in zip(types, columns))
-    u, v, w, m = np.array(us), np.array(vs), np.array(ws, dtype=np.float64), np.array(ms)
+        fault = f"unparseable edge fields {rows[stop].split()!r}"
+        u, v, w, m = (np.array(list(map(t, fields[j : 4 * stop : 4]))) for j, t in enumerate(types))
+    del fields
     order = np.lexsort((v, u))  # stable, so a repeated pair's later rows follow its first
     repeat = np.zeros(u.size, dtype=bool)
     repeat[order[1:]] = (u[order[1:]] == u[order[:-1]]) & (v[order[1:]] == v[order[:-1]])
@@ -459,9 +462,9 @@ def read_edge_list(path) -> WeightedGraph:
     bad = np.flatnonzero(faults.any(axis=0))
     if bad.size:
         stop = int(bad[0])
-        pair = f"({us[stop]}, {vs[stop]})"
-        fault = (f"edge {pair} violates 0 <= u < v < n={n}", f"invalid weight {ws[stop]}",
-                 f"invalid multiplicity {ms[stop]}", f"duplicate pair {pair}")[int(np.argmax(faults[:, stop]))]
+        pair = f"({int(u[stop])}, {int(v[stop])})"
+        fault = (f"edge {pair} violates 0 <= u < v < n={n}", f"invalid weight {float(w[stop])}",
+                 f"invalid multiplicity {int(m[stop])}", f"duplicate pair {pair}")[int(np.argmax(faults[:, stop]))]
     if fault is not None:
-        raise ParseError(fault, kept[1 + stop][0])
+        raise ParseError(fault, kept[1 + stop] + 1)
     return WeightedGraph.from_arrays(n, u, v, w, m)
