@@ -415,10 +415,8 @@ def write_edge_list(graph: WeightedGraph, dest) -> None:
 def read_edge_list(path) -> WeightedGraph:
     """Inverse of :func:`write_edge_list`; raises ParseError, with line numbers for bad text.
 
-    The file is read whole, each edge column is converted in one pass and
-    checked as an array, and the error names the first bad line in file
-    order, with the first of its faults that a line-by-line reader would find.
-    """
+    Columns are converted and checked whole; the error names the first bad
+    line, and its first fault in the order a line-by-line reader checks them."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()

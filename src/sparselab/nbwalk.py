@@ -312,10 +312,9 @@ def _walk_levels(space: _EdgeSpace, roots: np.ndarray, g: int, first_step: str, 
 
 
 def _support_vectors(space: _EdgeSpace, roots: np.ndarray, g: int, first_step: str, index: np.ndarray):
-    """(cells, f, h, deficit, entries): the support cells of :func:`_walk_levels`,
-    f_r and h_r on them, each root's sum over ell in [1, g] of the walk mass
-    already lost by step ell (zero on min-degree-2 graphs), and the walk's
-    entry count.  ``index`` maps the cells to their positions on return."""
+    """(cells, f, h, deficit, entries): the support cells of :func:`_walk_levels`, f_r and
+    h_r on them, each root's sum over ell in [1, g] of the walk mass already lost by step
+    ell (zero on min-degree-2 graphs), and the entry count; ``index`` maps the cells."""
     nr = roots.size
     cells, f, h = np.arange(nr) * space.n + roots, np.ones(nr), np.ones(nr)
     deficit, entries, sign = np.zeros(nr), 0, -1.0
