@@ -304,7 +304,8 @@ def _walk_levels(space: _EdgeSpace, roots: np.ndarray, g: int, first_step: str, 
         first = np.full(cells.size, -1)  # a hot cell's first next entry
         first[hot] = np.cumsum(counts) - counts
         diff = q[hot].repeat(counts)
-        start, back = first[at], first[at] >= 0  # entry (u, v) takes its contribution off next entry (v, u)
+        start = first[at]  # entry (u, v) takes its contribution off next entry (v, u)
+        back = start >= 0
         diff[start[back] + space.rev[s[back]] - space.out_ptr[space.dst[s[back]]]] -= contrib[back]
         p = space.w[nxt] * diff
         np.maximum(p, 0.0, out=p)  # guard rounding at exact cancellations
@@ -315,9 +316,8 @@ def _support_vectors(space: _EdgeSpace, roots: np.ndarray, g: int, first_step: s
     """(cells, f, h, deficit, entries): the support cells of :func:`_walk_levels`, f_r and
     h_r on them, each root's sum over ell in [1, g] of the walk mass already lost by step
     ell (zero on min-degree-2 graphs), and the entry count; ``index`` maps the cells."""
-    nr = roots.size
-    cells, f, h = np.arange(nr) * space.n + roots, np.ones(nr), np.ones(nr)
-    deficit, entries, sign = np.zeros(nr), 0, -1.0
+    cells, f, h = np.arange(roots.size) * space.n + roots, np.ones(roots.size), np.ones(roots.size)
+    deficit, entries, sign = np.zeros(roots.size), 0, -1.0
     for cells, marg, lost, width in _walk_levels(space, roots, g, first_step, index):
         s = np.sqrt(marg)
         pad = np.zeros(s.size - f.size)
