@@ -413,56 +413,48 @@ def write_edge_list(graph: WeightedGraph, dest) -> None:
 
 
 def read_edge_list(path) -> WeightedGraph:
-    """Inverse of :func:`write_edge_list`; raises ParseError, with line numbers for bad text.
-
-    Columns are converted and checked whole; the error names the first bad
-    line, and its first fault in the order a line-by-line reader checks them."""
+    """Inverse of :func:`write_edge_list`; raises ParseError, with line numbers for bad text."""
+    n = None
+    records = []
+    seen: set[tuple[int, int]] = set()
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split()
+                if n is None:
+                    if len(parts) != 2 or parts[0] != "n":
+                        raise ParseError("expected header 'n <count>'", lineno)
+                    try:
+                        n = int(parts[1])
+                    except ValueError:
+                        raise ParseError(f"bad vertex count {parts[1]!r}", lineno) from None
+                    if n <= 0:
+                        raise ParseError(f"vertex count must be positive, got {n}", lineno)
+                    continue
+                if len(parts) != 4:
+                    raise ParseError(f"expected 'u v weight mult', got {len(parts)} fields", lineno)
+                try:
+                    u, v = int(parts[0]), int(parts[1])
+                    w = float(parts[2])
+                    m = int(parts[3])
+                except ValueError:
+                    raise ParseError(f"unparseable edge fields {parts!r}", lineno) from None
+                if not 0 <= u < v < n:
+                    raise ParseError(f"edge ({u}, {v}) violates 0 <= u < v < n={n}", lineno)
+                if w < 0 or not np.isfinite(w):
+                    raise ParseError(f"invalid weight {w}", lineno)
+                if m < 1:
+                    raise ParseError(f"invalid multiplicity {m}", lineno)
+                if (u, v) in seen:
+                    raise ParseError(f"duplicate pair ({u}, {v})", lineno)
+                seen.add((u, v))
+                records.append((u, v, w, m))
     except (OSError, UnicodeDecodeError) as exc:  # a missing, unreadable or non-UTF-8 file
         raise ParseError(f"cannot read {path}: {exc}") from None
-    lines = list(map(str.strip, text.split("\n")))
-    del text
-    kept = [i for i, line in enumerate(lines) if line and line[0] != "#"]  # 0-based line numbers
-    if not kept:
+    if n is None:
         raise ParseError("missing 'n <count>' header")
-    lineno, parts = kept[0] + 1, lines[kept[0]].split()
-    if len(parts) != 2 or parts[0] != "n":
-        raise ParseError("expected header 'n <count>'", lineno)
-    try:
-        n = int(parts[1])
-    except ValueError:
-        raise ParseError(f"bad vertex count {parts[1]!r}", lineno) from None
-    if n <= 0:
-        raise ParseError(f"vertex count must be positive, got {n}", lineno)
-    rows = [lines[i] for i in kept[1:]]
-    types = (int, int, float, int)
-    widths = list(map(len, map(str.split, rows)))
-    stop = next((k for k, width in enumerate(widths) if width != 4), len(rows))  # rows before stop are good so far
-    fault = f"expected 'u v weight mult', got {widths[stop]} fields" if stop < len(rows) else None
-    fields = " ".join(rows[:stop]).split()  # one list, not a list per row: less memory
-    try:
-        u, v, w, m = (np.array(list(map(t, fields[j::4]))) for j, t in enumerate(types))
-    except ValueError:
-        for stop, row in enumerate(rows):  # the first row with a field that its type rejects
-            try:
-                list(map(lambda t, x: t(x), types, row.split()))
-            except ValueError:
-                break
-        fault = f"unparseable edge fields {rows[stop].split()!r}"
-        u, v, w, m = (np.array(list(map(t, fields[j : 4 * stop : 4]))) for j, t in enumerate(types))
-    del fields
-    order = np.lexsort((v, u))  # stable, so a repeated pair's later rows follow its first
-    repeat = np.zeros(u.size, dtype=bool)
-    repeat[order[1:]] = (u[order[1:]] == u[order[:-1]]) & (v[order[1:]] == v[order[:-1]])
-    faults = np.stack([~((0 <= u) & (u < v) & (v < n)), (w < 0) | ~np.isfinite(w), m < 1, repeat])
-    bad = np.flatnonzero(faults.any(axis=0))
-    if bad.size:
-        stop = int(bad[0])
-        pair = f"({int(u[stop])}, {int(v[stop])})"
-        fault = (f"edge {pair} violates 0 <= u < v < n={n}", f"invalid weight {float(w[stop])}",
-                 f"invalid multiplicity {int(m[stop])}", f"duplicate pair {pair}")[int(np.argmax(faults[:, stop]))]
-    if fault is not None:
-        raise ParseError(fault, kept[1 + stop] + 1)
-    return WeightedGraph.from_arrays(n, u, v, w, m)
+    us, vs, ws, ms = zip(*records) if records else ((), (), (), ())
+    return WeightedGraph.from_arrays(n, us, vs, ws, ms)

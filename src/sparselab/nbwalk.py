@@ -179,6 +179,41 @@ _BALL_SLOTS = 1 << 14
 _BALL_SCRATCH = 1 << 17
 
 
+def _by_blocks(n: int, lo: int, hi: int, target: int, block) -> list:
+    """The results of ``block(roots, scratch)`` over consecutive blocks of the roots lo..hi-1.
+
+    ``scratch`` is an int32 array of (root position) * n + vertex cells, -1 on
+    entry to each block, which ``block`` resets.  ``block`` returns its result
+    and a size measure (a ball scan's widest fan-out, a walk's entries).  The
+    first block holds one root, each later one is sized so that its measure
+    comes to about ``target``, by the measure per root of the block before,
+    and every block holds at most _BALL_SCRATCH // n roots.
+    """
+    cap = max(1, _BALL_SCRATCH // n)
+    scratch = np.full(min(cap, hi - lo) * n, -1, dtype=np.int32)
+    results = []
+    b, step = lo, 1
+    while b < hi:
+        roots = np.arange(b, min(b + step, hi))
+        result, measure = block(roots, scratch)
+        results.append(result)
+        b += roots.size
+        step = min(cap, max(1, target * roots.size // max(measure, 1)))
+    return results
+
+
+def _claim(scratch: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Each distinct cell of ``cells`` once, in the order of the entries that claim them.
+
+    Entry i writes -2 - i to its cell, and one write per cell stays; the
+    caller then overwrites the claimed cells.  ``scratch`` holds no value
+    below -1 on entry.
+    """
+    claim = -2 - np.arange(cells.size)
+    scratch[cells] = claim
+    return cells[scratch[cells] == claim]
+
+
 def _fan_out(indptr: np.ndarray, owners: np.ndarray, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(owner, slot) for every CSR slot of every item, in input order."""
     counts = indptr[items + 1] - indptr[items]
@@ -224,7 +259,9 @@ class _EdgeSpace:
     them by source.
     """
 
-    __slots__ = ("n", "m2", "dst", "w", "rev", "denom", "dead", "num_dead", "out_ptr", "wdeg", "deg", "up")
+    __slots__ = (
+        "n", "m2", "dst", "w", "rev", "denom", "dead", "dead_pos", "num_dead", "out_ptr", "wdeg", "deg", "up",
+    )
 
     def __init__(self, graph: WeightedGraph):
         if not graph.is_simple:
@@ -247,6 +284,7 @@ class _EdgeSpace:
         self.dst, self.w, self.dead = dst[order], w[order], dead[order]
         self.rev = slot[np.concatenate([np.arange(m, 2 * m), np.arange(0, m)])[order]]
         self.denom = _leave_one_out_sums(n, dst, w)[order]
+        self.dead_pos = (np.cumsum(dead) - 1)[order]  # rank of a dead edge among the dead edges, by id
         self.num_dead = int(dead.sum())
         self.out_ptr = np.concatenate(([0], np.cumsum(self.deg)))
 
@@ -280,10 +318,7 @@ def _walk_levels(space: _EdgeSpace, roots: np.ndarray, g: int, first_step: str, 
     lost = np.zeros(nr)
     for ell in range(1, g + 1):
         at = ridx * n + space.dst[s]
-        new = at[index[at] < 0]
-        claim = -2 - np.arange(new.size)
-        index[new] = claim
-        new = new[index[new] == claim]  # one entry per newly reached cell claims it
+        new = _claim(index, at[index[at] < 0])
         index[new] = np.arange(cells.size, cells.size + new.size)
         cells = np.concatenate([cells, new])
         at = index[at]
@@ -291,8 +326,16 @@ def _walk_levels(space: _EdgeSpace, roots: np.ndarray, g: int, first_step: str, 
         if ell == g:
             return
         dead = space.dead[s]
-        if space.num_dead:
-            lost = lost + np.bincount(ridx[dead], weights=p[dead], minlength=nr)
+        if dead.any():
+            # a root's loss sums its row over all dead edges in id order, as a dense pass sums it;
+            # a root with no dead entry at this step would add a row of zeros, so it gets no row
+            hit = ridx[dead]
+            first = np.diff(hit, prepend=-1) > 0  # hit is sorted: a root's first dead entry
+            row = np.cumsum(first) - 1
+            stuck = np.zeros((row[-1] + 1, space.num_dead))
+            stuck[row, space.dead_pos[s[dead]]] = p[dead]
+            lost = lost.copy()
+            lost[hit[first]] += stuck.sum(axis=1)
         contrib = np.zeros_like(p)
         np.divide(p, space.denom[s], out=contrib, where=~dead)
         q = np.bincount(at, weights=contrib, minlength=cells.size).astype(np.float64, copy=False)  # int64 when empty
@@ -332,6 +375,48 @@ def _support_vectors(space: _EdgeSpace, roots: np.ndarray, g: int, first_step: s
 # -- pseudo-girth -----------------------------------------------------------------
 
 
+def _ball_block(graph: WeightedGraph, g: int, roots: np.ndarray, depth: np.ndarray):
+    """((radius-g flags, radius-2g flags, largest radius-g ball), widest fan-out) of a block of roots.
+
+    ``depth`` holds, by root position * n + vertex, the depth within the
+    balls, -1 outside them, or a claim while a level's new cells are found;
+    the block resets it.
+    """
+    n = graph.n
+    indptr, nbr, _ = graph.csr()
+    nr = roots.size
+    front = np.arange(nr) * n + roots
+    depth[front] = 0
+    seen = [front]
+    verts = np.ones(nr, dtype=np.int64)
+    half = np.zeros(nr, dtype=np.int64)
+    acyclic = np.ones(nr, dtype=bool)
+    widest = 1
+    for level in range(2 * g + 1):
+        if level == g:
+            front = front[acyclic[front // n]]
+        cell, slot = _fan_out(indptr, front // n, front % n)
+        widest = max(widest, cell.size)
+        keys = cell * n + nbr[slot]
+        dk = depth[keys]
+        if level:
+            half += 2 * np.bincount(cell[dk == level - 1], minlength=nr) + np.bincount(cell[dk == level], minlength=nr)
+        acyclic &= half == 2 * (verts - 1)  # a stale count is never read: its flag is False already
+        if level == g:
+            flags_g, bmax = acyclic.copy(), int(verts.max())
+        if level == 2 * g:
+            break
+        grow = dk < 0
+        if level >= g:
+            grow &= acyclic[cell]
+        front = _claim(depth, keys[grow])  # one entry per new (root, vertex)
+        depth[front] = level + 1
+        seen.append(front)
+        verts += np.bincount(front // n, minlength=nr)
+    depth[np.concatenate(seen)] = -1
+    return (flags_g, acyclic, bmax), widest
+
+
 def _ball_flags(graph: WeightedGraph, g: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, int]:
     """For the roots lo..hi-1: the flags of roots whose radius-g and radius-2g
     balls are acyclic, and the largest radius-g ball.
@@ -344,59 +429,11 @@ def _ball_flags(graph: WeightedGraph, g: int, lo: int, hi: int) -> tuple[np.ndar
     and a cycle, once found, is in every larger ball.  So from level g on
     only the balls with no cycle yet are fanned out: a ball with a cycle
     within radius g-1 keeps the level-g vertices that level g-1 found, for
-    B, and its flags stay False.  Each block is sized to fan out about
-    _BALL_SLOTS slots, by the widest level of the block before it, and holds
-    at most _BALL_SCRATCH // n roots.
+    B, and its flags stay False.  Blocks are sized to fan out about
+    _BALL_SLOTS slots at their widest level.
     """
-    n = graph.n
-    indptr, nbr, _ = graph.csr()
-    flags_g = np.zeros(hi - lo, dtype=bool)
-    flags_2g = np.zeros(hi - lo, dtype=bool)
-    bmax = 0
-    cap = max(1, _BALL_SCRATCH // n)
-    # by root * n + vertex: the depth, -1 outside the balls (reset after each
-    # block), or -2 - i while entry i of a level's new cells claims its cell
-    depth = np.full(min(cap, hi - lo) * n, -1, dtype=np.int32)
-    b, step = lo, 1
-    while b < hi:
-        nr = min(step, hi - b)
-        front = np.arange(nr) * n + np.arange(b, b + nr)
-        depth[front] = 0
-        seen = [front]
-        verts = np.ones(nr, dtype=np.int64)
-        half = np.zeros(nr, dtype=np.int64)
-        acyclic = np.ones(nr, dtype=bool)
-        widest = 1
-        for level in range(2 * g + 1):
-            if level == g:
-                front = front[acyclic[front // n]]
-            cell, slot = _fan_out(indptr, front // n, front % n)
-            widest = max(widest, cell.size)
-            keys = cell * n + nbr[slot]
-            dk = depth[keys]
-            if level:
-                half += 2 * np.bincount(cell[dk == level - 1], minlength=nr) + np.bincount(cell[dk == level], minlength=nr)
-            acyclic &= half == 2 * (verts - 1)  # a stale count is never read: its flag is False already
-            if level == g:
-                flags_g[b - lo:b - lo + nr] = acyclic
-                bmax = max(bmax, int(verts.max()))
-            if level == 2 * g:
-                flags_2g[b - lo:b - lo + nr] = acyclic
-                break
-            grow = dk < 0
-            if level >= g:
-                grow &= acyclic[cell]
-            new = keys[grow]
-            claim = -2 - np.arange(new.size)
-            depth[new] = claim
-            front = new[depth[new] == claim]  # one entry per new (root, vertex)
-            depth[front] = level + 1
-            seen.append(front)
-            verts += np.bincount(front // n, minlength=nr)
-        depth[np.concatenate(seen)] = -1
-        b += nr
-        step = min(cap, max(1, _BALL_SLOTS * nr // widest))
-    return flags_g, flags_2g, bmax
+    flags_g, flags_2g, bmax = zip(*_by_blocks(graph.n, lo, hi, _BALL_SLOTS, partial(_ball_block, graph, g)))
+    return np.concatenate(flags_g), np.concatenate(flags_2g), max(bmax)
 
 
 def _girth_report(n: int, g: int, balls: list) -> tuple[PseudoGirthReport, np.ndarray]:
@@ -404,8 +441,13 @@ def _girth_report(n: int, g: int, balls: list) -> tuple[PseudoGirthReport, np.nd
     flags_g = np.concatenate([b[0] for b in balls])
     flags_2g = np.concatenate([b[1] for b in balls])
     report = PseudoGirthReport(
-        g=g, n=n, acyclic_g=int(flags_g.sum()), acyclic_2g=int(flags_2g.sum()), F=n - int(flags_2g.sum()),
-        B=max(b[2] for b in balls), violating=tuple(int(r) for r in np.flatnonzero(~flags_2g)[:32]),
+        g=g,
+        n=n,
+        acyclic_g=int(flags_g.sum()),
+        acyclic_2g=int(flags_2g.sum()),
+        F=n - int(flags_2g.sum()),
+        B=max(b[2] for b in balls),
+        violating=tuple(int(r) for r in np.flatnonzero(~flags_2g)[:32]),
     )
     return report, flags_g
 
@@ -436,6 +478,41 @@ def _running_sums(totals: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return np.cumsum(np.column_stack([totals, terms]), axis=1)[:, -1]
 
 
+def _walk_block(space: _EdgeSpace, g: int, first_step: str, roots: np.ndarray, index: np.ndarray):
+    """The (10, roots) terms of :func:`_walk_terms` for a block of roots, and its walk entries."""
+    n, wdeg = space.n, space.wdeg
+    cells, f, h, deficit, entries = _support_vectors(space, roots, g, first_step, index)
+    rid, v = np.divmod(cells, n)
+    owner = np.repeat(np.arange(cells.size), space.up[v])
+    slot = _concat_ranges(space.out_ptr[v], space.up[v])  # each cell's edges to higher vertices
+    other = index[cells[owner] - v[owner] + space.dst[slot]]
+    index[cells] = -1
+    inside = other >= 0
+    owner, other, w = owner[inside], other[inside], space.w[slot[inside]]
+    up_f = np.bincount(owner, f[other] * w, minlength=cells.size)  # sum over v > u of w_uv f_v
+    up_h = np.bincount(owner, h[other] * w, minlength=cells.size)
+    ff, hh = f * f, h * h
+
+    per_root = partial(np.bincount, rid, minlength=roots.size)
+    nf2, nh2 = per_root(ff), per_root(hh)
+    sf, sh = per_root(f), per_root(h)
+    fd, hd = per_root(ff * wdeg[v]), per_root(hh * wdeg[v])
+    faf, hah = per_root(f * up_f), per_root(h * up_h)
+    terms = np.stack([
+        fd - 2.0 * faf,
+        hd - 2.0 * hah,
+        nf2 - sf * sf / n,
+        nh2 - sh * sh / n,
+        hd,
+        2.0 * (hah - faf),
+        nf2,
+        nh2,
+        sh * sh,
+        deficit,
+    ])
+    return terms, entries
+
+
 def _walk_terms(space: _EdgeSpace, g: int, first_step: str, lo: int, hi: int) -> np.ndarray:
     """Per-root terms of the certificate's totals for the roots lo..hi-1, one column per root.
 
@@ -448,34 +525,9 @@ def _walk_terms(space: _EdgeSpace, g: int, first_step: str, lo: int, hi: int) ->
     inside the support is counted once.  Every per-root sum adds that root's
     terms in the order of its own walk, and no BLAS call is made, so a
     root's terms do not depend on the other roots of its block or on a
-    thread count.  Blocks follow the sizing at _WALK_ENTRIES.
+    thread count.  Blocks hold about _WALK_ENTRIES walk entries.
     """
-    n, wdeg = space.n, space.wdeg
-    cap = max(1, _BALL_SCRATCH // n)
-    index = np.full(min(cap, hi - lo) * n, -1, dtype=np.int32)
-    columns = []
-    b, step = lo, 1
-    while b < hi:
-        roots = np.arange(b, min(b + step, hi))
-        nr = roots.size
-        cells, f, h, deficit, entries = _support_vectors(space, roots, g, first_step, index)
-        rid, v = np.divmod(cells, n)
-        slot = _concat_ranges(space.out_ptr[v], space.up[v])
-        other = index[np.repeat(cells - v, space.up[v]) + space.dst[slot]]
-        index[cells] = -1
-        inside = np.flatnonzero(other >= 0)
-        owner, other, w = np.repeat(np.arange(cells.size), space.up[v])[inside], other[inside], space.w[slot[inside]]
-        up_f, up_h = (np.bincount(owner, x[other] * w, minlength=cells.size) for x in (f, h))  # sum_{v > u} w x_v
-        ff, hh = f * f, h * h
-        per_root = partial(np.bincount, rid, minlength=nr)
-        nf2, nh2, sf, sh, fd, hd, faf, hah = map(per_root, (ff, hh, f, h, ff * wdeg[v], hh * wdeg[v], f * up_f, h * up_h))
-        columns.append(np.stack([
-            fd - 2.0 * faf, hd - 2.0 * hah, nf2 - sf * sf / n, nh2 - sh * sh / n, hd, 2.0 * (hah - faf),
-            nf2, nh2, sh * sh, deficit,
-        ]))
-        b += nr
-        step = min(cap, max(1, _WALK_ENTRIES * nr // max(entries, 1)))
-    return np.hstack(columns)
+    return np.hstack(_by_blocks(space.n, lo, hi, _WALK_ENTRIES, partial(_walk_block, space, g, first_step)))
 
 
 def _root_chunk(graph: WeightedGraph, space: _EdgeSpace, g: int, first_step: str, lo: int, hi: int):
@@ -540,9 +592,16 @@ def certify_lower_bound(
     yj_cap = norm_cap * pg.B * n
     slack = 1e-6 * base  # relative tolerance of the trace brackets
     checks = IdentityChecks(
-        max_vprime_norm_dev=worst_vprime_dev, max_norm_sq=worst_norm_sq, norm_sq_cap=norm_cap,
-        trace_x=trace_x, trace_y=trace_y, trace_lower=trace_lower, trace_upper=trace_upper,
-        y_dot_j=y_j, y_dot_j_cap=yj_cap, total_mass_loss=total_loss,
+        max_vprime_norm_dev=worst_vprime_dev,
+        max_norm_sq=worst_norm_sq,
+        norm_sq_cap=norm_cap,
+        trace_x=trace_x,
+        trace_y=trace_y,
+        trace_lower=trace_lower,
+        trace_upper=trace_upper,
+        y_dot_j=y_j,
+        y_dot_j_cap=yj_cap,
+        total_mass_loss=total_loss,
         vprime_norms_ok=worst_vprime_dev <= 1e-9,
         norm_cap_ok=worst_norm_sq <= norm_cap + 1e-9,
         traces_ok=(
@@ -567,7 +626,19 @@ def certify_lower_bound(
     )
 
     return CertificateReport(
-        n=n, g=g, d=float(d), first_step=first_step,
-        x_dot_lh=x_lh, x_dot_lk=x_lk, y_dot_lh=y_lh, y_dot_lk=y_lk, y_dot_dh=y_dh, ymx_dot_ah=ymx_ah,
-        ratio=ratio, epsilon_lb=eps_lb, pseudo_girth=pg, identity_checks=checks, assumptions=assumptions,
+        n=n,
+        g=g,
+        d=float(d),
+        first_step=first_step,
+        x_dot_lh=x_lh,
+        x_dot_lk=x_lk,
+        y_dot_lh=y_lh,
+        y_dot_lk=y_lk,
+        y_dot_dh=y_dh,
+        ymx_dot_ah=ymx_ah,
+        ratio=ratio,
+        epsilon_lb=eps_lb,
+        pseudo_girth=pg,
+        identity_checks=checks,
+        assumptions=assumptions,
     )

@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from sparselab.cuts import CutErrorReport, CutProfile, CutProfileRow, _profile_references
-from sparselab.errors import DegenerateInputError, InvalidArgumentError, ParseError, SizeLimitError
+from sparselab.errors import DegenerateInputError, InvalidArgumentError, SizeLimitError
 from sparselab.graph import Clique, WeightedGraph, _concat_ranges
 from sparselab.nbwalk import FIRST_STEP_UNIFORM, FIRST_STEP_WEIGHT, PseudoGirthReport, _EdgeSpace, _support_vectors, _walk_levels
 from sparselab.rng import derive_seed, make_generator
@@ -282,53 +282,6 @@ class IncrementalCut:
         return tuple(int(v) for v in np.flatnonzero(self._in))
 
 
-# -- line-by-line edge-list reader ----------------------------------------------------
-
-
-def read_edge_list_oracle(path) -> WeightedGraph:
-    """The edge-list reader that ``graph.read_edge_list`` replaced: one line at a
-    time, raising at the first bad line with the first of its faults."""
-    n = None
-    records = []
-    seen: set[tuple[int, int]] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if n is None:
-                if len(parts) != 2 or parts[0] != "n":
-                    raise ParseError("expected header 'n <count>'", lineno)
-                try:
-                    n = int(parts[1])
-                except ValueError:
-                    raise ParseError(f"bad vertex count {parts[1]!r}", lineno) from None
-                if n <= 0:
-                    raise ParseError(f"vertex count must be positive, got {n}", lineno)
-                continue
-            if len(parts) != 4:
-                raise ParseError(f"expected 'u v weight mult', got {len(parts)} fields", lineno)
-            try:
-                u, v, w, m = int(parts[0]), int(parts[1]), float(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError(f"unparseable edge fields {parts!r}", lineno) from None
-            if not 0 <= u < v < n:
-                raise ParseError(f"edge ({u}, {v}) violates 0 <= u < v < n={n}", lineno)
-            if w < 0 or not np.isfinite(w):
-                raise ParseError(f"invalid weight {w}", lineno)
-            if m < 1:
-                raise ParseError(f"invalid multiplicity {m}", lineno)
-            if (u, v) in seen:
-                raise ParseError(f"duplicate pair ({u}, {v})", lineno)
-            seen.add((u, v))
-            records.append((u, v, w, m))
-    if n is None:
-        raise ParseError("missing 'n <count>' header")
-    us, vs, ws, ms = zip(*records) if records else ((), (), (), ())
-    return WeightedGraph.from_arrays(n, us, vs, ws, ms)
-
-
 # -- hypothesis strategies --------------------------------------------------------
 
 # integer weights make exact ties, so first-in-visit-order rules are exercised
@@ -418,9 +371,9 @@ def walk_vectors(graph: WeightedGraph, r: int, g: int, first_step: str = FIRST_S
 # A one-root-at-a-time certificate engine: dense walks over every directed
 # edge in id order, one BFS per root, and quadratic forms over all n vertices
 # and m edges.  The support engine in sparselab.nbwalk agrees with its walk
-# tables, f and h bit for bit, with its ball flags exactly, and with its
-# forms to 1e-12, because it sums each root's forms over the root's support
-# in another order.
+# tables, dead-end losses, f and h bit for bit, with its ball flags exactly,
+# and with its forms to 1e-12, because it sums each root's forms over the
+# root's support in another order.
 
 
 class OracleEdgeSpace:
