@@ -179,27 +179,25 @@ _BALL_SLOTS = 1 << 14
 _BALL_SCRATCH = 1 << 17
 
 
-def _by_blocks(n: int, lo: int, hi: int, target: int, block) -> list:
-    """The results of ``block(roots, scratch)`` over consecutive blocks of the roots lo..hi-1.
+def _root_blocks(n: int, lo: int, hi: int, target: int, sizes: list):
+    """Consecutive blocks of the roots lo..hi-1, each with the int32 scratch of its
+    (root position) * n + vertex cells, -1 on entry to each block.
 
-    ``scratch`` is an int32 array of (root position) * n + vertex cells, -1 on
-    entry to each block, which ``block`` resets.  ``block`` returns its result
-    and a size measure (a ball scan's widest fan-out, a walk's entries).  The
-    first block holds one root, each later one is sized so that its measure
-    comes to about ``target``, by the measure per root of the block before,
-    and every block holds at most _BALL_SCRATCH // n roots.
+    The caller resets the scratch cells it used and appends a size measure of
+    each block to ``sizes`` (a ball scan's widest fan-out, a walk's entries)
+    before it takes the next.  The first block holds one root, each later one
+    is sized so that its measure comes to about ``target``, by the measure
+    per root of the block before, and every block holds at most
+    _BALL_SCRATCH // n roots.
     """
     cap = max(1, _BALL_SCRATCH // n)
     scratch = np.full(min(cap, hi - lo) * n, -1, dtype=np.int32)
-    results = []
     b, step = lo, 1
     while b < hi:
         roots = np.arange(b, min(b + step, hi))
-        result, measure = block(roots, scratch)
-        results.append(result)
+        yield roots, scratch
         b += roots.size
-        step = min(cap, max(1, target * roots.size // max(measure, 1)))
-    return results
+        step = min(cap, max(1, target * roots.size // max(sizes[-1], 1)))
 
 
 def _claim(scratch: np.ndarray, cells: np.ndarray) -> np.ndarray:
@@ -375,48 +373,6 @@ def _support_vectors(space: _EdgeSpace, roots: np.ndarray, g: int, first_step: s
 # -- pseudo-girth -----------------------------------------------------------------
 
 
-def _ball_block(graph: WeightedGraph, g: int, roots: np.ndarray, depth: np.ndarray):
-    """((radius-g flags, radius-2g flags, largest radius-g ball), widest fan-out) of a block of roots.
-
-    ``depth`` holds, by root position * n + vertex, the depth within the
-    balls, -1 outside them, or a claim while a level's new cells are found;
-    the block resets it.
-    """
-    n = graph.n
-    indptr, nbr, _ = graph.csr()
-    nr = roots.size
-    front = np.arange(nr) * n + roots
-    depth[front] = 0
-    seen = [front]
-    verts = np.ones(nr, dtype=np.int64)
-    half = np.zeros(nr, dtype=np.int64)
-    acyclic = np.ones(nr, dtype=bool)
-    widest = 1
-    for level in range(2 * g + 1):
-        if level == g:
-            front = front[acyclic[front // n]]
-        cell, slot = _fan_out(indptr, front // n, front % n)
-        widest = max(widest, cell.size)
-        keys = cell * n + nbr[slot]
-        dk = depth[keys]
-        if level:
-            half += 2 * np.bincount(cell[dk == level - 1], minlength=nr) + np.bincount(cell[dk == level], minlength=nr)
-        acyclic &= half == 2 * (verts - 1)  # a stale count is never read: its flag is False already
-        if level == g:
-            flags_g, bmax = acyclic.copy(), int(verts.max())
-        if level == 2 * g:
-            break
-        grow = dk < 0
-        if level >= g:
-            grow &= acyclic[cell]
-        front = _claim(depth, keys[grow])  # one entry per new (root, vertex)
-        depth[front] = level + 1
-        seen.append(front)
-        verts += np.bincount(front // n, minlength=nr)
-    depth[np.concatenate(seen)] = -1
-    return (flags_g, acyclic, bmax), widest
-
-
 def _ball_flags(graph: WeightedGraph, g: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, int]:
     """For the roots lo..hi-1: the flags of roots whose radius-g and radius-2g
     balls are acyclic, and the largest radius-g ball.
@@ -432,8 +388,48 @@ def _ball_flags(graph: WeightedGraph, g: int, lo: int, hi: int) -> tuple[np.ndar
     B, and its flags stay False.  Blocks are sized to fan out about
     _BALL_SLOTS slots at their widest level.
     """
-    flags_g, flags_2g, bmax = zip(*_by_blocks(graph.n, lo, hi, _BALL_SLOTS, partial(_ball_block, graph, g)))
-    return np.concatenate(flags_g), np.concatenate(flags_2g), max(bmax)
+    n = graph.n
+    indptr, nbr, _ = graph.csr()
+    flags_g = np.zeros(hi - lo, dtype=bool)
+    flags_2g = np.zeros(hi - lo, dtype=bool)
+    bmax = 0
+    widths = []
+    # depth: by root position * n + vertex, the depth within the balls, -1 outside them
+    for roots, depth in _root_blocks(n, lo, hi, _BALL_SLOTS, widths):
+        b, nr = int(roots[0]), roots.size
+        front = np.arange(nr) * n + roots
+        depth[front] = 0
+        seen = [front]
+        verts = np.ones(nr, dtype=np.int64)
+        half = np.zeros(nr, dtype=np.int64)
+        acyclic = np.ones(nr, dtype=bool)
+        widest = 1
+        for level in range(2 * g + 1):
+            if level == g:
+                front = front[acyclic[front // n]]
+            cell, slot = _fan_out(indptr, front // n, front % n)
+            widest = max(widest, cell.size)
+            keys = cell * n + nbr[slot]
+            dk = depth[keys]
+            if level:
+                half += 2 * np.bincount(cell[dk == level - 1], minlength=nr) + np.bincount(cell[dk == level], minlength=nr)
+            acyclic &= half == 2 * (verts - 1)  # a stale count is never read: its flag is False already
+            if level == g:
+                flags_g[b - lo:b - lo + nr] = acyclic
+                bmax = max(bmax, int(verts.max()))
+            if level == 2 * g:
+                flags_2g[b - lo:b - lo + nr] = acyclic
+                break
+            grow = dk < 0
+            if level >= g:
+                grow &= acyclic[cell]
+            front = _claim(depth, keys[grow])  # one entry per new (root, vertex)
+            depth[front] = level + 1
+            seen.append(front)
+            verts += np.bincount(front // n, minlength=nr)
+        depth[np.concatenate(seen)] = -1
+        widths.append(widest)
+    return flags_g, flags_2g, bmax
 
 
 def _girth_report(n: int, g: int, balls: list) -> tuple[PseudoGirthReport, np.ndarray]:
@@ -478,41 +474,6 @@ def _running_sums(totals: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return np.cumsum(np.column_stack([totals, terms]), axis=1)[:, -1]
 
 
-def _walk_block(space: _EdgeSpace, g: int, first_step: str, roots: np.ndarray, index: np.ndarray):
-    """The (10, roots) terms of :func:`_walk_terms` for a block of roots, and its walk entries."""
-    n, wdeg = space.n, space.wdeg
-    cells, f, h, deficit, entries = _support_vectors(space, roots, g, first_step, index)
-    rid, v = np.divmod(cells, n)
-    owner = np.repeat(np.arange(cells.size), space.up[v])
-    slot = _concat_ranges(space.out_ptr[v], space.up[v])  # each cell's edges to higher vertices
-    other = index[cells[owner] - v[owner] + space.dst[slot]]
-    index[cells] = -1
-    inside = other >= 0
-    owner, other, w = owner[inside], other[inside], space.w[slot[inside]]
-    up_f = np.bincount(owner, f[other] * w, minlength=cells.size)  # sum over v > u of w_uv f_v
-    up_h = np.bincount(owner, h[other] * w, minlength=cells.size)
-    ff, hh = f * f, h * h
-
-    per_root = partial(np.bincount, rid, minlength=roots.size)
-    nf2, nh2 = per_root(ff), per_root(hh)
-    sf, sh = per_root(f), per_root(h)
-    fd, hd = per_root(ff * wdeg[v]), per_root(hh * wdeg[v])
-    faf, hah = per_root(f * up_f), per_root(h * up_h)
-    terms = np.stack([
-        fd - 2.0 * faf,
-        hd - 2.0 * hah,
-        nf2 - sf * sf / n,
-        nh2 - sh * sh / n,
-        hd,
-        2.0 * (hah - faf),
-        nf2,
-        nh2,
-        sh * sh,
-        deficit,
-    ])
-    return terms, entries
-
-
 def _walk_terms(space: _EdgeSpace, g: int, first_step: str, lo: int, hi: int) -> np.ndarray:
     """Per-root terms of the certificate's totals for the roots lo..hi-1, one column per root.
 
@@ -527,7 +488,40 @@ def _walk_terms(space: _EdgeSpace, g: int, first_step: str, lo: int, hi: int) ->
     root's terms do not depend on the other roots of its block or on a
     thread count.  Blocks hold about _WALK_ENTRIES walk entries.
     """
-    return np.hstack(_by_blocks(space.n, lo, hi, _WALK_ENTRIES, partial(_walk_block, space, g, first_step)))
+    n, wdeg = space.n, space.wdeg
+    columns, entries = [], []
+    for roots, index in _root_blocks(n, lo, hi, _WALK_ENTRIES, entries):
+        cells, f, h, deficit, width = _support_vectors(space, roots, g, first_step, index)
+        rid, v = np.divmod(cells, n)
+        up = space.up[v]
+        slot = _concat_ranges(space.out_ptr[v], up)  # each cell's edges to higher vertices
+        other = index[np.repeat(cells - v, up) + space.dst[slot]]
+        index[cells] = -1
+        inside = np.flatnonzero(other >= 0)
+        owner = np.repeat(np.arange(cells.size), up)[inside]
+        other, w = other[inside], space.w[slot[inside]]
+        up_f = np.bincount(owner, f[other] * w, minlength=cells.size)  # sum over v > u of w_uv f_v
+        up_h = np.bincount(owner, h[other] * w, minlength=cells.size)
+        ff, hh = f * f, h * h
+        per_root = partial(np.bincount, rid, minlength=roots.size)
+        nf2, nh2 = per_root(ff), per_root(hh)
+        sf, sh = per_root(f), per_root(h)
+        fd, hd = per_root(ff * wdeg[v]), per_root(hh * wdeg[v])
+        faf, hah = per_root(f * up_f), per_root(h * up_h)
+        columns.append(np.stack([
+            fd - 2.0 * faf,
+            hd - 2.0 * hah,
+            nf2 - sf * sf / n,
+            nh2 - sh * sh / n,
+            hd,
+            2.0 * (hah - faf),
+            nf2,
+            nh2,
+            sh * sh,
+            deficit,
+        ]))
+        entries.append(width)
+    return np.hstack(columns)
 
 
 def _root_chunk(graph: WeightedGraph, space: _EdgeSpace, g: int, first_step: str, lo: int, hi: int):
