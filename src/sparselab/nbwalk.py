@@ -179,7 +179,7 @@ _BALL_SLOTS = 1 << 14
 _BALL_SCRATCH = 1 << 17
 
 
-def _root_blocks(n: int, lo: int, hi: int, target: int, sizes: list):
+def _sized_blocks(n: int, lo: int, hi: int, target: int, sizes: list):
     """Consecutive blocks of the roots lo..hi-1, each with the int32 scratch of its
     (root position) * n + vertex cells, -1 on entry to each block.
 
@@ -395,7 +395,7 @@ def _ball_flags(graph: WeightedGraph, g: int, lo: int, hi: int) -> tuple[np.ndar
     bmax = 0
     widths = []
     # depth: by root position * n + vertex, the depth within the balls, -1 outside them
-    for roots, depth in _root_blocks(n, lo, hi, _BALL_SLOTS, widths):
+    for roots, depth in _sized_blocks(n, lo, hi, _BALL_SLOTS, widths):
         b, nr = int(roots[0]), roots.size
         front = np.arange(nr) * n + roots
         depth[front] = 0
@@ -490,7 +490,7 @@ def _walk_terms(space: _EdgeSpace, g: int, first_step: str, lo: int, hi: int) ->
     """
     n, wdeg = space.n, space.wdeg
     columns, entries = [], []
-    for roots, index in _root_blocks(n, lo, hi, _WALK_ENTRIES, entries):
+    for roots, index in _sized_blocks(n, lo, hi, _WALK_ENTRIES, entries):
         cells, f, h, deficit, width = _support_vectors(space, roots, g, first_step, index)
         rid, v = np.divmod(cells, n)
         up = space.up[v]
