@@ -20,6 +20,7 @@ safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -444,7 +445,7 @@ def read_edge_list(path) -> WeightedGraph:
                     raise ParseError(f"unparseable edge fields {parts!r}", lineno) from None
                 if not 0 <= u < v < n:
                     raise ParseError(f"edge ({u}, {v}) violates 0 <= u < v < n={n}", lineno)
-                if w < 0 or not np.isfinite(w):
+                if w < 0 or not math.isfinite(w):
                     raise ParseError(f"invalid weight {w}", lineno)
                 if m < 1:
                     raise ParseError(f"invalid multiplicity {m}", lineno)

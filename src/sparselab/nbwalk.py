@@ -11,7 +11,9 @@ scratch, so a root costs time in proportion to its walk and its ball, not
 to n.  Mass that reaches a degree-one vertex has nowhere to go and is
 tracked as deficiency rather than renormalized away.  Pseudo-girth balls
 grow the same way, a block of roots per pass, one frontier level at a time;
-from radius g on, only the balls with no cycle yet are fanned out.
+from radius g on, only the balls with no cycle yet are fanned out.  A walk's
+support is its root's radius-g ball: the certificate reads the radius-g
+flags and the largest ball off its walks and grows to 2g only acyclic balls.
 
 The certificate aggregates, over every root r, the alternating and plain
 square-root sums of the walk tables (f_r and h_r) and their quadratic forms
@@ -179,8 +181,8 @@ _BALL_SLOTS = 1 << 14
 _BALL_SCRATCH = 1 << 17
 
 
-def _sized_blocks(n: int, lo: int, hi: int, target: int, sizes: list):
-    """Consecutive blocks of the roots lo..hi-1, each with the int32 scratch of its
+def _sized_blocks(n: int, roots: np.ndarray, target: int, sizes: list):
+    """Consecutive blocks of ``roots``, each with the int32 scratch of its
     (root position) * n + vertex cells, -1 on entry to each block.
 
     The caller resets the scratch cells it used and appends a size measure of
@@ -191,13 +193,13 @@ def _sized_blocks(n: int, lo: int, hi: int, target: int, sizes: list):
     _BALL_SCRATCH // n roots.
     """
     cap = max(1, _BALL_SCRATCH // n)
-    scratch = np.full(min(cap, hi - lo) * n, -1, dtype=np.int32)
-    b, step = lo, 1
-    while b < hi:
-        roots = np.arange(b, min(b + step, hi))
-        yield roots, scratch
-        b += roots.size
-        step = min(cap, max(1, target * roots.size // max(sizes[-1], 1)))
+    scratch = np.full(min(cap, roots.size) * n, -1, dtype=np.int32)
+    b, step = 0, 1
+    while b < roots.size:
+        block = roots[b:b + step]
+        yield block, scratch
+        b += block.size
+        step = min(cap, max(1, target * block.size // max(sizes[-1], 1)))
 
 
 def _claim(scratch: np.ndarray, cells: np.ndarray) -> np.ndarray:
@@ -301,7 +303,9 @@ def _walk_levels(space: _EdgeSpace, roots: np.ndarray, g: int, first_step: str, 
     terms in the same order as a dense pass over all directed edges.  One
     step applies the weighted Hashimoto (non-backtracking) operator: from
     (u, v) to (v, x), x != u, with probability w_vx / (w(v) - w_vu).  Mass on
-    an edge into a degree-one vertex cannot continue and is lost.
+    an edge into a degree-one vertex cannot continue and is lost.  A cell
+    also fans out, at probability 0, on the step after its first claim if its
+    mass underflowed, so the support through level ell is the radius-ell ball.
     """
     n, nr = space.n, roots.size
     ridx, s = _fan_out(space.out_ptr, np.arange(nr), roots)
@@ -337,7 +341,9 @@ def _walk_levels(space: _EdgeSpace, roots: np.ndarray, g: int, first_step: str, 
         contrib = np.zeros_like(p)
         np.divide(p, space.denom[s], out=contrib, where=~dead)
         q = np.bincount(at, weights=contrib, minlength=cells.size).astype(np.float64, copy=False)  # int64 when empty
-        hot = np.flatnonzero(q)  # the cells that pass mass on, sorted so the next state is in (root, slot) order
+        live = q != 0
+        live[cells.size - new.size:] = True
+        hot = np.flatnonzero(live)  # the cells that fan out, sorted so the next state is in (root, slot) order
         hot = hot[np.argsort(cells[hot])]
         hr, hv = np.divmod(cells[hot], n)
         ridx, nxt = _fan_out(space.out_ptr, hr, hv)
@@ -373,9 +379,10 @@ def _support_vectors(space: _EdgeSpace, roots: np.ndarray, g: int, first_step: s
 # -- pseudo-girth -----------------------------------------------------------------
 
 
-def _ball_flags(graph: WeightedGraph, g: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """For the roots lo..hi-1: the flags of roots whose radius-g and radius-2g
-    balls are acyclic, and the largest radius-g ball.
+def _ball_flags(graph: WeightedGraph, g: int, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """For the given roots: the flags of roots whose radius-g and radius-2g
+    balls are acyclic, and the largest radius-g ball.  ``pseudo_girth`` scans
+    every root, the certificate only the roots its walks found acyclic at g.
 
     The balls of a block of roots grow level by level through positive-weight
     bundles.  Expanding level L counts each root's edges from level L down to
@@ -390,14 +397,13 @@ def _ball_flags(graph: WeightedGraph, g: int, lo: int, hi: int) -> tuple[np.ndar
     """
     n = graph.n
     indptr, nbr, _ = graph.csr()
-    flags_g = np.zeros(hi - lo, dtype=bool)
-    flags_2g = np.zeros(hi - lo, dtype=bool)
-    bmax = 0
-    widths = []
+    flags_g = np.zeros(roots.size, dtype=bool)
+    flags_2g = np.zeros(roots.size, dtype=bool)
+    bmax, b, widths = 0, 0, []
     # depth: by root position * n + vertex, the depth within the balls, -1 outside them
-    for roots, depth in _sized_blocks(n, lo, hi, _BALL_SLOTS, widths):
-        b, nr = int(roots[0]), roots.size
-        front = np.arange(nr) * n + roots
+    for block, depth in _sized_blocks(n, roots, _BALL_SLOTS, widths):
+        nr = block.size
+        front = np.arange(nr) * n + block
         depth[front] = 0
         seen = [front]
         verts = np.ones(nr, dtype=np.int64)
@@ -415,10 +421,10 @@ def _ball_flags(graph: WeightedGraph, g: int, lo: int, hi: int) -> tuple[np.ndar
                 half += 2 * np.bincount(cell[dk == level - 1], minlength=nr) + np.bincount(cell[dk == level], minlength=nr)
             acyclic &= half == 2 * (verts - 1)  # a stale count is never read: its flag is False already
             if level == g:
-                flags_g[b - lo:b - lo + nr] = acyclic
+                flags_g[b:b + nr] = acyclic
                 bmax = max(bmax, int(verts.max()))
             if level == 2 * g:
-                flags_2g[b - lo:b - lo + nr] = acyclic
+                flags_2g[b:b + nr] = acyclic
                 break
             grow = dk < 0
             if level >= g:
@@ -429,11 +435,12 @@ def _ball_flags(graph: WeightedGraph, g: int, lo: int, hi: int) -> tuple[np.ndar
             verts += np.bincount(front // n, minlength=nr)
         depth[np.concatenate(seen)] = -1
         widths.append(widest)
+        b += nr
     return flags_g, flags_2g, bmax
 
 
 def _girth_report(n: int, g: int, balls: list) -> tuple[PseudoGirthReport, np.ndarray]:
-    """The report and the radius-g flags, from :func:`_ball_flags` of consecutive root ranges."""
+    """The report and the radius-g flags, from (flags_g, flags_2g, B) of consecutive root ranges."""
     flags_g = np.concatenate([b[0] for b in balls])
     flags_2g = np.concatenate([b[1] for b in balls])
     report = PseudoGirthReport(
@@ -457,7 +464,7 @@ def _pseudo_girth_scan(graph: WeightedGraph, g: int) -> tuple[PseudoGirthReport,
         raise UnsupportedInputError("pseudo-girth needs a simple graph; collapse multiedges first")
     n = graph.n
     work = n * max(n, graph.csr()[1].size) * g // 8  # _fork._PARALLEL_WORK has the units
-    balls = split_ranges(partial(_ball_flags, graph, g), n, work)
+    balls = split_ranges(lambda lo, hi: _ball_flags(graph, g, np.arange(lo, hi)), n, work)
     return _girth_report(n, g, balls)
 
 
@@ -474,8 +481,9 @@ def _running_sums(totals: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return np.cumsum(np.column_stack([totals, terms]), axis=1)[:, -1]
 
 
-def _walk_terms(space: _EdgeSpace, g: int, first_step: str, lo: int, hi: int) -> np.ndarray:
-    """Per-root terms of the certificate's totals for the roots lo..hi-1, one column per root.
+def _walk_terms(space: _EdgeSpace, g: int, first_step: str, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-root terms of the certificate's totals for the roots lo..hi-1, one
+    column per root, and each root's support size and edge count inside it.
 
     Rows: f'L_H f, h'L_H h, f'L_K f, h'L_K h, h'D_H h, h'A_H h - f'A_H f,
     |f|^2, |h|^2, (1'h)^2 and the mass deficit.  f_r and h_r live on the
@@ -489,8 +497,8 @@ def _walk_terms(space: _EdgeSpace, g: int, first_step: str, lo: int, hi: int) ->
     thread count.  Blocks hold about _WALK_ENTRIES walk entries.
     """
     n, wdeg = space.n, space.wdeg
-    columns, entries = [], []
-    for roots, index in _sized_blocks(n, lo, hi, _WALK_ENTRIES, entries):
+    columns, verts, edges, entries = [], [], [], []
+    for roots, index in _sized_blocks(n, np.arange(lo, hi), _WALK_ENTRIES, entries):
         cells, f, h, deficit, width = _support_vectors(space, roots, g, first_step, index)
         rid, v = np.divmod(cells, n)
         up = space.up[v]
@@ -504,6 +512,8 @@ def _walk_terms(space: _EdgeSpace, g: int, first_step: str, lo: int, hi: int) ->
         up_h = np.bincount(owner, h[other] * w, minlength=cells.size)
         ff, hh = f * f, h * h
         per_root = partial(np.bincount, rid, minlength=roots.size)
+        verts.append(per_root())
+        edges.append(np.bincount(rid[owner], minlength=roots.size))
         nf2, nh2 = per_root(ff), per_root(hh)
         sf, sh = per_root(f), per_root(h)
         fd, hd = per_root(ff * wdeg[v]), per_root(hh * wdeg[v])
@@ -521,12 +531,17 @@ def _walk_terms(space: _EdgeSpace, g: int, first_step: str, lo: int, hi: int) ->
             deficit,
         ]))
         entries.append(width)
-    return np.hstack(columns)
+    return np.hstack(columns), np.concatenate(verts), np.concatenate(edges)
 
 
 def _root_chunk(graph: WeightedGraph, space: _EdgeSpace, g: int, first_step: str, lo: int, hi: int):
-    """The ball flags and the walk terms of the roots lo..hi-1."""
-    return _ball_flags(graph, g, lo, hi), _walk_terms(space, g, first_step, lo, hi)
+    """The ball flags and the walk terms of the roots lo..hi-1: the radius-g flags and B from the walk
+    supports, the radius-2g flags from a scan of the balls acyclic at g (a cycle within g is within 2g)."""
+    terms, verts, edges = _walk_terms(space, g, first_step, lo, hi)
+    flags_g = edges == verts - 1  # a support is a connected ball: acyclic with one edge fewer than vertices
+    flags_2g = np.zeros_like(flags_g)
+    flags_2g[flags_g] = _ball_flags(graph, g, lo + np.flatnonzero(flags_g))[1]
+    return (flags_g, flags_2g, int(verts.max())), terms
 
 
 def certify_lower_bound(

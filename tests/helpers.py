@@ -530,10 +530,14 @@ def root_terms_difference_oracle(dense: OracleEdgeSpace, r: int, g: int, first_s
     ]
 
 
-def walk_terms_oracle(space, g: int, first_step: str, lo: int, hi: int) -> np.ndarray:
-    """Drop-in for ``nbwalk._walk_terms``: the same (10, roots) columns, root by root."""
+def walk_terms_oracle(space, g: int, first_step: str, lo: int, hi: int):
+    """Drop-in for ``nbwalk._walk_terms``: the same (10, roots) columns, root
+    by root, and each root's radius-g ball size and edge count, by BFS."""
     dense = OracleEdgeSpace.of_space(space)
-    return np.array([_root_terms_oracle(dense, r, g, first_step) for r in range(lo, hi)]).reshape(hi - lo, 10).T
+    graph = WeightedGraph.from_arrays(space.n, dense.eu, dense.ev, dense.ew)
+    terms = np.array([_root_terms_oracle(dense, r, g, first_step) for r in range(lo, hi)]).reshape(hi - lo, 10).T
+    verts, edges = np.array([_ball_edges(graph, bfs_depths(graph, r, g), g) for r in range(lo, hi)]).reshape(hi - lo, 2).T
+    return terms, verts, edges
 
 
 def certificate_sums_oracle(terms: np.ndarray, g: int, vprime: np.ndarray):
@@ -586,12 +590,12 @@ def _ball_edges(graph: WeightedGraph, depth: np.ndarray, radius: int) -> tuple[i
     return members.size, deg_sum // 2
 
 
-def ball_flags_oracle(graph: WeightedGraph, g: int, lo: int, hi: int):
+def ball_flags_oracle(graph: WeightedGraph, g: int, roots: np.ndarray):
     """Drop-in for ``nbwalk._ball_flags``: one BFS to radius 2g per root."""
-    flags_g = np.zeros(hi - lo, dtype=bool)
-    flags_2g = np.zeros(hi - lo, dtype=bool)
+    flags_g = np.zeros(len(roots), dtype=bool)
+    flags_2g = np.zeros(len(roots), dtype=bool)
     bmax = 0
-    for i, r in enumerate(range(lo, hi)):
+    for i, r in enumerate(roots):
         depth = bfs_depths(graph, r, 2 * g)
         verts_g, edges_g = _ball_edges(graph, depth, g)
         verts_2g, edges_2g = _ball_edges(graph, depth, 2 * g)
@@ -604,7 +608,7 @@ def ball_flags_oracle(graph: WeightedGraph, g: int, lo: int, hi: int):
 def pseudo_girth_scan_oracle(graph: WeightedGraph, g: int):
     """The report and radius-g flags of ``nbwalk._pseudo_girth_scan``, one root at a time."""
     n = graph.n
-    flags_g, flags_2g, bmax = ball_flags_oracle(graph, g, 0, n)
+    flags_g, flags_2g, bmax = ball_flags_oracle(graph, g, np.arange(n))
     report = PseudoGirthReport(
         g=g,
         n=n,

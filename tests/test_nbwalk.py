@@ -204,7 +204,7 @@ class TestPseudoGirth:
         # count of a tree.  A scan that stops fanning out this ball must keep
         # its flag False, not recompute it from that count.
         graph = WeightedGraph(4, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (1, 3, 1.0)])
-        flags_g, flags_2g, bmax = nbwalk._ball_flags(graph, 2, 0, 1)
+        flags_g, flags_2g, bmax = nbwalk._ball_flags(graph, 2, np.arange(1))
         assert not flags_g[0] and not flags_2g[0] and bmax == 4
         report = pseudo_girth(graph, 2)
         assert report == pseudo_girth_scan_oracle(graph, 2)[0]
@@ -226,7 +226,7 @@ class TestPseudoGirth:
             return cell, slot
 
         with mock.patch.object(nbwalk, "_fan_out", counting):
-            flags_g, _, _ = nbwalk._ball_flags(graph, 3, 0, graph.n)
+            flags_g, _, _ = nbwalk._ball_flags(graph, 3, np.arange(graph.n))
         assert not flags_g.any()
         assert 3 * sum(slots) <= full
 
@@ -457,7 +457,7 @@ def _assert_close_to_oracle(report, oracle, g):
 def _assert_python_sums(report, graph, g, first_step):
     """The report's totals are the engine's per-root terms added one root at a time in Python."""
     vprime = pseudo_girth_scan_oracle(graph, g)[1]
-    terms = nbwalk._walk_terms(nbwalk._EdgeSpace(graph), g, first_step, 0, graph.n)
+    terms = nbwalk._walk_terms(nbwalk._EdgeSpace(graph), g, first_step, 0, graph.n)[0]
     totals, worst_dev, worst_norm = certificate_sums_oracle(terms, g, vprime)
     checks = report.identity_checks
     assert [
@@ -502,7 +502,7 @@ class TestBlockEngineProperties:
         space = nbwalk._EdgeSpace(graph)
         whole = nbwalk._walk_terms(space, g, first_step, 0, graph.n)  # default blocks: one root, then the rest
         with _blocks_of(graph, roots):
-            assert np.array_equal(nbwalk._walk_terms(space, g, first_step, 0, graph.n), whole)
+            assert all(map(np.array_equal, nbwalk._walk_terms(space, g, first_step, 0, graph.n), whole))
 
     @_examples
     @given(graph=st.one_of(walk_graphs(), walk_graphs(connected=False)), g=st.integers(0, 3), roots=_roots_per_block)
@@ -512,6 +512,46 @@ class TestBlockEngineProperties:
         oracle_report, oracle_flags = pseudo_girth_scan_oracle(graph, g)
         assert report == oracle_report
         assert np.array_equal(flags, oracle_flags)
+
+    @_examples
+    @given(graph=walk_graphs(), g=st.integers(1, 4), first_step=_first_steps, roots=_roots_per_block)
+    def test_certificate_pseudo_girth_equals_the_full_scan(self, graph, g, first_step, roots):
+        # the certificate reads the radius-g flags and B off its walk supports and
+        # scans to radius 2g only the balls acyclic at g; the public scan grows every ball
+        with _blocks_of(graph, roots):
+            cert = _certify(graph, g, 3.0, first_step=first_step)
+            balls, _ = nbwalk._root_chunk(graph, nbwalk._EdgeSpace(graph), g, first_step, 0, graph.n)
+            report, flags = nbwalk._pseudo_girth_scan(graph, g)
+        if isinstance(cert, nbwalk.CertificateReport):
+            assert cert.pseudo_girth == pseudo_girth(graph, g)
+        chunk_report, chunk_flags = nbwalk._girth_report(graph.n, g, [balls])
+        assert chunk_report == report
+        assert np.array_equal(chunk_flags, flags)
+
+    @_examples
+    @given(graph=st.one_of(walk_graphs(), walk_graphs(connected=False)), g=st.integers(0, 3), roots=_roots_per_block, data=st.data())
+    def test_ball_flags_of_a_root_subset(self, graph, g, roots, data):
+        subset = np.array(sorted(data.draw(st.sets(st.integers(0, graph.n - 1)))), dtype=np.int64)
+        with _blocks_of(graph, roots):
+            flags_g, flags_2g, _ = nbwalk._ball_flags(graph, g, np.arange(graph.n))
+            sub_g, sub_2g, bmax = nbwalk._ball_flags(graph, g, subset)
+        assert np.array_equal(sub_g, flags_g[subset]) and np.array_equal(sub_2g, flags_2g[subset])
+        assert bmax == ball_flags_oracle(graph, g, subset)[2]
+
+    @pytest.mark.parametrize("first_step", [FIRST_STEP_WEIGHT, FIRST_STEP_UNIFORM])
+    def test_underflowed_cells_still_fan_out(self, first_step):
+        # from root 0 the mass on 2 -> 3 is 1e-200 * 1e-200, which underflows to 0, yet the
+        # triangle {4, 5, 6} is within radius 5; a walk that fans out only the cells with mass
+        # leaves it out of the support and calls roots 0, 1 and 9 acyclic at g = 5
+        graph = WeightedGraph(10, [
+            (0, 1, 1.0), (1, 2, 1e-200), (1, 9, 1.0), (2, 3, 1e-200), (2, 8, 1.0),
+            (3, 4, 1.0), (4, 5, 1.0), (4, 6, 1.0), (5, 6, 1.0),
+        ])
+        space = nbwalk._EdgeSpace(graph)
+        for g in range(3, 7):
+            balls, _ = nbwalk._root_chunk(graph, space, g, first_step, 0, graph.n)
+            for scan in (nbwalk._ball_flags(graph, g, np.arange(graph.n)), ball_flags_oracle(graph, g, np.arange(graph.n))):
+                assert np.array_equal(balls[0], scan[0]) and np.array_equal(balls[1], scan[1]) and balls[2] == scan[2]
 
     @_examples
     @given(graph=walk_graphs(), g=st.integers(0, 3), first_step=_first_steps, data=st.data())
@@ -530,7 +570,7 @@ class TestBlockEngineProperties:
         # edge-difference form sum w (x_u - x_v)^2 cannot, so the L_H, D_H and
         # A_H forms agree to 1e-12 of h'D_H h and the norms to 1e-12 of |h|^2
         space = nbwalk._EdgeSpace(graph)
-        terms = nbwalk._walk_terms(space, g, first_step, 0, graph.n)
+        terms = nbwalk._walk_terms(space, g, first_step, 0, graph.n)[0]
         dense = OracleEdgeSpace.of(graph)
         weighted, plain = [0, 1, 4, 5], [2, 3, 6, 7, 8]
         for r in range(graph.n):
