@@ -4,6 +4,8 @@ Every exhaustive measurement reads one kernel, ``_SplitCuts``: it splits V
 into A = {0..a-1}, with vertex 0 pinned inside, and B, and evaluates
 cut(S) = u_A[S_A] + u_B[S_B] - 2 x_A^T W_AB x_B with one GEMM per row slab of
 at most ``_SLAB_CELLS`` cells, so each unordered proper cut is seen once.
+Its per-class crossing counts are integers below 2^24, exact in float32 and
+kept so through the block reductions; arithmetic on them is done in float64.
 Rows and columns are sorted by popcount: against a clique, whose cut depends
 only on |S|, each (|S_A|, |S_B|) block needs only its raw max and min cut; a
 general reference keeps an elementwise ratio.  A witness is the first extreme
@@ -35,7 +37,7 @@ EXHAUSTIVE_CAP = 30
 REF_DENSITY = "density"
 REF_EXPECTATION = "expectation"
 
-# cells per slab of split cut values: 1 MB of float64 per graph
+# cells per slab of split cut values: 512 KB of float32 counts per graph
 _SLAB_CELLS = 1 << 17
 
 
@@ -149,10 +151,11 @@ def _gray_rank(masks: np.ndarray) -> np.ndarray:
 def _weight_classes(graph: WeightedGraph) -> list[tuple[float, np.ndarray]]:
     """(w, per-bundle multiplier) pairs in increasing w: the cut is sum(w * crossing count) in this order.
 
-    Integer weights with a small total are one class: exact integer sums agree in any order.
+    Integer weights with a total below 2^23 are one class, whose partial sums are integers below
+    2^24, exact in float32 in any order; a larger integer total below 2^50 sums to the same integer.
     """
     ws = graph.edge_arrays()[2]
-    if np.array_equal(ws, np.rint(ws)) and ws.sum() < 2.0**50:
+    if np.array_equal(ws, np.rint(ws)) and ws.sum() < 2.0**23:
         return [(1.0, ws)]
     return [(w, (ws == w).astype(np.float64)) for w in np.unique(ws)]
 
@@ -163,7 +166,7 @@ class _SplitCuts:
     A subset S holding vertex 0 is a row S_A (2^(a-1) of them) and a column
     S_B (2^(n-a)), both sorted by popcount, so each (kA, kB) block of sizes is
     a row range times a column range.  Per weight class the crossing count
-    u_A[S_A] + u_B[S_B] - 2 x_A^T W_AB x_B is an exact integer in float64.
+    u_A[S_A] + u_B[S_B] - 2 x_A^T W_AB x_B is an exact integer in float32.
     ``valid`` lists the blocks holding a proper cut (all but the full vertex
     set's); ``size``, ``kside`` and ``count`` are per valid block.
     """
@@ -175,7 +178,7 @@ class _SplitCuts:
         self.cols, self.cb = _by_popcount(np.arange(1 << (n - a), dtype=np.int64), n - a + 1)
         xa = ((self.rows[:, None] >> np.arange(a)) & 1).astype(np.float64)
         xb = ((self.cols[:, None] >> np.arange(n - a)) & 1).astype(np.float64)
-        self.xbt = xb.T.copy()
+        self.xbt = xb.T.astype(np.float32, order="C")
         self.terms = []
         for g in graphs:
             us, vs, _, _ = g.edge_arrays()
@@ -187,7 +190,7 @@ class _SplitCuts:
                 deg = wm.sum(axis=1)
                 ua = xa @ deg[:a] - ((xa @ wm[:a, :a]) * xa).sum(axis=1)
                 ub = xb @ deg[a:] - ((xb @ wm[a:, a:]) * xb).sum(axis=1)
-                terms.append((w, ua, ub, -2.0 * (xa @ wm[:a, a:])))
+                terms.append((w, *(x.astype(np.float32) for x in (ua, ub, -2.0 * (xa @ wm[:a, a:])))))
             self.terms.append(terms)
         count = np.outer(np.diff(self.ra), np.diff(self.cb))
         count[a, n - a] = 0
@@ -203,10 +206,10 @@ class _SplitCuts:
             cnt = pa[r] @ self.xbt[:, c]
             cnt += ua[r, None]
             cnt += ub[c]
-            if acc is None:
-                acc = cnt if w == 1.0 else w * cnt
-            else:
-                acc += w * cnt
+            if len(terms) == 1 and w == 1.0:
+                return cnt  # one integer class: its float32 counts are the cuts
+            part = np.multiply(w, cnt, dtype=np.float64)
+            acc = part if acc is None else acc + part
         return acc
 
     def _slabs(self, blocks):
@@ -254,7 +257,7 @@ def _mask_to_subset(mask: int, n: int) -> tuple[int, ...]:
 
 
 def _ratio_dev(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    return np.abs(num / den - 1.0)
+    return np.abs(np.divide(num, den, dtype=np.float64) - 1.0)
 
 
 def _worst_ratio(split: _SplitCuts, block_dev: np.ndarray, cell_dev) -> CutErrorReport:
@@ -272,7 +275,7 @@ def _clique_ratio(split: _SplitCuts, hi: np.ndarray, lo: np.ndarray, scale: floa
     """
 
     def dev(cut, size):
-        return _ratio_dev(scale * cut, refs[size])
+        return _ratio_dev(np.float64(scale) * cut, refs[size])
 
     return _worst_ratio(split, np.maximum(dev(hi, split.size), dev(lo, split.size)), lambda size, cuts: dev(cuts[0], size))
 
@@ -327,12 +330,7 @@ def cut_error_exhaustive(h: WeightedGraph, g: WeightedGraph | Clique, cap: int =
         return _clique_ratio(split, *split.extremes(), 1.0, g.cut(np.arange(n + 1, dtype=np.float64)))
     split = _SplitCuts(n, (h, g))
     with np.errstate(divide="ignore", invalid="ignore"):  # cut_G is 0 on the full vertex set, never read
-        dev, low = split.tables(split.every, lambda cuts: (_ratio_dev(*cuts), cuts[1]), (np.maximum, np.minimum))
-    if (low <= 0.0).any():
-        bad = split.first(low <= 0.0, lambda size, cuts: cuts[1] <= 0.0)
-        raise DegenerateInputError(
-            f"reference cut is zero for S={_mask_to_subset(bad, n)}; no finite relative error exists"
-        )
+        (dev,) = split.tables(split.every, lambda cuts: (_ratio_dev(*cuts),), (np.maximum,))
     return _worst_ratio(split, dev, lambda size, cuts: _ratio_dev(*cuts))
 
 

@@ -289,14 +289,14 @@ _weights = st.one_of(st.integers(1, 3).map(float), st.floats(0.25, 4.0))
 
 
 @st.composite
-def connected_graphs(draw, n=None, max_n=10):
+def connected_graphs(draw, n=None, max_n=10, weights=_weights):
     """Random spanning tree plus extra edges on 2..max_n vertices, positive weights."""
     if n is None:
         n = draw(st.integers(2, max_n))
     edges = {}
     for v in range(1, n):
-        edges[(draw(st.integers(0, v - 1)), v)] = draw(_weights)
-    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), _weights), max_size=2 * n))
+        edges[(draw(st.integers(0, v - 1)), v)] = draw(weights)
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weights), max_size=2 * n))
     for u, v, w in extra:
         if u != v:
             edges[(min(u, v), max(u, v))] = w
@@ -304,9 +304,9 @@ def connected_graphs(draw, n=None, max_n=10):
 
 
 @st.composite
-def graph_pairs(draw, max_n=10):
-    h = draw(connected_graphs(max_n=max_n))
-    return h, draw(connected_graphs(h.n))
+def graph_pairs(draw, max_n=10, weights=_weights):
+    h = draw(connected_graphs(max_n=max_n, weights=weights))
+    return h, draw(connected_graphs(h.n, weights=weights))
 
 
 # -- walk tables and test vectors of one root ------------------------------------------
@@ -838,20 +838,13 @@ class SizeExtremesOracle:
 
 
 def cut_error_exhaustive_oracle(h: WeightedGraph, g: WeightedGraph | Clique) -> CutErrorReport:
-    """``cut_error_exhaustive`` after its argument checks, over the Gray blocks."""
+    """``cut_error_exhaustive`` after its argument checks (so every reference cut is positive), over the Gray blocks."""
     n = h.n
     clique = isinstance(g, Clique)
     graphs = (h,) if clique else (h, g)
     worst = WorstRatioOracle()
     for masks, sizes, cuts in gray_scan_oracle(n, *graphs):
-        cut_g = g.cut(sizes.astype(np.float64)) if clique else cuts[1]
-        zero_ref = cut_g <= 0.0
-        if zero_ref.any():
-            bad = int(masks[np.argmax(zero_ref)])
-            raise DegenerateInputError(
-                f"reference cut is zero for S={_mask_to_subset(bad, n)}; no finite relative error exists"
-            )
-        worst.add(masks, cuts[0], cut_g)
+        worst.add(masks, cuts[0], g.cut(sizes.astype(np.float64)) if clique else cuts[1])
     return worst.report(n)
 
 

@@ -478,6 +478,25 @@ class TestExhaustiveProperties:
         assert err.subsets_examined == separate.subsets_examined
 
 
+# integer weights whose totals fall on both sides of 2^23 on up to 10 vertices,
+# with cuts above 2^24 that float32 would round
+_large_integers = st.one_of(st.integers(1, 3), st.integers(2**18, 2**22)).map(float)
+
+
+def _assert_cells_equal_the_oracle(h):
+    n = h.n
+    oracle = {}
+    for masks, _, (cut_h,) in gray_scan_oracle(n, h):
+        oracle.update(zip(masks.tolist(), cut_h.tolist()))
+    kernel = cuts._SplitCuts(n, (h,))
+    seen = {}
+    for _, _, _, r, c, (cut_h,) in kernel._slabs(kernel.every):
+        masks = kernel.rows[r][:, None] | (kernel.cols[c] << kernel.a)[None, :]
+        seen.update(zip(masks.ravel().tolist(), cut_h.ravel().tolist()))
+    assert seen.pop((1 << n) - 1) == 0.0
+    assert seen == oracle
+
+
 class TestKernelMatchesOracle:
     """Every exhaustive report equals the Gray-block oracle's with ==, witnesses included."""
 
@@ -500,20 +519,42 @@ class TestKernelMatchesOracle:
             assert got == regular_vs_clique_oracle(h, d, reference, n)
             assert extreme_cuts_at_sizes(h, ks) == extreme_cuts_oracle(h, ks)
 
-    def test_zero_reference_cut_names_the_oracle_witness(self):
-        # zero-weight bundles leave three positive components, so three cuts
-        # with vertex 0 inside are zero; with the connectivity check bypassed,
-        # the kernel's own guard must name the first of them in Gray order
-        h = make_cycle(6, 1.0)
-        g = WeightedGraph(6, [(0, 1, 1.0), (1, 2, 0.0), (2, 3, 2.0), (3, 4, 0.0), (4, 5, 1.0), (0, 5, 0.0)])
-        with pytest.raises(DegenerateInputError) as expected:
-            cut_error_exhaustive_oracle(h, g)
-        for a in range(1, 7):
-            for slab in (1, cuts._SLAB_CELLS):
-                with _kernel((a - 1, slab)), mock.patch.object(cuts, "_require_connected_reference", lambda g: None):
-                    with pytest.raises(DegenerateInputError) as got:
-                        cut_error_exhaustive(h, g)
-                assert str(got.value) == str(expected.value)
+    @_examples
+    @given(pair=graph_pairs(weights=_large_integers), d=st.integers(1, 9), data=st.data(), split=_splits)
+    def test_integer_weights_around_the_float32_limit(self, pair, d, data, split):
+        # totals on both sides of 2^23: below it one integer class counts in
+        # float32, above it one 0/1 class per weight sums in float64; every
+        # cell and every report must equal the oracle's bit for bit
+        h, g = pair
+        n = h.n
+        ks = data.draw(st.lists(st.integers(1, n // 2), min_size=1, max_size=4))
+        with _kernel(split):
+            _assert_cells_equal_the_oracle(h)
+            for reference in (Clique(n, 1.0), Clique(n, 3.5), g):
+                assert cut_error_exhaustive(h, reference) == cut_error_exhaustive_oracle(h, reference)
+            assert cut_profile(h, d, REF_DENSITY, argmax_cap=n) == cut_profile_oracle(h, d, REF_DENSITY, n)
+            assert extreme_cuts_at_sizes(h, ks) == extreme_cuts_oracle(h, ks)
+
+    def test_integer_total_above_the_float32_limit(self):
+        # odd weights near 2^22: many cuts exceed 2^24 and are odd, so float32
+        # counts of one integer class would round them
+        n = 12
+        odd = [2**22 + 2 * i + 1 for i in range(n)]
+        cycle = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+        h = WeightedGraph(n, [(u, v, w) for (u, v), w in zip(cycle, odd)] + [(0, 6, 2**22 + 5.0), (3, 9, 7.0)])
+        g = WeightedGraph(n, [(u, v, 2**23 - 1 + u + v) for u, v in cycle])
+        assert h.total_weight >= 2**23 and len(cuts._weight_classes(h)) > 1
+        for a in (1, 6, 12):
+            with _kernel((a - 1, cuts._SLAB_CELLS)):
+                _assert_cells_equal_the_oracle(h)
+                for reference in (Clique(n, 1.0), g):
+                    assert cut_error_exhaustive(h, reference) == cut_error_exhaustive_oracle(h, reference)
+
+    def test_one_integer_class_below_2_to_23(self):
+        below = WeightedGraph(3, [(0, 1, 2.0**22), (1, 2, 2.0**22 - 1)])
+        above = WeightedGraph(3, [(0, 1, 2.0**22), (1, 2, 2.0**22)])
+        assert [w for w, _ in cuts._weight_classes(below)] == [1.0]
+        assert [w for w, _ in cuts._weight_classes(above)] == [2.0**22]
 
     def test_memory_is_bounded_by_slabs(self):
         # one unslabbed 2^12 x 2^13 float64 block alone would take 256 MB
