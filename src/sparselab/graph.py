@@ -102,7 +102,7 @@ class WeightedGraph:
         stored as a read-only int array of shape (matchings, n/2, 2).
     """
 
-    __slots__ = ("n", "matchings", "_us", "_vs", "_ws", "_ms", "_csr", "_wdeg", "_cdeg")
+    __slots__ = ("n", "matchings", "_us", "_vs", "_ws", "_ms", "_csr", "_wdeg")
 
     def __init__(
         self,
@@ -129,7 +129,7 @@ class WeightedGraph:
         self.matchings = (
             _readonly(np.sort(np.asarray(matchings, dtype=np.int64), axis=-1)) if matchings is not None else None
         )
-        self._csr = self._wdeg = self._cdeg = None
+        self._csr = self._wdeg = None
 
     # -- basic views --------------------------------------------------------
 
@@ -165,22 +165,13 @@ class WeightedGraph:
         """(us, vs, weights, multiplicities) in sorted bundle order; read-only."""
         return self._us, self._vs, self._ws, self._ms
 
-    def _vertex_sums(self, values: np.ndarray) -> np.ndarray:
-        """Per-vertex sum of a bundle quantity over both endpoints."""
-        deg = np.zeros(self.n, dtype=values.dtype)
-        np.add.at(deg, self._us, values)
-        np.add.at(deg, self._vs, values)
-        return deg
-
     def weighted_degrees(self) -> np.ndarray:
+        """Per-vertex sum of the bundle weights over both endpoints, cached."""
         if self._wdeg is None:
-            self._wdeg = self._vertex_sums(self._ws)
+            self._wdeg = np.zeros(self.n)
+            np.add.at(self._wdeg, self._us, self._ws)
+            np.add.at(self._wdeg, self._vs, self._ws)
         return self._wdeg
-
-    def combinatorial_degrees(self) -> np.ndarray:
-        if self._cdeg is None:
-            self._cdeg = self._vertex_sums(self._ms)
-        return self._cdeg
 
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Adjacency as (indptr, neighbor, weight) arrays, cached.

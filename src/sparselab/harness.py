@@ -14,7 +14,7 @@ import statistics
 from typing import Sequence
 
 from . import bounds, cuts, martingale, nbwalk, spectral
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, SizeLimitError
 from .graph import (
     Clique,
     WeightedGraph,
@@ -60,6 +60,21 @@ def _require_samples(samples: int) -> None:
         raise InvalidArgumentError(f"samples must be nonnegative, got {samples}")
 
 
+def _exhaustive(mode: str, n: int, modes: tuple[str, ...]) -> bool:
+    """Whether a cut mode enumerates every subset: "exhaustive" always, "auto" up to
+    cuts.EXHAUSTIVE_CAP.  "exhaustive" above the cap raises SizeLimitError before any sampling."""
+    if mode not in modes:
+        raise InvalidArgumentError(f"unknown cut mode {mode!r}")
+    if mode == "exhaustive" and n > cuts.EXHAUSTIVE_CAP:
+        raise SizeLimitError(f"n={n} exceeds exhaustive cap {cuts.EXHAUSTIVE_CAP}; use a sampled mode")
+    return mode == "exhaustive" or (mode == "auto" and n <= cuts.EXHAUSTIVE_CAP)
+
+
+def _sampled_sizes(n: int) -> list[int]:
+    """The subset sizes a sampled cut error draws: the powers of two from 4 below n/2, and n/2."""
+    return sorted({min(2 ** j, n // 2) for j in range(2, n.bit_length())} | {n // 2})
+
+
 # -- clique sparsification --------------------------------------------------------
 
 
@@ -83,10 +98,7 @@ def run_clique_sparsify(
         raise InvalidArgumentError(f"degree must be >= 1, got {d}")
     _require_seeds(seeds)
     _require_samples(samples_per_size)
-    if cut_mode not in ("exhaustive", "sampled"):
-        raise InvalidArgumentError(f"unknown cut mode {cut_mode!r}")
-    if cut_mode == "exhaustive" and n > cuts.EXHAUSTIVE_CAP:
-        raise InvalidArgumentError(f"exhaustive cut mode needs n <= {cuts.EXHAUSTIVE_CAP}")
+    exhaustive = _exhaustive(cut_mode, n, ("exhaustive", "sampled"))
     clique = Clique(n, 1.0)
     scale = (n - 1) / d
     records = []
@@ -94,12 +106,11 @@ def run_clique_sparsify(
         seed = derive_seed(master_seed, t)
         h_raw = sample_regular_multigraph(n, d, seed)
         h = scale_weights(h_raw, scale)
-        if cut_mode == "exhaustive":
+        if exhaustive:
             # one enumeration yields both the error and the profile
             cut_report, profile = cuts.regular_vs_clique_exhaustive(h_raw, d, reference=profile_reference)
         else:
-            sizes = sorted({min(2 ** j, n // 2) for j in range(2, n.bit_length())} | {n // 2})
-            cut_report = cuts.cut_error_sampled(h, clique, samples_per_size, sizes, seed)
+            cut_report = cuts.cut_error_sampled(h, clique, samples_per_size, _sampled_sizes(n), seed)
             profile = cuts.cut_profile(
                 h_raw, d, reference=profile_reference, samples_per_size=samples_per_size, seed=seed
             )
@@ -178,9 +189,7 @@ def run_separation(
     _require_samples(samples_per_size)
     if target not in ("clique", "parent"):
         raise InvalidArgumentError(f"unknown target {target!r}")
-    if cut_mode not in ("auto", "exhaustive", "sampled"):
-        raise InvalidArgumentError(f"unknown cut mode {cut_mode!r}")
-    exhaustive = cut_mode == "exhaustive" or (cut_mode == "auto" and n <= cuts.EXHAUSTIVE_CAP)
+    exhaustive = _exhaustive(cut_mode, n, ("auto", "exhaustive", "sampled"))
     clique = Clique(n, 1.0)
     records = []
     for t in range(seeds):
@@ -196,8 +205,7 @@ def run_separation(
         if exhaustive:
             cut_report = cuts.cut_error_exhaustive(h, tgt)
         else:
-            sizes = sorted({min(2 ** j, n // 2) for j in range(2, n.bit_length())} | {n // 2})
-            cut_report = cuts.cut_error_sampled(h, tgt, samples_per_size, sizes, seed)
+            cut_report = cuts.cut_error_sampled(h, tgt, samples_per_size, _sampled_sizes(n), seed)
         spec_report = spectral.spectral_error(h, tgt)
         # Certificate view: unit-ish weighted degree against the 1/n clique.
         h_cert = collapse_multiedges(scale_weights(h_raw, (n - 1) / (d * n)))
@@ -330,13 +338,9 @@ def run_concentration(
     """
     if n % 2 != 0:
         raise InvalidArgumentError(f"matching model needs even n, got {n}")
-    if mode not in ("auto", "exhaustive", "sampled"):
-        raise InvalidArgumentError(f"unknown mode {mode!r}")
     _require_seeds(seeds)
     _require_samples(samples_per_seed)
-    exhaustive = mode == "exhaustive" or (mode == "auto" and n <= cuts.EXHAUSTIVE_CAP)
-    if mode == "exhaustive" and n > cuts.EXHAUSTIVE_CAP:
-        raise InvalidArgumentError(f"exhaustive mode needs n <= {cuts.EXHAUSTIVE_CAP}")
+    exhaustive = _exhaustive(mode, n, ("auto", "exhaustive", "sampled"))
     ks = []
     for alpha in alphas:
         if not 0.0 < alpha <= 0.5:

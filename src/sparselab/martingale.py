@@ -31,7 +31,7 @@ import numpy as np
 from ._fork import split_ranges
 from .bounds import TailBound, phi_matching, tail_bound_generic
 from .errors import InvalidArgumentError
-from .graph import WeightedGraph, _shuffled_rows, sample_matching_partners, union_of_matchings
+from .graph import _shuffled_rows, sample_matching_partners
 from .rng import derived_generators, make_generator
 
 
@@ -65,9 +65,6 @@ class RevealTrace:
     @property
     def steps(self) -> int:
         return self.z.size
-
-    def to_graph(self) -> WeightedGraph:
-        return union_of_matchings(self.matchings)
 
     def step_rows(self):
         """Iterator of (ell, z, w, x, y, a, b, quad_char) for CSV export, as Python scalars."""

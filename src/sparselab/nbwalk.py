@@ -9,11 +9,11 @@ that carry its mass; their vertex probabilities and test vectors live on
 the (root, vertex) cells they reach, numbered by first touch in an int32
 scratch, so a root costs time in proportion to its walk and its ball, not
 to n.  Mass that reaches a degree-one vertex has nowhere to go and is
-tracked as deficiency rather than renormalized away.  Pseudo-girth balls
-grow the same way, a block of roots per pass, one frontier level at a time;
-from radius g on, only the balls with no cycle yet are fanned out.  A walk's
-support is its root's radius-g ball: the certificate reads the radius-g
-flags and the largest ball off its walks and grows to 2g only acyclic balls.
+tracked as deficiency rather than renormalized away.  One growth function
+takes a block's balls from a given radius to 2g, from radius g on fanning
+out only acyclic balls.  A walk's support is its root's radius-g ball: the
+certificate reads the radius-g flags and B off it and grows the acyclic
+balls on in the same scratch; ``pseudo_girth`` grows them from radius 0.
 
 The certificate aggregates, over every root r, the alternating and plain
 square-root sums of the walk tables (f_r and h_r) and their quadratic forms
@@ -166,16 +166,18 @@ class CertificateReport:
 
 # -- walk engine -------------------------------------------------------------------
 
-# A walk block holds about _WALK_ENTRIES (root, directed edge) entries over
-# its levels, sized by the entries per root of the block before it.  A ball
-# block fans out about _BALL_SLOTS CSR slots at its widest level.  Both hold
-# at most _BALL_SCRATCH // n roots, so their (root, vertex) int32 scratch has
+# A certificate block holds about _WALK_ENTRIES (root, directed edge) walk
+# entries over its levels, sized by the entries per root of the block before;
+# its acyclic balls then grow on in the same scratch.  A pseudo_girth block
+# fans out about _BALL_SLOTS CSR slots at its widest level.  Either holds at
+# most _BALL_SCRATCH // n roots, so its one (root, vertex) int32 scratch has
 # at most _BALL_SCRATCH cells.  One process, medians of 5: the walk terms of
 # n=2000, d=16, g=3 took 1.65, 1.73 and 1.57 s at 2^15, 2^17 and 2^18
 # entries, at traced peaks of 8, 31 and 60 MB; ball scans of n=2000, d=8,
 # g=3 took 77, 59 and 55 ms at 2^13, 2^14 and 2^16 slots, at peaks of 1.3,
-# 1.5 and 2.1 MB; n=12000, d=4, g=2 took 0.85, 0.55 and 0.41 s at 2^16, 2^17
-# and 2^18 scratch cells.
+# 1.5 and 2.1 MB, and 125 against 93 ms (paired medians of 31) when sized by
+# their total fan-out at 2^15 slots; n=12000, d=4, g=2 took 0.85, 0.55 and
+# 0.41 s at 2^16, 2^17 and 2^18 scratch cells.
 _WALK_ENTRIES = 1 << 15
 _BALL_SLOTS = 1 << 14
 _BALL_SCRATCH = 1 << 17
@@ -185,12 +187,11 @@ def _sized_blocks(n: int, roots: np.ndarray, target: int, sizes: list):
     """Consecutive blocks of ``roots``, each with the int32 scratch of its
     (root position) * n + vertex cells, -1 on entry to each block.
 
-    The caller resets the scratch cells it used and appends a size measure of
-    each block to ``sizes`` (a ball scan's widest fan-out, a walk's entries)
-    before it takes the next.  The first block holds one root, each later one
-    is sized so that its measure comes to about ``target``, by the measure
-    per root of the block before, and every block holds at most
-    _BALL_SCRATCH // n roots.
+    The caller resets the cells it used and appends a size measure of each
+    block to ``sizes`` (a ball growth's widest fan-out, a walk's entries).
+    The first block holds one root; each later one is sized so that its
+    measure comes to about ``target`` at the measure per root of the block
+    before, with at most _BALL_SCRATCH // n roots.
     """
     cap = max(1, _BALL_SCRATCH // n)
     scratch = np.full(min(cap, roots.size) * n, -1, dtype=np.int32)
@@ -203,12 +204,9 @@ def _sized_blocks(n: int, roots: np.ndarray, target: int, sizes: list):
 
 
 def _claim(scratch: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Each distinct cell of ``cells`` once, in the order of the entries that claim them.
-
-    Entry i writes -2 - i to its cell, and one write per cell stays; the
-    caller then overwrites the claimed cells.  ``scratch`` holds no value
-    below -1 on entry.
-    """
+    """Each distinct cell of ``cells`` once, in the order of the entries that claim them:
+    entry i writes -2 - i to its cell and one write per cell stays, so ``scratch`` holds
+    no value below -1 on entry; the caller then overwrites the claimed cells."""
     claim = -2 - np.arange(cells.size)
     scratch[cells] = claim
     return cells[scratch[cells] == claim]
@@ -252,11 +250,11 @@ class _EdgeSpace:
     """Directed edges of a simple graph's positive-weight bundles, shared by all walk queries.
 
     Directed edge ids follow the bundles: id b is us[b] -> vs[b] and id m + b
-    its reverse.  The arrays are stored by slot, sorted by source and then
-    by id, so each vertex's out-edges are one CSR range, its up[v] edges to
-    higher vertices first.  Because bundles are sorted by (u, v), the
-    in-edges of a vertex come in the same order by slot as by id: both sort
-    them by source.
+    its reverse.  The arrays are stored by slot, as ``graph.csr()`` stores
+    (and shares) out_ptr, dst and w: sorted by source and then by id, so each
+    vertex's out-edges are one CSR range, its up[v] edges to higher vertices
+    first.  Because bundles are sorted by (u, v), the in-edges of a vertex
+    come in the same order by slot as by id: both sort them by source.
     """
 
     __slots__ = (
@@ -267,26 +265,25 @@ class _EdgeSpace:
         if not graph.is_simple:
             raise UnsupportedInputError("walks need a simple graph; collapse multiedges first")
         us, vs, ws, _ = graph.edge_arrays()
-        positive = ws > 0
-        us, vs, ws = us[positive], vs[positive], ws[positive]
+        us, vs = us[ws > 0], vs[ws > 0]
         n, m = graph.n, len(us)
         self.n, self.m2 = n, 2 * m
-        src = np.concatenate([us, vs])
-        dst = np.concatenate([vs, us])
-        w = np.concatenate([ws, ws])
+        self.out_ptr, self.dst, self.w = graph.csr()
         self.wdeg = graph.weighted_degrees()
-        self.deg = np.bincount(src, minlength=n)
+        self.deg = np.diff(self.out_ptr)
         self.up = np.bincount(us, minlength=n)
-        dead = self.deg[dst] == 1  # walk mass entering a leaf cannot continue
-        order = np.argsort(src, kind="stable")
-        slot = np.empty_like(order)
-        slot[order] = np.arange(2 * m)
-        self.dst, self.w, self.dead = dst[order], w[order], dead[order]
-        self.rev = slot[np.concatenate([np.arange(m, 2 * m), np.arange(0, m)])[order]]
-        self.denom = _leave_one_out_sums(n, dst, w)[order]
-        self.dead_pos = (np.cumsum(dead) - 1)[order]  # rank of a dead edge among the dead edges, by id
-        self.num_dead = int(dead.sum())
-        self.out_ptr = np.concatenate(([0], np.cumsum(self.deg)))
+        src = np.repeat(np.arange(n), self.deg)
+        back = src > self.dst  # slots to higher vertices list the bundles in order, the rest by (vs, us)
+        bundle = np.zeros_like(src)
+        bundle[~back], bundle[back] = np.arange(m), np.argsort(vs, kind="stable")
+        ids = bundle + m * back
+        slot = np.empty_like(ids)
+        slot[ids] = np.arange(2 * m)
+        self.rev = slot[bundle + m * ~back]
+        self.dead = self.deg[self.dst] == 1  # walk mass entering a leaf cannot continue
+        self.denom = _leave_one_out_sums(n, self.dst[slot], self.w[slot])[ids]  # summed in id order
+        self.dead_pos = (np.cumsum(self.dead[slot]) - 1)[ids]  # rank of a dead edge among the dead edges, by id
+        self.num_dead = int(self.dead.sum())
 
 
 def _walk_levels(space: _EdgeSpace, roots: np.ndarray, g: int, first_step: str, index: np.ndarray):
@@ -360,99 +357,104 @@ def _walk_levels(space: _EdgeSpace, roots: np.ndarray, g: int, first_step: str, 
 
 
 def _support_vectors(space: _EdgeSpace, roots: np.ndarray, g: int, first_step: str, index: np.ndarray):
-    """(cells, f, h, deficit, entries): the support cells of :func:`_walk_levels`, f_r and
+    """(cells, f, h, deficit, entries, lo): the support cells of :func:`_walk_levels`, f_r and
     h_r on them, each root's sum over ell in [1, g] of the walk mass already lost by step
-    ell (zero on min-degree-2 graphs), and the entry count; ``index`` maps the cells."""
+    ell (zero on min-degree-2 graphs), the entry count, and the position of the first cell
+    at depth g; ``index`` maps the cells."""
     cells, f, h = np.arange(roots.size) * space.n + roots, np.ones(roots.size), np.ones(roots.size)
-    deficit, entries, sign = np.zeros(roots.size), 0, -1.0
+    deficit, entries, sign, lo = np.zeros(roots.size), 0, -1.0, 0
     for cells, marg, lost, width in _walk_levels(space, roots, g, first_step, index):
         s = np.sqrt(marg)
-        pad = np.zeros(s.size - f.size)
+        lo, pad = f.size, np.zeros(s.size - f.size)
         f = np.concatenate([f, pad]) + sign * s
         h = np.concatenate([h, pad]) + s
         deficit += lost
         entries += width
         sign = -sign
-    return cells, f, h, deficit, entries
+    return cells, f, h, deficit, entries, lo
 
 
 # -- pseudo-girth -----------------------------------------------------------------
 
 
-def _ball_flags(graph: WeightedGraph, g: int, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """For the given roots: the flags of roots whose radius-g and radius-2g
-    balls are acyclic, and the largest radius-g ball.  ``pseudo_girth`` scans
-    every root, the certificate only the roots its walks found acyclic at g.
+def _ball_flags(indptr, nbr, g: int, level: int, index: np.ndarray, cells: np.ndarray, lo: int, verts, half):
+    """Grow a block's balls from radius ``level`` to 2g through the CSR
+    adjacency (indptr, nbr), reset ``index``, and return the flags of the
+    roots whose radius-g and radius-2g balls are acyclic, the largest
+    radius-g ball and the widest level's fan-out.
 
-    The balls of a block of roots grow level by level through positive-weight
-    bundles.  Expanding level L counts each root's edges from level L down to
-    L-1 once and its edges inside level L twice, so after it the half-edge
-    count covers the radius-L ball.  Each ball is connected, so it is
-    acyclic exactly when its edge count is one less than its vertex count,
-    and a cycle, once found, is in every larger ball.  So from level g on
-    only the balls with no cycle yet are fanned out: a ball with a cycle
-    within radius g-1 keeps the level-g vertices that level g-1 found, for
-    B, and its flags stay False.  Blocks are sized to fan out about
-    _BALL_SLOTS slots at their widest level.
+    ``cells`` lists the (root position) * n + vertex cells within radius
+    ``level``, those at depth ``level`` from position ``lo`` on; ``index``
+    maps each to a number that grows with depth, as the walk's positions do,
+    and each further level gives its new cells one number above the rest.
+    ``verts`` and ``half``, updated in place, count each ball's vertices and
+    twice its edges: expanding level L counts its edges down to L-1 twice and
+    those inside it once from each end.  A ball is connected, so it is
+    acyclic exactly when it has one edge fewer than vertices, and a cycle
+    stays in every larger ball; so from level g on only acyclic balls fan
+    out, and a ball with a cycle within g-1 keeps, for B, the level-g cells
+    that level g-1 claimed.
     """
-    n = graph.n
-    indptr, nbr, _ = graph.csr()
-    flags_g = np.zeros(roots.size, dtype=bool)
-    flags_2g = np.zeros(roots.size, dtype=bool)
-    bmax, b, widths = 0, 0, []
-    # depth: by root position * n + vertex, the depth within the balls, -1 outside them
-    for block, depth in _sized_blocks(n, roots, _BALL_SLOTS, widths):
-        nr = block.size
-        front = np.arange(nr) * n + block
-        depth[front] = 0
-        seen = [front]
-        verts = np.ones(nr, dtype=np.int64)
-        half = np.zeros(nr, dtype=np.int64)
-        acyclic = np.ones(nr, dtype=bool)
-        widest = 1
-        for level in range(2 * g + 1):
-            if level == g:
-                front = front[acyclic[front // n]]
-            cell, slot = _fan_out(indptr, front // n, front % n)
-            widest = max(widest, cell.size)
-            keys = cell * n + nbr[slot]
-            dk = depth[keys]
-            if level:
-                half += 2 * np.bincount(cell[dk == level - 1], minlength=nr) + np.bincount(cell[dk == level], minlength=nr)
+    n, nr, start = indptr.size - 1, verts.size, level
+    front, seen, widest = cells[lo:], [cells], 0
+    acyclic = half == 2 * (verts - 1)
+    while True:
+        if level == g:
+            front = front[acyclic[front // n]] if acyclic.any() else front[:0]
+        cell, slot = _fan_out(indptr, front // n, front % n)
+        widest = max(widest, cell.size)
+        keys = cell * n + nbr[slot]
+        at = index[keys]  # -1 unclaimed, below lo one level down, from lo on this level
+        grow = at < 0
+        if level > start:
+            half += 2 * np.bincount(cell[~grow], minlength=nr) - np.bincount(cell[at >= lo], minlength=nr)
             acyclic &= half == 2 * (verts - 1)  # a stale count is never read: its flag is False already
-            if level == g:
-                flags_g[b:b + nr] = acyclic
-                bmax = max(bmax, int(verts.max()))
-            if level == 2 * g:
-                flags_2g[b:b + nr] = acyclic
-                break
-            grow = dk < 0
-            if level >= g:
-                grow &= acyclic[cell]
-            front = _claim(depth, keys[grow])  # one entry per new (root, vertex)
-            depth[front] = level + 1
-            seen.append(front)
-            verts += np.bincount(front // n, minlength=nr)
-        depth[np.concatenate(seen)] = -1
-        widths.append(widest)
-        b += nr
-    return flags_g, flags_2g, bmax
+        if level == g:
+            flags_g, bmax = acyclic.copy(), int(verts.max())
+        if level == 2 * g or level >= g and not front.size:  # no ball grows past this level
+            break
+        if level >= g:
+            grow &= acyclic[cell]
+        front = _claim(index, keys[grow])  # one entry per new (root, vertex)
+        index[front] = lo = lo + cells.size  # above every number in use
+        seen.append(front)
+        verts += np.bincount(front // n, minlength=nr)
+        level += 1
+    index[np.concatenate(seen)] = -1
+    return flags_g, acyclic, bmax, widest
+
+
+def _concat_balls(balls: list) -> tuple[np.ndarray, np.ndarray, int]:
+    """(flags_g, flags_2g, B) of consecutive root ranges, from each range's own, or none."""
+    flags_g, flags_2g, bmax = zip(*balls, (np.zeros(0, bool), np.zeros(0, bool), 0))
+    return np.concatenate(flags_g), np.concatenate(flags_2g), max(bmax)
 
 
 def _girth_report(n: int, g: int, balls: list) -> tuple[PseudoGirthReport, np.ndarray]:
     """The report and the radius-g flags, from (flags_g, flags_2g, B) of consecutive root ranges."""
-    flags_g = np.concatenate([b[0] for b in balls])
-    flags_2g = np.concatenate([b[1] for b in balls])
+    flags_g, flags_2g, bmax = _concat_balls(balls)
     report = PseudoGirthReport(
         g=g,
         n=n,
         acyclic_g=int(flags_g.sum()),
         acyclic_2g=int(flags_2g.sum()),
         F=n - int(flags_2g.sum()),
-        B=max(b[2] for b in balls),
+        B=bmax,
         violating=tuple(int(r) for r in np.flatnonzero(~flags_2g)[:32]),
     )
     return report, flags_g
+
+
+def _girth_flags(graph: WeightedGraph, g: int, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """(flags_g, flags_2g, B) of the given roots, their balls grown from radius 0 a block at a time."""
+    balls, widths = [], []
+    for block, index in _sized_blocks(graph.n, roots, _BALL_SLOTS, widths):
+        cells = np.arange(block.size) * graph.n + block
+        index[cells] = 0
+        *flags, widest = _ball_flags(*graph.csr()[:2], g, 0, index, cells, 0, np.ones_like(block), np.zeros_like(block))
+        balls.append(flags)
+        widths.append(widest)
+    return _concat_balls(balls)
 
 
 def _pseudo_girth_scan(graph: WeightedGraph, g: int) -> tuple[PseudoGirthReport, np.ndarray]:
@@ -464,7 +466,7 @@ def _pseudo_girth_scan(graph: WeightedGraph, g: int) -> tuple[PseudoGirthReport,
         raise UnsupportedInputError("pseudo-girth needs a simple graph; collapse multiedges first")
     n = graph.n
     work = n * max(n, graph.csr()[1].size) * g // 8  # _fork._PARALLEL_WORK has the units
-    balls = split_ranges(lambda lo, hi: _ball_flags(graph, g, np.arange(lo, hi)), n, work)
+    balls = split_ranges(lambda lo, hi: _girth_flags(graph, g, np.arange(lo, hi)), n, work)
     return _girth_report(n, g, balls)
 
 
@@ -476,14 +478,9 @@ def pseudo_girth(graph: WeightedGraph, g: int) -> PseudoGirthReport:
 # -- the certificate ----------------------------------------------------------------
 
 
-def _running_sums(totals: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """totals[i] + terms[i, 0] + terms[i, 1] + ..., added left to right."""
-    return np.cumsum(np.column_stack([totals, terms]), axis=1)[:, -1]
-
-
-def _walk_terms(space: _EdgeSpace, g: int, first_step: str, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _walk_terms(space: _EdgeSpace, g: int, first_step: str, lo: int, hi: int) -> tuple[np.ndarray, tuple]:
     """Per-root terms of the certificate's totals for the roots lo..hi-1, one
-    column per root, and each root's support size and edge count inside it.
+    column per root, and their (flags_g, flags_2g, B).
 
     Rows: f'L_H f, h'L_H h, f'L_K f, h'L_K h, h'D_H h, h'A_H h - f'A_H f,
     |f|^2, |h|^2, (1'h)^2 and the mass deficit.  f_r and h_r live on the
@@ -494,26 +491,27 @@ def _walk_terms(space: _EdgeSpace, g: int, first_step: str, lo: int, hi: int) ->
     inside the support is counted once.  Every per-root sum adds that root's
     terms in the order of its own walk, and no BLAS call is made, so a
     root's terms do not depend on the other roots of its block or on a
-    thread count.  Blocks hold about _WALK_ENTRIES walk entries.
+    thread count.  Blocks hold about _WALK_ENTRIES walk entries.  A support
+    is its root's radius-g ball, numbered by depth, so :func:`_ball_flags`
+    grows the balls acyclic at g on to 2g from it, in the same scratch.
     """
     n, wdeg = space.n, space.wdeg
-    columns, verts, edges, entries = [], [], [], []
+    columns, balls, entries = [], [], []
     for roots, index in _sized_blocks(n, np.arange(lo, hi), _WALK_ENTRIES, entries):
-        cells, f, h, deficit, width = _support_vectors(space, roots, g, first_step, index)
+        cells, f, h, deficit, width, last = _support_vectors(space, roots, g, first_step, index)
         rid, v = np.divmod(cells, n)
         up = space.up[v]
         slot = _concat_ranges(space.out_ptr[v], up)  # each cell's edges to higher vertices
         other = index[np.repeat(cells - v, up) + space.dst[slot]]
-        index[cells] = -1
         inside = np.flatnonzero(other >= 0)
         owner = np.repeat(np.arange(cells.size), up)[inside]
         other, w = other[inside], space.w[slot[inside]]
+        per_root = partial(np.bincount, rid, minlength=roots.size)
+        half = 2 * np.bincount(rid[owner], minlength=roots.size)
+        balls.append(_ball_flags(space.out_ptr, space.dst, g, g, index, cells, last, per_root(), half)[:3])
         up_f = np.bincount(owner, f[other] * w, minlength=cells.size)  # sum over v > u of w_uv f_v
         up_h = np.bincount(owner, h[other] * w, minlength=cells.size)
         ff, hh = f * f, h * h
-        per_root = partial(np.bincount, rid, minlength=roots.size)
-        verts.append(per_root())
-        edges.append(np.bincount(rid[owner], minlength=roots.size))
         nf2, nh2 = per_root(ff), per_root(hh)
         sf, sh = per_root(f), per_root(h)
         fd, hd = per_root(ff * wdeg[v]), per_root(hh * wdeg[v])
@@ -531,17 +529,7 @@ def _walk_terms(space: _EdgeSpace, g: int, first_step: str, lo: int, hi: int) ->
             deficit,
         ]))
         entries.append(width)
-    return np.hstack(columns), np.concatenate(verts), np.concatenate(edges)
-
-
-def _root_chunk(graph: WeightedGraph, space: _EdgeSpace, g: int, first_step: str, lo: int, hi: int):
-    """The ball flags and the walk terms of the roots lo..hi-1: the radius-g flags and B from the walk
-    supports, the radius-2g flags from a scan of the balls acyclic at g (a cycle within g is within 2g)."""
-    terms, verts, edges = _walk_terms(space, g, first_step, lo, hi)
-    flags_g = edges == verts - 1  # a support is a connected ball: acyclic with one edge fewer than vertices
-    flags_2g = np.zeros_like(flags_g)
-    flags_2g[flags_g] = _ball_flags(graph, g, lo + np.flatnonzero(flags_g))[1]
-    return (flags_g, flags_2g, int(verts.max())), terms
+    return np.hstack(columns), _concat_balls(balls)
 
 
 def certify_lower_bound(
@@ -573,11 +561,11 @@ def certify_lower_bound(
     # has dbar (dbar - 1)^(ell - 1) cells at depth ell, and each one below depth g fans out dbar entries
     dbar = space.m2 / n
     work = 32 * n * dbar * (1 + sum(min(n, dbar * (dbar - 1) ** (ell - 1)) for ell in range(1, g)))
-    chunks = split_ranges(partial(_root_chunk, graph, space, g, first_step), n, work)
-    pg, vprime = _girth_report(n, g, [balls for balls, _ in chunks])
-    # one running sum over every root's terms, in ascending root order
-    terms = np.hstack([t for _, t in chunks])
-    totals = _running_sums(np.zeros(10), terms)
+    chunks = split_ranges(partial(_walk_terms, space, g, first_step), n, work)
+    pg, vprime = _girth_report(n, g, [balls for _, balls in chunks])
+    # one running sum over every root's terms, in ascending root order, added left to right
+    terms = np.hstack([t for t, _ in chunks])
+    totals = np.cumsum(np.column_stack([np.zeros(10), terms]), axis=1)[:, -1]
     nf2, nh2, expected = terms[6], terms[7], (g + 1) - terms[9]
     worst_vprime_dev = float(np.maximum(np.abs(nf2 - expected), np.abs(nh2 - expected))[vprime].max(initial=0.0))
     worst_norm_sq = float(np.maximum(nf2, nh2).max(initial=0.0))
@@ -620,13 +608,12 @@ def certify_lower_bound(
         y_dot_j_ok=y_j <= yj_cap + 1e-6,
     )
 
-    cdeg = space.deg
     sqrt_d = float(np.sqrt(d))
     max_w = float(space.w.max(initial=0.0))
     assumptions = AssumptionChecks(
         d=float(d),
-        min_combinatorial_degree=int(cdeg.min()),
-        combinatorial_ok=bool(cdeg.min() >= d / 4.0),
+        min_combinatorial_degree=int(space.deg.min()),
+        combinatorial_ok=bool(space.deg.min() >= d / 4.0),
         min_weighted_degree=float(wdeg.min()),
         max_weighted_degree=float(wdeg.max()),
         weighted_ok=bool(wdeg.min() >= 1.0 - 4.0 / sqrt_d and wdeg.max() <= 1.0 + 4.0 / sqrt_d),

@@ -128,6 +128,12 @@ def random_weighted_graph(rng: np.random.Generator, n: int, density: float) -> W
     return WeightedGraph(n, edges)
 
 
+def combinatorial_degrees(graph: WeightedGraph) -> np.ndarray:
+    """Per-vertex count of edges, each bundle counted by its multiplicity at both ends."""
+    us, vs, _, ms = graph.edge_arrays()
+    return np.bincount(us, ms, graph.n) + np.bincount(vs, ms, graph.n)
+
+
 def weight_matrix(graph: WeightedGraph) -> np.ndarray:
     """Dense symmetric matrix of bundle weights (zero diagonal)."""
     us, vs, ws, _ = graph.edge_arrays()
@@ -163,7 +169,7 @@ def regular_clique_epsilon_oracle(h_unscaled: WeightedGraph, d: int) -> float:
     and is excluded.
     """
     n = h_unscaled.n
-    deg = h_unscaled.combinatorial_degrees()
+    deg = combinatorial_degrees(h_unscaled)
     if not np.all(deg == d):
         raise InvalidArgumentError("oracle requires an unweighted d-regular multigraph")
     eta = symmetric_eigenvalues(weight_matrix(h_unscaled))
@@ -360,7 +366,7 @@ def walk_vectors(graph: WeightedGraph, r: int, g: int, first_step: str = FIRST_S
     """f_r(v) = sum_ell (-1)^ell sqrt(Pr_ell[v]) and h_r(v) = sum_ell sqrt(Pr_ell[v])."""
     _walk_checks(graph, r, g)
     index = np.full(graph.n, -1, dtype=np.int32)
-    cells, f_support, h_support, _, _ = _support_vectors(_EdgeSpace(graph), np.array([r]), g, first_step, index)
+    cells, f_support, h_support, *_ = _support_vectors(_EdgeSpace(graph), np.array([r]), g, first_step, index)
     f, h = np.zeros(graph.n), np.zeros(graph.n)
     f[cells], h[cells] = f_support, h_support
     return WalkVectors(root=r, horizon=g, f=f, h=h)
@@ -532,12 +538,11 @@ def root_terms_difference_oracle(dense: OracleEdgeSpace, r: int, g: int, first_s
 
 def walk_terms_oracle(space, g: int, first_step: str, lo: int, hi: int):
     """Drop-in for ``nbwalk._walk_terms``: the same (10, roots) columns, root
-    by root, and each root's radius-g ball size and edge count, by BFS."""
+    by root, and the roots' (flags_g, flags_2g, B), by one BFS per root."""
     dense = OracleEdgeSpace.of_space(space)
     graph = WeightedGraph.from_arrays(space.n, dense.eu, dense.ev, dense.ew)
     terms = np.array([_root_terms_oracle(dense, r, g, first_step) for r in range(lo, hi)]).reshape(hi - lo, 10).T
-    verts, edges = np.array([_ball_edges(graph, bfs_depths(graph, r, g), g) for r in range(lo, hi)]).reshape(hi - lo, 2).T
-    return terms, verts, edges
+    return terms, ball_flags_oracle(graph, g, np.arange(lo, hi))
 
 
 def certificate_sums_oracle(terms: np.ndarray, g: int, vprime: np.ndarray):
@@ -591,7 +596,7 @@ def _ball_edges(graph: WeightedGraph, depth: np.ndarray, radius: int) -> tuple[i
 
 
 def ball_flags_oracle(graph: WeightedGraph, g: int, roots: np.ndarray):
-    """Drop-in for ``nbwalk._ball_flags``: one BFS to radius 2g per root."""
+    """Drop-in for ``nbwalk._girth_flags``: one BFS to radius 2g per root."""
     flags_g = np.zeros(len(roots), dtype=bool)
     flags_2g = np.zeros(len(roots), dtype=bool)
     bmax = 0

@@ -71,6 +71,16 @@ class TestCutError:
         write_edge_list(make_clique(32, 1.0), big)
         assert run_cli(["cut-error", "--h-file", big, "--g-file", big, "--exhaustive"]) == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["clique-sparsify", "--n", "40", "--d", "4", "--cut-mode", "exhaustive"],
+        ["concentration", "--n", "40", "--alphas", "0.25", "--d", "4", "--mode", "exhaustive"],
+        ["separation", "--n", "40", "--big-degree", "8", "--d", "4", "--cut-mode", "exhaustive"],
+    ])
+    def test_exhaustive_mode_above_the_cap_exits_3_before_sampling(self, argv, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "sample_regular_multigraph", None)  # a draw would raise TypeError
+        assert run_cli(argv) == 3
+        assert capsys.readouterr().err == f"error: n=40 exceeds exhaustive cap {cuts.EXHAUSTIVE_CAP}; use a sampled mode\n"
+
     def test_degenerate_reference_exits_4(self, tmp_path):
         h = tmp_path / "h.edges"
         g = tmp_path / "g.edges"

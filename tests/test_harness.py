@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sparselab import cuts, harness, spectral
-from sparselab.errors import InvalidArgumentError
+from sparselab.errors import InvalidArgumentError, SizeLimitError
 from sparselab.harness import (
     bounds_table_csv,
     run_bounds_table,
@@ -39,7 +39,7 @@ class TestCliqueSparsify:
         assert rec["cut_mode"] == "sampled"
 
     def test_rejects_bad_modes(self):
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(SizeLimitError):
             run_clique_sparsify(40, 6, seeds=1, cut_mode="exhaustive")
         with pytest.raises(InvalidArgumentError):
             run_clique_sparsify(15, 6, seeds=1)

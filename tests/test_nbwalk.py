@@ -204,7 +204,7 @@ class TestPseudoGirth:
         # count of a tree.  A scan that stops fanning out this ball must keep
         # its flag False, not recompute it from that count.
         graph = WeightedGraph(4, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (1, 3, 1.0)])
-        flags_g, flags_2g, bmax = nbwalk._ball_flags(graph, 2, np.arange(1))
+        flags_g, flags_2g, bmax = nbwalk._girth_flags(graph, 2, np.arange(1))
         assert not flags_g[0] and not flags_2g[0] and bmax == 4
         report = pseudo_girth(graph, 2)
         assert report == pseudo_girth_scan_oracle(graph, 2)[0]
@@ -226,7 +226,7 @@ class TestPseudoGirth:
             return cell, slot
 
         with mock.patch.object(nbwalk, "_fan_out", counting):
-            flags_g, _, _ = nbwalk._ball_flags(graph, 3, np.arange(graph.n))
+            flags_g, _, _ = nbwalk._girth_flags(graph, 3, np.arange(graph.n))
         assert not flags_g.any()
         assert 3 * sum(slots) <= full
 
@@ -419,8 +419,8 @@ def _blocks_of(graph, roots):
 
 
 def _per_root():
-    """Patch the certificate to run on the one-root-at-a-time oracles."""
-    return mock.patch.multiple(nbwalk, _walk_terms=walk_terms_oracle, _ball_flags=ball_flags_oracle)
+    """Patch the certificate to run on the one-root-at-a-time oracle."""
+    return mock.patch.object(nbwalk, "_walk_terms", walk_terms_oracle)
 
 
 def _assert_close_to_oracle(report, oracle, g):
@@ -500,9 +500,10 @@ class TestBlockEngineProperties:
     @given(graph=walk_graphs(), g=st.integers(1, 3), first_step=_first_steps, roots=_roots_per_block)
     def test_root_terms_do_not_depend_on_blocks(self, graph, g, first_step, roots):
         space = nbwalk._EdgeSpace(graph)
-        whole = nbwalk._walk_terms(space, g, first_step, 0, graph.n)  # default blocks: one root, then the rest
+        terms, balls = nbwalk._walk_terms(space, g, first_step, 0, graph.n)  # default blocks: one root, then the rest
         with _blocks_of(graph, roots):
-            assert all(map(np.array_equal, nbwalk._walk_terms(space, g, first_step, 0, graph.n), whole))
+            block_terms, block_balls = nbwalk._walk_terms(space, g, first_step, 0, graph.n)
+        assert np.array_equal(block_terms, terms) and all(map(np.array_equal, block_balls, balls))
 
     @_examples
     @given(graph=st.one_of(walk_graphs(), walk_graphs(connected=False)), g=st.integers(0, 3), roots=_roots_per_block)
@@ -517,10 +518,10 @@ class TestBlockEngineProperties:
     @given(graph=walk_graphs(), g=st.integers(1, 4), first_step=_first_steps, roots=_roots_per_block)
     def test_certificate_pseudo_girth_equals_the_full_scan(self, graph, g, first_step, roots):
         # the certificate reads the radius-g flags and B off its walk supports and
-        # scans to radius 2g only the balls acyclic at g; the public scan grows every ball
+        # grows on to radius 2g only the balls acyclic at g; the public scan grows every ball from 0
         with _blocks_of(graph, roots):
             cert = _certify(graph, g, 3.0, first_step=first_step)
-            balls, _ = nbwalk._root_chunk(graph, nbwalk._EdgeSpace(graph), g, first_step, 0, graph.n)
+            _, balls = nbwalk._walk_terms(nbwalk._EdgeSpace(graph), g, first_step, 0, graph.n)
             report, flags = nbwalk._pseudo_girth_scan(graph, g)
         if isinstance(cert, nbwalk.CertificateReport):
             assert cert.pseudo_girth == pseudo_girth(graph, g)
@@ -533,8 +534,8 @@ class TestBlockEngineProperties:
     def test_ball_flags_of_a_root_subset(self, graph, g, roots, data):
         subset = np.array(sorted(data.draw(st.sets(st.integers(0, graph.n - 1)))), dtype=np.int64)
         with _blocks_of(graph, roots):
-            flags_g, flags_2g, _ = nbwalk._ball_flags(graph, g, np.arange(graph.n))
-            sub_g, sub_2g, bmax = nbwalk._ball_flags(graph, g, subset)
+            flags_g, flags_2g, _ = nbwalk._girth_flags(graph, g, np.arange(graph.n))
+            sub_g, sub_2g, bmax = nbwalk._girth_flags(graph, g, subset)
         assert np.array_equal(sub_g, flags_g[subset]) and np.array_equal(sub_2g, flags_2g[subset])
         assert bmax == ball_flags_oracle(graph, g, subset)[2]
 
@@ -549,9 +550,45 @@ class TestBlockEngineProperties:
         ])
         space = nbwalk._EdgeSpace(graph)
         for g in range(3, 7):
-            balls, _ = nbwalk._root_chunk(graph, space, g, first_step, 0, graph.n)
-            for scan in (nbwalk._ball_flags(graph, g, np.arange(graph.n)), ball_flags_oracle(graph, g, np.arange(graph.n))):
+            _, balls = nbwalk._walk_terms(space, g, first_step, 0, graph.n)
+            for scan in (nbwalk._girth_flags(graph, g, np.arange(graph.n)), ball_flags_oracle(graph, g, np.arange(graph.n))):
                 assert np.array_equal(balls[0], scan[0]) and np.array_equal(balls[1], scan[1]) and balls[2] == scan[2]
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_lollipops_equal_per_root_bfs(self, g):
+        # a path of t edges from vertex 0 into a cycle of length c: seen from the path's end, an odd
+        # cycle closes by an edge inside a level and an even one by a vertex with two parents, at
+        # depth t + c // 2, which runs over level g + 1 (the first level past the walk) up to 2g
+        for t in range(2 * g + 1):
+            for c in range(3, 4 * g + 3):
+                path = [(i, i + 1, 1.0) for i in range(t)]
+                cycle = [(t + i, t + i + 1, 1.0) for i in range(c - 1)] + [(t, t + c - 1, 1.0)]
+                graph = WeightedGraph(t + c, path + cycle)
+                want = ball_flags_oracle(graph, g, np.arange(graph.n))
+                _, balls = nbwalk._walk_terms(nbwalk._EdgeSpace(graph), g, FIRST_STEP_WEIGHT, 0, graph.n)
+                assert all(map(np.array_equal, balls, want)), (t, c)
+                report = pseudo_girth_scan_oracle(graph, g)[0]
+                assert pseudo_girth(graph, g) == report, (t, c)
+                cert = _certify(graph, g, 3.0)  # the triangle at g = 3 has X.L_K = 0
+                assert cert is DegenerateInputError or cert.pseudo_girth == report, (t, c)
+
+    def test_certificate_grows_no_ball_from_radius_zero(self):
+        # the certificate continues its balls from the walks' level-g cells; pseudo_girth starts at 0
+        levels = []
+        grow = nbwalk._ball_flags
+
+        def recording(indptr, nbr, g, level, *args):
+            levels.append((g, level))
+            return grow(indptr, nbr, g, level, *args)
+
+        view = collapse_multiedges(first_matchings_subgraph(sample_regular_multigraph(1000, 16, seed=8), 4))
+        with mock.patch.object(nbwalk, "_ball_flags", recording):
+            for graph, g in ((view, 2), (view, 3), (make_cycle(40), 5)):
+                cert = certify_lower_bound(graph, g, 4.0)
+                assert cert.pseudo_girth.acyclic_g > 0 and levels and all(lv == (g, g) for lv in levels)
+                levels.clear()
+            pseudo_girth(view, 2)
+        assert levels and all(lv == (2, 0) for lv in levels)
 
     @_examples
     @given(graph=walk_graphs(), g=st.integers(0, 3), first_step=_first_steps, data=st.data())
@@ -636,7 +673,7 @@ class TestParallelRoots:
         h = tmp_path / "h.edges"
         write_edge_list(make_cycle(50, 0.5), h)
         with _cpus(2), mock.patch.object(_fork, "_PARALLEL_WORK", 0):
-            with mock.patch.object(nbwalk, "_root_chunk", _fail_in_worker):
+            with mock.patch.object(nbwalk, "_walk_terms", _fail_in_worker):
                 with pytest.raises(DegenerateInputError, match="raised in process") as err:
                     certify_lower_bound(make_cycle(50, 0.5), 2, 2.0)
                 code = main(["certify", "--h-file", str(h), "--g", "2", "--d", "2"])
@@ -649,12 +686,12 @@ class TestParallelRoots:
         # certificate of separation's n = 1000, d = 4 graph at g = 2 (about 2e4 walk entries)
         graph = collapse_multiedges(sample_regular_multigraph(300, 4, seed=8))
         view = collapse_multiedges(first_matchings_subgraph(sample_regular_multigraph(1000, 16, seed=8), 4))
-        with _cpus(2), mock.patch.object(nbwalk, "_root_chunk", _fail_in_worker):
+        with _cpus(2), mock.patch.object(nbwalk, "_walk_terms", _fail_in_worker):
             with pytest.raises(DegenerateInputError, match=f"process {os.getpid()}$"):
                 certify_lower_bound(graph, 3, 4.0)
             with pytest.raises(DegenerateInputError, match=f"process {os.getpid()}$"):
                 certify_lower_bound(view, 2, 4.0)
-        with _cpus(2), mock.patch.object(nbwalk, "_ball_flags", _fail_in_worker):
+        with _cpus(2), mock.patch.object(nbwalk, "_girth_flags", _fail_in_worker):
             with pytest.raises(DegenerateInputError, match=f"process {os.getpid()}$"):
                 pseudo_girth(graph, 3)
 
@@ -662,7 +699,7 @@ class TestParallelRoots:
         # 12 000 vertices of degree 4 at g = 2 make about 2.4e5 walk entries, above the floor
         # of 2^17; a 10 001-vertex cycle at g = 1, with 2e4, runs in-process
         graph = collapse_multiedges(sample_regular_multigraph(12_000, 4, seed=0))
-        with _cpus(2), mock.patch.object(nbwalk, "_root_chunk", _fail_in_worker):
+        with _cpus(2), mock.patch.object(nbwalk, "_walk_terms", _fail_in_worker):
             with pytest.raises(DegenerateInputError, match="raised in process") as err:
                 certify_lower_bound(graph, 2, 4.0)
             with pytest.raises(DegenerateInputError, match=f"process {os.getpid()}$"):
