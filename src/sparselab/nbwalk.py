@@ -377,38 +377,33 @@ def _support_vectors(space: _EdgeSpace, roots: np.ndarray, g: int, first_step: s
 # -- pseudo-girth -----------------------------------------------------------------
 
 
-def _ball_flags(indptr, nbr, g: int, level: int, index: np.ndarray, cells: np.ndarray, lo: int, verts, half):
+def _ball_flags(indptr, nbr, g: int, level: int, index: np.ndarray, cells: np.ndarray, front: np.ndarray, verts, acyclic):
     """Grow a block's balls from radius ``level`` to 2g through the CSR
     adjacency (indptr, nbr), reset ``index``, and return the flags of the
     roots whose radius-g and radius-2g balls are acyclic, the largest
     radius-g ball and the widest level's fan-out.
 
     ``cells`` lists the (root position) * n + vertex cells within radius
-    ``level``, those at depth ``level`` from position ``lo`` on; ``index``
-    maps each to a number that grows with depth, as the walk's positions do,
-    and each further level gives its new cells one number above the rest.
-    ``verts`` and ``half``, updated in place, count each ball's vertices and
-    twice its edges: expanding level L counts its edges down to L-1 twice and
-    those inside it once from each end.  A ball is connected, so it is
-    acyclic exactly when it has one edge fewer than vertices, and a cycle
+    ``level``, ``front`` those at depth ``level``, and ``index`` is >= 0 at
+    each; ``verts`` and ``acyclic``, updated in place, hold each ball's
+    vertex count and whether it has no cycle.  A ball is connected, so when
+    it is acyclic to radius L-1, each of its level-L cells has one claimed
+    neighbour, its parent, and any further one closes a cycle.  A cycle
     stays in every larger ball; so from level g on only acyclic balls fan
     out, and a ball with a cycle within g-1 keeps, for B, the level-g cells
     that level g-1 claimed.
     """
     n, nr, start = indptr.size - 1, verts.size, level
-    front, seen, widest = cells[lo:], [cells], 0
-    acyclic = half == 2 * (verts - 1)
+    seen, widest = [cells], 0
     while True:
         if level == g:
             front = front[acyclic[front // n]] if acyclic.any() else front[:0]
         cell, slot = _fan_out(indptr, front // n, front % n)
         widest = max(widest, cell.size)
         keys = cell * n + nbr[slot]
-        at = index[keys]  # -1 unclaimed, below lo one level down, from lo on this level
-        grow = at < 0
-        if level > start:
-            half += 2 * np.bincount(cell[~grow], minlength=nr) - np.bincount(cell[at >= lo], minlength=nr)
-            acyclic &= half == 2 * (verts - 1)  # a stale count is never read: its flag is False already
+        grow = index[keys] < 0
+        if level > start:  # a ball left out of the fan-out has its flag False already
+            acyclic &= np.bincount(cell[~grow], minlength=nr) == added
         if level == g:
             flags_g, bmax = acyclic.copy(), int(verts.max())
         if level == 2 * g or level >= g and not front.size:  # no ball grows past this level
@@ -416,9 +411,10 @@ def _ball_flags(indptr, nbr, g: int, level: int, index: np.ndarray, cells: np.nd
         if level >= g:
             grow &= acyclic[cell]
         front = _claim(index, keys[grow])  # one entry per new (root, vertex)
-        index[front] = lo = lo + cells.size  # above every number in use
+        index[front] = 0
         seen.append(front)
-        verts += np.bincount(front // n, minlength=nr)
+        added = np.bincount(front // n, minlength=nr)
+        verts += added
         level += 1
     index[np.concatenate(seen)] = -1
     return flags_g, acyclic, bmax, widest
@@ -449,9 +445,10 @@ def _girth_flags(graph: WeightedGraph, g: int, roots: np.ndarray) -> tuple[np.nd
     """(flags_g, flags_2g, B) of the given roots, their balls grown from radius 0 a block at a time."""
     balls, widths = [], []
     for block, index in _sized_blocks(graph.n, roots, _BALL_SLOTS, widths):
-        cells = np.arange(block.size) * graph.n + block
+        nr = block.size
+        cells = np.arange(nr) * graph.n + block
         index[cells] = 0
-        *flags, widest = _ball_flags(*graph.csr()[:2], g, 0, index, cells, 0, np.ones_like(block), np.zeros_like(block))
+        *flags, widest = _ball_flags(*graph.csr()[:2], g, 0, index, cells, cells, np.ones(nr, int), np.ones(nr, bool))
         balls.append(flags)
         widths.append(widest)
     return _concat_balls(balls)
@@ -507,8 +504,9 @@ def _walk_terms(space: _EdgeSpace, g: int, first_step: str, lo: int, hi: int) ->
         owner = np.repeat(np.arange(cells.size), up)[inside]
         other, w = other[inside], space.w[slot[inside]]
         per_root = partial(np.bincount, rid, minlength=roots.size)
-        half = 2 * np.bincount(rid[owner], minlength=roots.size)
-        balls.append(_ball_flags(space.out_ptr, space.dst, g, g, index, cells, last, per_root(), half)[:3])
+        verts = per_root()
+        acyclic = np.bincount(rid[owner], minlength=roots.size) == verts - 1  # one edge fewer than vertices
+        balls.append(_ball_flags(space.out_ptr, space.dst, g, g, index, cells, cells[last:], verts, acyclic)[:3])
         up_f = np.bincount(owner, f[other] * w, minlength=cells.size)  # sum over v > u of w_uv f_v
         up_h = np.bincount(owner, h[other] * w, minlength=cells.size)
         ff, hh = f * f, h * h

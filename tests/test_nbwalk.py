@@ -199,10 +199,9 @@ class TestPseudoGirth:
 
     def test_cycle_inside_radius_g_minus_one_is_not_forgotten(self):
         # triangle 0-1-2 with a pendant 3 on vertex 1, root 0, g = 2: the
-        # radius-1 ball holds the triangle, and after level 1 its half-edge
-        # count reads 6 = 2 * (4 - 1) for the 4 vertices within radius 2, the
-        # count of a tree.  A scan that stops fanning out this ball must keep
-        # its flag False, not recompute it from that count.
+        # radius-1 ball holds the triangle, and level 2 adds only the pendant,
+        # as a tree would.  A scan that stops fanning out this ball must keep
+        # its flag False, not recompute it from level 2 alone.
         graph = WeightedGraph(4, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (1, 3, 1.0)])
         flags_g, flags_2g, bmax = nbwalk._girth_flags(graph, 2, np.arange(1))
         assert not flags_g[0] and not flags_2g[0] and bmax == 4
