@@ -165,7 +165,7 @@ def _dispatch(args: argparse.Namespace) -> None:
         h = read_edge_list(args.h_file)
         g = _read_reference(args.g_file)
         exhaustive = args.exhaustive or args.samples is None
-        sizes = args.sizes if args.sizes is not None else sorted({min(2 ** j, h.n // 2) for j in range(2, max(3, h.n.bit_length()))})
+        sizes = args.sizes if args.sizes is not None else harness._sampled_sizes(h.n)
         report = harness.run_cut_error(h, g, exhaustive, args.samples or 0, sizes, args.seed)
         _emit_json(report, args.out)
         return

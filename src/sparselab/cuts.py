@@ -10,7 +10,7 @@ Rows and columns are sorted by popcount: against a clique, whose cut depends
 only on |S|, each (|S_A|, |S_B|) block needs only its raw max and min cut; a
 general reference keeps an elementwise ratio.  A witness is the first extreme
 cell in Gray-code order over vertices 1..n-1, found by evaluating again only
-the blocks that reach the extreme.
+the blocks that reach the extreme (against a clique, by raw-cut thresholds).
 
 A reference is a :class:`WeightedGraph` or a :class:`Clique`; a clique's
 cuts come from its closed form w*k*(n-k), so it is never enumerated.
@@ -157,18 +157,20 @@ def _weight_classes(graph: WeightedGraph) -> list[tuple[float, np.ndarray]]:
     ws = graph.edge_arrays()[2]
     if np.array_equal(ws, np.rint(ws)) and ws.sum() < 2.0**23:
         return [(1.0, ws)]
-    return [(w, (ws == w).astype(np.float64)) for w in np.unique(ws)]
+    ordered = np.sort(ws)  # np.unique's values, without the numpy.ma import its first call costs
+    return [(w, (ws == w).astype(np.float64)) for w in ordered[np.append(True, np.diff(ordered) != 0)]]
 
 
 class _SplitCuts:
     """Exact cut values of graphs on n vertices over the split V = A + B, A = {0..a-1}.
 
-    A subset S holding vertex 0 is a row S_A (2^(a-1) of them) and a column
-    S_B (2^(n-a)), both sorted by popcount, so each (kA, kB) block of sizes is
-    a row range times a column range.  Per weight class the crossing count
-    u_A[S_A] + u_B[S_B] - 2 x_A^T W_AB x_B is an exact integer in float32.
-    ``valid`` lists the blocks holding a proper cut (all but the full vertex
-    set's); ``size``, ``kside`` and ``count`` are per valid block.
+    A subset S holding vertex 0 is a row S_A (2^(a-1) of them) and a column S_B (2^(n-a)), both
+    sorted by popcount, so each (kA, kB) block of sizes is a row range times a column range.  Per
+    weight class the crossing count u_A[S_A] + u_B[S_B] - 2 x_A^T W_AB x_B is an exact integer in
+    float32; u_A rides in the GEMM as a last column of ``pa`` against a row of ones in ``xbt``.
+    ``dtype`` is the first graph's cut dtype: float32 when it is one integer class, whose counts are
+    its cuts, so ``extremes`` adds u_B after its row reduction, exactly.  ``valid`` lists the blocks of
+    proper cuts (all but the full vertex set's); ``size``, ``kside`` and ``count`` are per valid block.
     """
 
     def __init__(self, n: int, graphs: Sequence[WeightedGraph]):
@@ -177,8 +179,8 @@ class _SplitCuts:
         self.rows, self.ra = _by_popcount(np.arange(1 << (a - 1), dtype=np.int64) * 2 + 1, a + 1)
         self.cols, self.cb = _by_popcount(np.arange(1 << (n - a), dtype=np.int64), n - a + 1)
         xa = ((self.rows[:, None] >> np.arange(a)) & 1).astype(np.float64)
-        xb = ((self.cols[:, None] >> np.arange(n - a)) & 1).astype(np.float64)
-        self.xbt = xb.T.astype(np.float32, order="C")
+        self.xbt = (((self.cols | 1 << (n - a)) >> np.arange(n - a + 1)[:, None]) & 1).astype(np.float32)  # ones last
+        xb = self.xbt[:-1].T.astype(np.float64)
         self.terms = []
         for g in graphs:
             us, vs, _, _ = g.edge_arrays()
@@ -190,8 +192,10 @@ class _SplitCuts:
                 deg = wm.sum(axis=1)
                 ua = xa @ deg[:a] - ((xa @ wm[:a, :a]) * xa).sum(axis=1)
                 ub = xb @ deg[a:] - ((xb @ wm[a:, a:]) * xb).sum(axis=1)
-                terms.append((w, *(x.astype(np.float32) for x in (ua, ub, -2.0 * (xa @ wm[:a, a:])))))
+                pa = np.column_stack([-2.0 * (xa @ wm[:a, a:]), ua]).astype(np.float32)  # u_A against the ones
+                terms.append((w, pa, ub.astype(np.float32)))
             self.terms.append(terms)
+        self.dtype = np.dtype(np.float32 if len(self.terms[0]) == 1 and self.terms[0][0][0] == 1.0 else np.float64)
         count = np.outer(np.diff(self.ra), np.diff(self.cb))
         count[a, n - a] = 0
         self.valid = np.nonzero(count)
@@ -200,35 +204,37 @@ class _SplitCuts:
         self.kside = np.minimum(self.size, n - self.size)
         self.every = [(ka, 0, n - a) for ka in range(1, a + 1)]
 
-    def _cuts(self, terms, r: slice, c: slice) -> np.ndarray:
+    def _cuts(self, terms, r: slice, c: slice, column: bool) -> np.ndarray:
         acc = None  # the first term stands for 0.0 + term, which equals it: terms are >= +0.0
-        for w, ua, ub, pa in terms:
+        for w, pa, ub in terms:
             cnt = pa[r] @ self.xbt[:, c]
-            cnt += ua[r, None]
+            if len(terms) == 1 and w == 1.0:  # one integer class: its float32 counts are the cuts
+                return np.add(cnt, ub[c], out=cnt) if column else cnt
             cnt += ub[c]
-            if len(terms) == 1 and w == 1.0:
-                return cnt  # one integer class: its float32 counts are the cuts
             part = np.multiply(w, cnt, dtype=np.float64)
             acc = part if acc is None else acc + part
         return acc
 
-    def _slabs(self, blocks):
+    def _slabs(self, blocks, column: bool = True):
         """Yield (kA, kB0, kB1, rows, columns, cuts of each graph) over row slabs of blocks (kA, kB0, kB1)."""
         for ka, kb0, kb1 in blocks:
             c = slice(self.cb[kb0], self.cb[kb1 + 1])
             step = max(1, _SLAB_CELLS // (c.stop - c.start))
             for r0 in range(self.ra[ka], self.ra[ka + 1], step):
                 r = slice(r0, min(r0 + step, self.ra[ka + 1]))
-                yield ka, kb0, kb1, r, c, [self._cuts(t, r, c) for t in self.terms]
+                yield ka, kb0, kb1, r, c, [self._cuts(t, r, c, column) for t in self.terms]
 
-    def tables(self, blocks, cells, ops) -> list[np.ndarray]:
-        """Per valid block, each ufunc of ops (np.maximum or np.minimum) folded over cells(cuts)."""
+    def tables(self, blocks, cells, ops, column: np.ndarray | None = None) -> list[np.ndarray]:
+        """Per valid block, each ufunc of ops (np.maximum or np.minimum) folded over cells(cuts); a ``column``
+        term, u_B of one integer class, is left out of the slabs and added after the row fold."""
         out = [np.full((self.a + 1, self.n - self.a + 1), -np.inf if op is np.maximum else np.inf) for op in ops]
-        for ka, kb0, kb1, r, c, cuts in self._slabs(blocks):
+        for ka, kb0, kb1, r, c, cuts in self._slabs(blocks, column is None):
             starts = self.cb[kb0 : kb1 + 1] - c.start
             for table, op, x in zip(out, ops, cells(cuts)):
-                part = table[ka, kb0 : kb1 + 1]
-                op(part, op.reduceat(op.reduce(x, axis=0), starts), out=part)
+                part, reduced = table[ka, kb0 : kb1 + 1], op.reduce(x, axis=0)
+                if column is not None:
+                    reduced += column[c]
+                op(part, op.reduceat(reduced, starts), out=part)
         return [t[self.valid] for t in out]
 
     def _blocks(self, sel: np.ndarray) -> list[tuple[int, int, int]]:
@@ -237,7 +243,8 @@ class _SplitCuts:
     def extremes(self, sel: np.ndarray | None = None) -> list[np.ndarray]:
         """Raw maximum and minimum cut of the first graph per valid block (only the selected ones are filled)."""
         blocks = self.every if sel is None else self._blocks(sel)
-        return self.tables(blocks, lambda cuts: (cuts[0], cuts[0]), (np.maximum, np.minimum))
+        column = self.terms[0][0][2] if self.dtype == np.float32 else None  # integer cuts: exact either way
+        return self.tables(blocks, lambda cuts: (cuts[0], cuts[0]), (np.maximum, np.minimum), column)
 
     def first(self, sel: np.ndarray, hit) -> int | None:
         """Mask of least Gray rank among the cells of the selected valid blocks where hit(size, cuts) holds."""
@@ -260,24 +267,39 @@ def _ratio_dev(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.abs(np.divide(num, den, dtype=np.float64) - 1.0)
 
 
-def _worst_ratio(split: _SplitCuts, block_dev: np.ndarray, cell_dev) -> CutErrorReport:
-    """max |ratio - 1| from its per-block maxima; the witness is its first maximizer in Gray visit order."""
-    best = block_dev.max()
-    mask = split.first(block_dev == best, lambda size, cuts: cell_dev(size, cuts) == best)
+def _exhaustive_report(split: _SplitCuts, best: float, mask: int) -> CutErrorReport:
     n = split.n
     return CutErrorReport(float(best), _mask_to_subset(mask, n), "exhaustive", 2 ** (n - 1) - 1, n, lower_bound=False)
 
 
-def _clique_ratio(split: _SplitCuts, hi: np.ndarray, lo: np.ndarray, scale: float, refs: np.ndarray) -> CutErrorReport:
-    """Worst |scale*cut / refs[|S|] - 1| from each block's raw cut extremes.
+def _least_where(pred, dtype: np.dtype, shape) -> np.ndarray:
+    """Per entry, the least x in [+0, +inf] of a float dtype where the monotone pred holds (at +inf unless earlier)."""
+    bits = np.dtype(f"u{dtype.itemsize}")
+    lo, hi = np.zeros(shape, bits), np.full(shape, np.array(np.inf, dtype).view(bits))
+    while np.any(lo < hi):
+        mid = lo + (hi - lo) // 2
+        ok = pred(mid.view(dtype))
+        lo, hi = np.where(ok, lo, mid + 1), np.where(ok, mid, hi)
+    return hi.view(dtype)
 
-    x -> scale*x/ref - 1 is monotone under rounding, so a block's extreme is at its max or min cut, exactly.
+
+def _clique_ratio(split: _SplitCuts, hi: np.ndarray, lo: np.ndarray, scale: float, refs: np.ndarray) -> CutErrorReport:
+    """Worst |scale*cut / refs[|S|] - 1| from each block's raw cut extremes; the witness by raw-cut thresholds.
+
+    At a fixed size r(x) = fl(fl(scale*x)/ref) - 1 is monotone in the cut x, so a block's extreme is at its max or
+    min cut, and, as no cell exceeds best, a cell reaches best exactly when x >= t_hi, the least x with r(x) >= best,
+    or x < t_lo, the least x with r(x) > -best.  Both are bisected per size over the bit patterns of the cut dtype.
     """
 
-    def dev(cut, size):
-        return _ratio_dev(np.float64(scale) * cut, refs[size])
+    def signed(cut, size):
+        return np.divide(np.float64(scale) * cut, refs[size], dtype=np.float64) - 1.0
 
-    return _worst_ratio(split, np.maximum(dev(hi, split.size), dev(lo, split.size)), lambda size, cuts: dev(cuts[0], size))
+    dev = np.maximum(np.abs(signed(hi, split.size)), np.abs(signed(lo, split.size)))
+    best = dev.max()
+    bound = np.array([[best], [np.nextafter(-best, np.inf)]])  # r(x) > -best is r(x) >= the next float up
+    t_hi, t_lo = _least_where(lambda x: signed(x, slice(1, split.n)) >= bound, split.dtype, (2, split.n - 1))
+    mask = split.first(dev == best, lambda size, cuts: (cuts[0] >= t_hi[size - 1]) | (cuts[0] < t_lo[size - 1]))
+    return _exhaustive_report(split, best, mask)
 
 
 def _profile_rows(split: _SplitCuts, hi: np.ndarray, lo: np.ndarray, refs: np.ndarray, argmax_cap: int):
@@ -331,7 +353,8 @@ def cut_error_exhaustive(h: WeightedGraph, g: WeightedGraph | Clique, cap: int =
     split = _SplitCuts(n, (h, g))
     with np.errstate(divide="ignore", invalid="ignore"):  # cut_G is 0 on the full vertex set, never read
         (dev,) = split.tables(split.every, lambda cuts: (_ratio_dev(*cuts),), (np.maximum,))
-    return _worst_ratio(split, dev, lambda size, cuts: _ratio_dev(*cuts))
+    best = dev.max()  # the witness is the first cell reaching it in Gray visit order
+    return _exhaustive_report(split, best, split.first(dev == best, lambda size, cuts: _ratio_dev(*cuts) == best))
 
 
 # -- sampled error -------------------------------------------------------------

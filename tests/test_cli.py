@@ -443,6 +443,27 @@ def test_separation_leaves_numpy_ma_unloaded(tmp_path):
     assert out.stdout.strip() == "False"
 
 
+def test_measurements_leave_numpy_ma_unloaded(tmp_path):
+    # a float-weighted exhaustive cut error finds its weight classes by sorting, not with np.unique
+    h, g = tmp_path / "h.edges", tmp_path / "g.edges"
+    regular = sample_regular_multigraph(10, 4, 1)
+    write_edge_list(scale_weights(regular, 0.75), h)
+    write_edge_list(regular, g)
+    out = str(tmp_path / "report.json")
+    runs = [
+        ["clique-sparsify", "--n", "10", "--d", "4", "--cut-mode", "exhaustive", "--seeds", "1", "--out", out],
+        ["cut-error", "--h-file", str(h), "--g-file", str(g), "--exhaustive", "--out", out],
+        ["separation", "--n", "40", "--big-degree", "8", "--d", "4", "--g", "2", "--cut-mode", "sampled", "--seeds", "1", "--out", out],
+        ["certify", "--h-file", str(g), "--g", "2", "--d", "4", "--out", out],
+        ["martingale", "--n", "20", "--k", "2", "--d", "4", "--trials", "50", "--seed", "0", "--out", out],
+    ]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = "import json, sys; from sparselab.cli import main; print([main(a) for a in json.loads(sys.argv[1])], 'numpy.ma' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["[0,", "0,", "0,", "0,", "0]", "False"]
+
+
 def test_fork_helper_adds_no_other_module_to_the_import():
     # the shared fork helper imports only modules that the rest of the CLI already loads
     src = Path(__file__).resolve().parents[1] / "src"

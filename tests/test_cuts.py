@@ -32,7 +32,7 @@ from sparselab.graph import (
     sample_regular_multigraph,
     scale_weights,
 )
-from sparselab.rng import make_generator
+from sparselab.rng import derive_seed, make_generator
 from sparselab.spectral import spectral_error
 
 from helpers import (
@@ -568,6 +568,46 @@ class TestKernelMatchesOracle:
         assert peak < 64 * 2**20
         with mock.patch.object(cuts, "_SLAB_CELLS", 1):  # one row per slab
             assert cut_error_exhaustive(h, Clique(26, 1.0)).epsilon == eps
+
+    def test_the_benchmark_graph_at_n_24(self):
+        # the witness scan there covers one wide block of 638 154 cells; the examples above stop at n = 10
+        h = sample_regular_multigraph(24, 8, derive_seed(0, 0))
+        assert regular_vs_clique_exhaustive(h, 8) == regular_vs_clique_oracle(h, 8, REF_DENSITY, 4)
+
+    @pytest.mark.parametrize("w", [1e20, 1e-20])
+    def test_extreme_clique_weights(self, w):
+        # against 1e20 every deviation rounds to 1.0, so every cell ties and the
+        # witness is the first cut in Gray order; against 1e-20 the ratios reach 1e20
+        n = 10
+        one_class = sample_regular_multigraph(n, 4, seed=3)
+        classes = scale_weights(one_class, 0.75)
+        assert len(cuts._weight_classes(one_class)) == 1 and len(cuts._weight_classes(classes)) > 1
+        for h in (one_class, classes):
+            got = cut_error_exhaustive(h, Clique(n, w))
+            assert got == cut_error_exhaustive_oracle(h, Clique(n, w))
+            if w > 1.0:
+                assert got.epsilon == 1.0 and got.witness == (0,)
+
+    @_examples
+    @given(
+        values=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=40),
+        scale=st.floats(1e-3, 1e3),
+        ref=st.floats(1e-3, 1e6),
+        dtype=st.sampled_from([np.float32, np.float64]),
+    )
+    def test_thresholds_pick_the_cells_that_reach_the_worst_deviation(self, values, scale, ref, dtype):
+        # |r(x)| == best for a cell exactly when x >= t_hi or x < t_lo, r(x) = fl(fl(scale*x)/ref) - 1;
+        # each cell's neighbours in the dtype are cells too, so ties and one-step misses show
+        x = np.array(values, dtype=dtype)
+        x = np.concatenate([x, np.nextafter(x, dtype(np.inf)), np.nextafter(x, dtype(0))])
+        signed = lambda v: np.divide(np.float64(scale) * v, ref, dtype=np.float64) - 1.0  # noqa: E731
+        best = np.abs(signed(x)).max()
+        t_hi = cuts._least_where(lambda v: signed(v) >= best, x.dtype, 1)[0]
+        t_lo = cuts._least_where(lambda v: signed(v) > -best, x.dtype, 1)[0]
+        assert ((x >= t_hi) | (x < t_lo)).tolist() == (np.abs(signed(x)) == best).tolist()
+        for t, reached in ((t_hi, lambda r: r >= best), (t_lo, lambda r: r > -best)):
+            assert t == np.inf or reached(signed(t))
+            assert t == 0 or not reached(signed(np.nextafter(t, dtype(0))))
 
 
 class TestSubsetSampling:
