@@ -235,6 +235,7 @@ class _SplitCuts:
                 if column is not None:
                     reduced += column[c]
                 op(part, op.reduceat(reduced, starts), out=part)
+            del cuts, x  # freed before the next slab's GEMM, which then reuses their pages
         return [t[self.valid] for t in out]
 
     def _blocks(self, sel: np.ndarray) -> list[tuple[int, int, int]]:
@@ -251,6 +252,7 @@ class _SplitCuts:
         best = (np.inf, None)
         for ka, kb, _, r, c, cuts in self._slabs(self._blocks(sel)):
             i, j = np.nonzero(hit(ka + kb, cuts))
+            del cuts  # freed before the next slab's GEMM, as in tables
             if i.size:
                 masks = self.rows[r][i] | (self.cols[c][j] << self.a)
                 rank = _gray_rank(masks)
@@ -286,10 +288,9 @@ def _least_where(pred, dtype: np.dtype, shape) -> np.ndarray:
 def _clique_ratio(split: _SplitCuts, hi: np.ndarray, lo: np.ndarray, scale: float, refs: np.ndarray) -> CutErrorReport:
     """Worst |scale*cut / refs[|S|] - 1| from each block's raw cut extremes; the witness by raw-cut thresholds.
 
-    At a fixed size r(x) = fl(fl(scale*x)/ref) - 1 is monotone in the cut x, so a block's extreme is at its max or
-    min cut, and, as no cell exceeds best, a cell reaches best exactly when x >= t_hi, the least x with r(x) >= best,
-    or x < t_lo, the least x with r(x) > -best.  Both are bisected per size over the bit patterns of the cut dtype.
-    """
+    At a fixed size r(x) = fl(fl(scale*x)/ref) - 1 is monotone in the cut x, so a block's extreme is at its max or min
+    cut, and as no cell exceeds best, a cell reaches it exactly when x >= t_hi, the least x with r(x) >= best, or
+    x < t_lo, the least x with r(x) > -best; both are bisected per size over the bit patterns of the cut dtype."""
 
     def signed(cut, size):
         return np.divide(np.float64(scale) * cut, refs[size], dtype=np.float64) - 1.0
@@ -599,9 +600,8 @@ def regular_vs_clique_exhaustive(
     refs = _profile_references(n, d, reference)
     split = _SplitCuts(n, (h_raw,))
     hi, lo = split.extremes()
-    sz = np.arange(n + 1, dtype=np.float64)
     profile = CutProfile(n=n, d=d, reference=reference, rows=_profile_rows(split, hi, lo, refs, argmax_cap))
-    return _clique_ratio(split, hi, lo, (n - 1) / d, sz * (n - sz)), profile
+    return _clique_ratio(split, hi, lo, (n - 1) / d, Clique(n, 1.0).cut(np.arange(n + 1.0))), profile
 
 
 def extreme_cuts_at_sizes(h: WeightedGraph, ks: Sequence[int]) -> list[tuple[float, float]]:
