@@ -275,7 +275,7 @@ def _exhaustive_report(split: _SplitCuts, best: float, mask: int) -> CutErrorRep
 
 
 def _least_where(pred, dtype: np.dtype, shape) -> np.ndarray:
-    """Per entry, the least x in [+0, +inf] of a float dtype where the monotone pred holds (at +inf unless earlier)."""
+    """Per entry, the least x in [+0, +inf] of a float dtype where the monotone pred holds; +inf when none below."""
     bits = np.dtype(f"u{dtype.itemsize}")
     lo, hi = np.zeros(shape, bits), np.full(shape, np.array(np.inf, dtype).view(bits))
     while np.any(lo < hi):
