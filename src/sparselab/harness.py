@@ -11,9 +11,10 @@ from __future__ import annotations
 import datetime
 import math
 import statistics
+from functools import partial
 from typing import Sequence
 
-from . import bounds, cuts, martingale, nbwalk, spectral
+from . import _fork, bounds, cuts, martingale, nbwalk, spectral
 from .errors import InvalidArgumentError, SizeLimitError
 from .graph import (
     Clique,
@@ -162,6 +163,8 @@ def run_clique_sparsify(
 
 # -- separation experiment ----------------------------------------------------------
 
+_STAGE_WORK = 1 << 14  # a seed's stages per vertex; _fork._PARALLEL_WORK has the units and the fit
+
 
 def run_separation(
     n: int,
@@ -202,19 +205,26 @@ def run_separation(
         else:
             h = scale_weights(h_raw, big_degree / d)
             tgt = parent
-        if exhaustive:
-            cut_report = cuts.cut_error_exhaustive(h, tgt)
-        else:
-            cut_report = cuts.cut_error_sampled(h, tgt, samples_per_size, _sampled_sizes(n), seed)
-        spec_report = spectral.spectral_error(h, tgt)
         # Certificate view: unit-ish weighted degree against the 1/n clique.
         h_cert = collapse_multiedges(scale_weights(h_raw, (n - 1) / (d * n)))
-        cert = nbwalk.certify_lower_bound(h_cert, g, d)
-        if target == "clique":
-            # h_cert = h/n against the 1/n clique: the eigenproblem of h against the unit clique
-            spec_clique = spec_report
+        # The stages read no other stage's result, so they run side by side, and fail in this
+        # order; the clique solve comes before the long solve against the parent to share the CPUs.
+        if exhaustive:
+            stages = [partial(cuts.cut_error_exhaustive, h, tgt)]
         else:
-            spec_clique = spectral.spectral_error(h_cert, Clique(n, 1.0 / n))
+            stages = [partial(cuts.cut_error_sampled, h, tgt, samples_per_size, _sampled_sizes(n), seed)]
+        if target == "parent":
+            stages.append(partial(spectral.spectral_error, h_cert, Clique(n, 1.0 / n)))
+        stages.append(partial(spectral.spectral_error, h, tgt))
+        # a certificate above the fork floor splits its roots over the CPUs afterwards
+        inline = nbwalk.certificate_work(h_cert, g) < _fork._PARALLEL_WORK
+        if inline:
+            stages.append(partial(nbwalk.certify_lower_bound, h_cert, g, d))
+        cut_report, *done = _fork.run_stages(stages, _STAGE_WORK * n)
+        cert = done.pop() if inline else nbwalk.certify_lower_bound(h_cert, g, d)
+        spec_report = done[-1]
+        # for the clique target h_cert = h/n against the 1/n clique: the eigenproblem of h against the unit clique
+        spec_clique = done[0]
         records.append(
             {
                 "trial": t,

@@ -168,7 +168,7 @@ class EmpiricalTail:
     bound: TailBound
 
 
-_TRIAL_CELLS = 600  # a trial's seeding and looping, in shuffled cells; see _fork._PARALLEL_WORK
+_TRIAL_CELLS = 600  # a trial's seeding and looping, in shuffled cells; a cell counts 4, see _fork._PARALLEL_WORK
 
 
 def _tail_counts(n: int, k: int, d: int, expected: float, threshold: float, seed: int, lo: int, hi: int):
@@ -192,7 +192,7 @@ def _tail_sums(args: tuple, trials: int) -> tuple[int, int]:
     import numpy.random  # noqa: F401  (loaded once here, not once per worker)
 
     n, _, d = args[:3]
-    parts = split_ranges(partial(_tail_counts, *args), trials, trials * (n * d + _TRIAL_CELLS))
+    parts = split_ranges(partial(_tail_counts, *args), trials, 4 * trials * (n * d + _TRIAL_CELLS))
     return sum(e for e, _ in parts), sum(t for _, t in parts)
 
 

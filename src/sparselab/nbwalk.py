@@ -530,6 +530,15 @@ def _walk_terms(space: _EdgeSpace, g: int, first_step: str, lo: int, hi: int) ->
     return np.hstack(columns), _concat_balls(balls)
 
 
+def certificate_work(graph: WeightedGraph, g: int) -> float:
+    """The certificate's work in ``_fork._PARALLEL_WORK`` units, 32 per expected walk entry: a
+    tree-like ball of mean degree dbar has dbar (dbar - 1)^(ell - 1) cells at depth ell, and each
+    one below depth g fans out dbar entries."""
+    n = graph.n
+    dbar = graph.csr()[1].size / n
+    return 32 * n * dbar * (1 + sum(min(n, dbar * (dbar - 1) ** (ell - 1)) for ell in range(1, g)))
+
+
 def certify_lower_bound(
     graph: WeightedGraph,
     g: int,
@@ -555,11 +564,7 @@ def certify_lower_bound(
         raise InvalidArgumentError("certificate needs a connected graph")
     n = graph.n
     space = _EdgeSpace(graph)
-    # 32 per expected walk entry (see _fork._PARALLEL_WORK): a tree-like ball of mean degree dbar
-    # has dbar (dbar - 1)^(ell - 1) cells at depth ell, and each one below depth g fans out dbar entries
-    dbar = space.m2 / n
-    work = 32 * n * dbar * (1 + sum(min(n, dbar * (dbar - 1) ** (ell - 1)) for ell in range(1, g)))
-    chunks = split_ranges(partial(_walk_terms, space, g, first_step), n, work)
+    chunks = split_ranges(partial(_walk_terms, space, g, first_step), n, certificate_work(graph, g))
     pg, vprime = _girth_report(n, g, [balls for _, balls in chunks])
     # one running sum over every root's terms, in ascending root order, added left to right
     terms = np.hstack([t for t, _ in chunks])

@@ -8,9 +8,11 @@ edge scans, so tests compare two genuinely different routes to each value.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
+from unittest import mock
 
 import numpy as np
 from hypothesis import strategies as st
@@ -22,6 +24,11 @@ from sparselab.nbwalk import FIRST_STEP_UNIFORM, FIRST_STEP_WEIGHT, PseudoGirthR
 from sparselab.rng import derive_seed, make_generator
 
 DENSE_CAP = 4000  # the dense oracles stop at this many vertices
+
+
+def cpus(count: int):
+    """Patch the affinity mask that forked splits read to ``count`` CPUs."""
+    return mock.patch.object(os, "sched_getaffinity", return_value=set(range(count)))
 
 
 def erf_series(x: float, terms: int = 120) -> float:

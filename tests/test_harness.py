@@ -1,10 +1,13 @@
 import json
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from sparselab import cuts, harness, spectral
-from sparselab.errors import InvalidArgumentError, SizeLimitError
+from sparselab import _fork, cuts, harness, nbwalk, spectral
+from sparselab.cli import main
+from sparselab.errors import DegenerateInputError, InvalidArgumentError, SizeLimitError
 from sparselab.harness import (
     bounds_table_csv,
     run_bounds_table,
@@ -12,6 +15,8 @@ from sparselab.harness import (
     run_concentration,
     run_separation,
 )
+
+from helpers import cpus
 
 
 class TestCliqueSparsify:
@@ -102,6 +107,69 @@ class TestSeparation:
     def test_rejects_prefix_overflow(self):
         with pytest.raises(InvalidArgumentError):
             run_separation(20, 4, 8, seeds=1, g=2)
+
+
+def _strip(report: dict) -> str:
+    return json.dumps({k: v for k, v in report.items() if k != "generated_at"}, sort_keys=True)
+
+
+def _fail_in_worker(error):
+    def fail(*args):
+        raise error(f"raised in process {os.getpid()}")
+
+    return fail
+
+
+class TestSeparationStages:
+    # a floor of 0 leaves the certificate to the parent; at 2^16 it joins the stages at n = 20 and 40
+    @pytest.mark.parametrize("floor", [0, 1 << 16])
+    @pytest.mark.parametrize("target", ["clique", "parent"])
+    @pytest.mark.parametrize("n, cut_mode", [(20, "exhaustive"), (40, "sampled")])
+    def test_worker_count_does_not_change_the_report(self, floor, target, n, cut_mode):
+        args = (n, 8, 4, 2, 2, 3, target, cut_mode, 20)
+        in_process = _strip(run_separation(*args))
+        for workers in (1, 2, 3):
+            with cpus(workers), mock.patch.object(_fork, "_PARALLEL_WORK", floor):
+                assert _strip(run_separation(*args)) == in_process
+
+    def test_small_separations_stay_in_process(self):
+        fail = _fail_in_worker(SizeLimitError)
+        with cpus(2), mock.patch.object(cuts, "cut_error_sampled", fail):
+            with pytest.raises(SizeLimitError, match=f"process {os.getpid()}$"):
+                run_separation(100, 8, 4, 1, 2, cut_mode="sampled", samples_per_size=5)
+            with pytest.raises(SizeLimitError) as err:
+                run_separation(256, 8, 4, 1, 2, cut_mode="sampled", samples_per_size=5)
+        assert not str(err.value).endswith(f" {os.getpid()}")  # it came from a worker
+
+    def test_stage_error_keeps_its_type_and_exit_code(self, capsys):
+        argv = ["separation", "--n", "40", "--big-degree", "8", "--d", "4", "--cut-mode", "sampled", "--samples", "5"]
+        with cpus(2), mock.patch.object(_fork, "_PARALLEL_WORK", 0):
+            with mock.patch.object(spectral, "spectral_error", _fail_in_worker(DegenerateInputError)):
+                with pytest.raises(DegenerateInputError, match="raised in process") as err:
+                    run_separation(40, 8, 4, 1, 2, cut_mode="sampled", samples_per_size=5)
+                assert main(argv) == 4
+                # the cut stage comes first, and its child's error wins
+                with mock.patch.object(cuts, "cut_error_sampled", _fail_in_worker(SizeLimitError)):
+                    for target in ("clique", "parent"):
+                        with pytest.raises(SizeLimitError, match="raised in process"):
+                            run_separation(40, 8, 4, 1, 2, target=target, cut_mode="sampled", samples_per_size=5)
+                    assert main(argv) == 3
+        assert not str(err.value).endswith(f" {os.getpid()}")  # it came from a worker
+        assert "raised in process" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("floor, in_parent", [(0, True), (1 << 16, False)])
+    def test_certificate_above_its_floor_runs_in_the_parent(self, floor, in_parent):
+        calls = []
+        certify = nbwalk.certify_lower_bound
+
+        def recording(*args):
+            calls.append(os.getpid())  # a stage child's list is lost when it exits
+            return certify(*args)
+
+        with cpus(2), mock.patch.object(_fork, "_PARALLEL_WORK", floor):
+            with mock.patch.object(nbwalk, "certify_lower_bound", recording):
+                run_separation(40, 8, 4, 2, 2, cut_mode="sampled", samples_per_size=5)
+        assert calls == ([os.getpid()] * 2 if in_parent else [])
 
 
 class TestBoundsTable:

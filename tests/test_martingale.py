@@ -17,7 +17,7 @@ from sparselab.martingale import binomial_tail_ge, empirical_tail, simulate_reve
 from sparselab.rng import derive_seed, make_generator
 
 from helpers import check_reveal_invariants as check_increment_bounds
-from helpers import empirical_tail_oracle, sample_matching_oracle
+from helpers import cpus, empirical_tail_oracle, sample_matching_oracle
 
 
 class TestSimulateReveal:
@@ -142,11 +142,6 @@ class TestEmpiricalTail:
         assert a.exceedances == b.exceedances
 
 
-def _cpus(count):
-    """Patch the affinity mask the tail reads to ``count`` CPUs."""
-    return mock.patch.object(os, "sched_getaffinity", return_value=set(range(count)))
-
-
 def _fail_in_worker(*args):
     raise SizeLimitError(f"raised in process {os.getpid()}")
 
@@ -168,11 +163,11 @@ class TestParallelTail:
         k = 2 + k_draw % ((n - 1) // 2 - 1)  # 2 <= k < n/2
         in_process = empirical_tail(n, k, d, delta, trials, seed)
         for workers in (1, 2, 3):
-            with _cpus(workers), mock.patch.object(_fork, "_PARALLEL_WORK", 0):
+            with cpus(workers), mock.patch.object(_fork, "_PARALLEL_WORK", 0):
                 assert empirical_tail(n, k, d, delta, trials, seed) == in_process
 
     def test_worker_error_keeps_its_type_and_exit_code(self, capsys):
-        with _cpus(2), mock.patch.object(_fork, "_PARALLEL_WORK", 0):
+        with cpus(2), mock.patch.object(_fork, "_PARALLEL_WORK", 0):
             with mock.patch.object(martingale, "_tail_counts", _fail_in_worker):
                 with pytest.raises(SizeLimitError, match="raised in process") as err:
                     empirical_tail(40, 4, 3, delta=1.0, trials=10, seed=9)
@@ -182,7 +177,7 @@ class TestParallelTail:
         assert "raised in process" in capsys.readouterr().err
 
     def test_worker_that_dies_is_an_error(self):
-        with _cpus(2), mock.patch.object(_fork, "_PARALLEL_WORK", 0):
+        with cpus(2), mock.patch.object(_fork, "_PARALLEL_WORK", 0):
             with mock.patch.object(martingale, "_tail_counts", _die_in_worker):
                 with pytest.raises(RuntimeError, match="no result"):
                     empirical_tail(40, 4, 3, delta=1.0, trials=10, seed=9)
@@ -190,20 +185,28 @@ class TestParallelTail:
     def test_long_tails_on_small_graphs_split(self):
         # a trial's fixed cost counts toward the floor, not only its n * d shuffled cells
         args = (8, 2, 1, 1.0, 20000, 5)
-        with _cpus(2), mock.patch.object(martingale, "_tail_counts", _fail_in_worker):
+        with cpus(2), mock.patch.object(martingale, "_tail_counts", _fail_in_worker):
             with pytest.raises(SizeLimitError) as err:
                 empirical_tail(*args)
         assert not str(err.value).endswith(f" {os.getpid()}")  # it came from a worker
-        with _cpus(1):
+        with cpus(1):
             in_process = empirical_tail(*args)
-        with _cpus(2):
+        with cpus(2):
             assert empirical_tail(*args) == in_process
 
     def test_small_tails_stay_in_process(self):
         # below the floor no worker is forked, whatever the CPU count
-        with _cpus(2), mock.patch.object(martingale, "_tail_counts", _fail_in_worker):
+        with cpus(2), mock.patch.object(martingale, "_tail_counts", _fail_in_worker):
             with pytest.raises(SizeLimitError, match=f"process {os.getpid()}$"):
-                empirical_tail(200, 2, 16, delta=2.0, trials=400, seed=3)
+                empirical_tail(200, 2, 16, delta=2.0, trials=200, seed=3)
+
+    @pytest.mark.parametrize("n, d, trials", [(8, 1, 3000), (200, 16, 400)])
+    def test_tails_past_their_break_even_split(self, n, d, trials):
+        # two pinned workers win from about 1500 trials at n = 8, d = 1 and 250 at n = 200, d = 16
+        with cpus(2), mock.patch.object(martingale, "_tail_counts", _fail_in_worker):
+            with pytest.raises(SizeLimitError) as err:
+                empirical_tail(n, 2, d, delta=1.0, trials=trials, seed=3)
+        assert not str(err.value).endswith(f" {os.getpid()}")  # it came from a worker
 
 
 class TestBinomialTail:

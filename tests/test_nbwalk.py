@@ -31,6 +31,7 @@ from helpers import (
     ball_flags_oracle,
     bfs_depths,
     certificate_sums_oracle,
+    cpus,
     nb_walk_probabilities,
     pseudo_girth_scan_oracle,
     random_connected_graph,
@@ -637,11 +638,6 @@ class TestBlockEngineProperties:
 # -- roots split across forked workers ------------------------------------------
 
 
-def _cpus(count):
-    """Patch the affinity mask the root split reads to ``count`` CPUs."""
-    return mock.patch.object(os, "sched_getaffinity", return_value=set(range(count)))
-
-
 def _fail_in_worker(*args):
     raise DegenerateInputError(f"raised in process {os.getpid()}")
 
@@ -654,7 +650,7 @@ class TestParallelRoots:
         with _blocks_of(graph, roots):
             in_process = _certify(graph, g, 3.0, first_step=first_step)
             for workers in (1, 2, 3):
-                with _cpus(workers), mock.patch.object(_fork, "_PARALLEL_WORK", 0):
+                with cpus(workers), mock.patch.object(_fork, "_PARALLEL_WORK", 0):
                     assert _certify(graph, g, 3.0, first_step=first_step) == in_process
 
     @settings(max_examples=30, deadline=None)
@@ -663,7 +659,7 @@ class TestParallelRoots:
         with _blocks_of(graph, roots):
             report, flags = nbwalk._pseudo_girth_scan(graph, g)
             for workers in (1, 2, 3):
-                with _cpus(workers), mock.patch.object(_fork, "_PARALLEL_WORK", 0):
+                with cpus(workers), mock.patch.object(_fork, "_PARALLEL_WORK", 0):
                     split_report, split_flags = nbwalk._pseudo_girth_scan(graph, g)
                 assert split_report == report
                 assert np.array_equal(split_flags, flags)
@@ -671,7 +667,7 @@ class TestParallelRoots:
     def test_worker_error_keeps_its_type_and_exit_code(self, tmp_path, capsys):
         h = tmp_path / "h.edges"
         write_edge_list(make_cycle(50, 0.5), h)
-        with _cpus(2), mock.patch.object(_fork, "_PARALLEL_WORK", 0):
+        with cpus(2), mock.patch.object(_fork, "_PARALLEL_WORK", 0):
             with mock.patch.object(nbwalk, "_walk_terms", _fail_in_worker):
                 with pytest.raises(DegenerateInputError, match="raised in process") as err:
                     certify_lower_bound(make_cycle(50, 0.5), 2, 2.0)
@@ -685,12 +681,12 @@ class TestParallelRoots:
         # certificate of separation's n = 1000, d = 4 graph at g = 2 (about 2e4 walk entries)
         graph = collapse_multiedges(sample_regular_multigraph(300, 4, seed=8))
         view = collapse_multiedges(first_matchings_subgraph(sample_regular_multigraph(1000, 16, seed=8), 4))
-        with _cpus(2), mock.patch.object(nbwalk, "_walk_terms", _fail_in_worker):
+        with cpus(2), mock.patch.object(nbwalk, "_walk_terms", _fail_in_worker):
             with pytest.raises(DegenerateInputError, match=f"process {os.getpid()}$"):
                 certify_lower_bound(graph, 3, 4.0)
             with pytest.raises(DegenerateInputError, match=f"process {os.getpid()}$"):
                 certify_lower_bound(view, 2, 4.0)
-        with _cpus(2), mock.patch.object(nbwalk, "_girth_flags", _fail_in_worker):
+        with cpus(2), mock.patch.object(nbwalk, "_girth_flags", _fail_in_worker):
             with pytest.raises(DegenerateInputError, match=f"process {os.getpid()}$"):
                 pseudo_girth(graph, 3)
 
@@ -698,7 +694,7 @@ class TestParallelRoots:
         # 12 000 vertices of degree 4 at g = 2 make about 2.4e5 walk entries, above the floor
         # of 2^17; a 10 001-vertex cycle at g = 1, with 2e4, runs in-process
         graph = collapse_multiedges(sample_regular_multigraph(12_000, 4, seed=0))
-        with _cpus(2), mock.patch.object(nbwalk, "_walk_terms", _fail_in_worker):
+        with cpus(2), mock.patch.object(nbwalk, "_walk_terms", _fail_in_worker):
             with pytest.raises(DegenerateInputError, match="raised in process") as err:
                 certify_lower_bound(graph, 2, 4.0)
             with pytest.raises(DegenerateInputError, match=f"process {os.getpid()}$"):
