@@ -47,8 +47,9 @@ def _one_blas_thread():
     with contextlib.suppress(OSError), open("/proc/self/maps", encoding="utf-8") as maps:
         for lib in map(ctypes.CDLL, sorted({line.split()[-1] for line in maps if "openblas" in line})):
             for name in ("openblas_{}_num_threads", "scipy_openblas_{}_num_threads64_"):
-                if hasattr(lib, name.format("get")) and getattr(lib, name.format("get"))() > 1:
-                    counts.append((getattr(lib, name.format("set")), getattr(lib, name.format("get"))()))
+                count = getattr(lib, name.format("get"), lambda: 1)()
+                if count > 1:
+                    counts.append((getattr(lib, name.format("set")), count))
     for put, _ in counts:
         put(1)
     try:
@@ -67,7 +68,7 @@ def split_ranges(fn, count: int, work: float) -> list:
     cpuset that does not balance load keeps forked children on their parent's
     CPU.  A single CPU, a platform without ``fork`` or ``sched_getaffinity``,
     and ``work`` below ``_PARALLEL_WORK`` give one range, run in-process.  Every child is reaped before the first
-    failed range's exception is raised here, with its own type.
+    failed range's exception is raised here, with its own type.  A loaded OpenBLAS runs one thread meanwhile.
     """
     workers = 1
     if work >= _PARALLEL_WORK and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
