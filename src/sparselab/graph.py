@@ -398,17 +398,20 @@ def write_edge_list(graph: WeightedGraph, dest) -> None:
     try:
         with nullcontext(dest) if hasattr(dest, "write") else open(dest, "w", encoding="utf-8") as fh:
             fh.write(f"n {graph.n}\n")
-            for e in graph.edges():
-                fh.write(f"{e.u} {e.v} {e.weight!r} {e.multiplicity}\n")
+            us, vs, ws, ms = (a.tolist() for a in graph.edge_arrays())
+            fh.writelines(f"{u} {v} {w!r} {m}\n" for u, v, w, m in zip(us, vs, ws, ms))
     except OSError as exc:
         raise InvalidArgumentError(f"cannot write the edge list: {exc}") from None
 
 
 def read_edge_list(path) -> WeightedGraph:
     """Inverse of :func:`write_edge_list`; raises ParseError, with line numbers for bad text."""
+    from array import array  # here, not at the top: importing the CLI does not load it
+
     n = None
-    records = []
-    seen: set[tuple[int, int]] = set()
+    us, vs, ws, ms = array("q"), array("q"), array("d"), array("q")  # no Python record outlives its line
+    seen: set[int] = set()
+    too_big = None  # a value beyond int64 is raised after the loop, so a later ParseError comes first
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -440,13 +443,20 @@ def read_edge_list(path) -> WeightedGraph:
                     raise ParseError(f"invalid weight {w}", lineno)
                 if m < 1:
                     raise ParseError(f"invalid multiplicity {m}", lineno)
-                if (u, v) in seen:
+                if (key := u * n + v) in seen:  # after the range check, so that distinct pairs have distinct keys
                     raise ParseError(f"duplicate pair ({u}, {v})", lineno)
-                seen.add((u, v))
-                records.append((u, v, w, m))
+                seen.add(key)
+                try:
+                    us.append(u)
+                    vs.append(v)
+                    ws.append(w)
+                    ms.append(m)
+                except OverflowError as exc:
+                    too_big = too_big or exc
     except (OSError, UnicodeDecodeError) as exc:  # a missing, unreadable or non-UTF-8 file
         raise ParseError(f"cannot read {path}: {exc}") from None
     if n is None:
         raise ParseError("missing 'n <count>' header")
-    us, vs, ws, ms = zip(*records) if records else ((), (), (), ())
+    if too_big:
+        raise too_big
     return WeightedGraph.from_arrays(n, us, vs, ws, ms)

@@ -32,6 +32,7 @@ giving the unconditional bound eps >= (R - 1)/(R + 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -532,11 +533,27 @@ def _walk_terms(space: _EdgeSpace, g: int, first_step: str, lo: int, hi: int) ->
 
 def certificate_work(graph: WeightedGraph, g: int) -> float:
     """The certificate's work in ``_fork._PARALLEL_WORK`` units, 32 per expected walk entry: a
-    tree-like ball of mean degree dbar has dbar (dbar - 1)^(ell - 1) cells at depth ell, and each
-    one below depth g fans out dbar entries."""
+    tree-like ball of mean degree dbar has min(n, dbar (dbar - 1)^(ell - 1)) cells at depth ell,
+    and each one below depth g fans out dbar entries.
+
+    The counts go to ``sum`` in depth order.  A count that reaches n stays n, without the power
+    that could overflow.  A run of one whole count goes as multiples that keep the running sum
+    below its next power of two and 2^53: those additions are exact, so a plain or a compensated
+    ``sum`` has the bits of one count per depth, with no step per depth.
+    """
     n = graph.n
     dbar = graph.csr()[1].size / n
-    return 32 * n * dbar * (1 + sum(min(n, dbar * (dbar - 1) ** (ell - 1)) for ell in range(1, g)))
+    counts, total, last, ell = [], 0.0, None, 1
+    while ell < g:
+        count = n if last == n else min(n, dbar * (dbar - 1) ** (ell - 1))
+        if count == 0:  # so is every later count
+            break
+        k = 1
+        if count == last == round(count) and total < 2**53:
+            k = max(1, min(g - ell, -int(-(2.0 ** math.frexp(total)[1] - total) // count) - 1))
+        counts.append(k * count)
+        total, last, ell = total + k * count, count, ell + k
+    return 32 * n * dbar * (1 + sum(counts))
 
 
 def certify_lower_bound(

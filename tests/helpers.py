@@ -568,6 +568,17 @@ def certificate_sums_oracle(terms: np.ndarray, g: int, vprime: np.ndarray):
     return totals, worst_vprime_dev, worst_norm_sq
 
 
+def certificate_work_oracle(graph: WeightedGraph, g: int) -> float:
+    """``nbwalk.certificate_work`` with one ``sum`` term per depth: its old expression, with a
+    count that reached n kept at n instead of raising the power that can overflow."""
+    n = graph.n
+    dbar = graph.csr()[1].size / n
+    counts = []
+    for ell in range(1, g):
+        counts.append(n if counts[-1:] == [n] else min(n, dbar * (dbar - 1) ** (ell - 1)))
+    return 32 * n * dbar * (1 + sum(counts))
+
+
 def neighbors(graph: WeightedGraph, vertices: np.ndarray) -> np.ndarray:
     """Concatenated ``csr`` neighbor lists of the given vertices, in order."""
     indptr, nbr, _ = graph.csr()

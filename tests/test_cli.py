@@ -150,6 +150,17 @@ class TestSpectralAndCertify:
         assert run_cli(["certify", "--h-file", h, "--g", "2", "--d", "2"]) == 2
 
 
+def test_deep_horizons_on_degree_four_graphs_exit_0(tmp_path):
+    # the certificate's work estimate raised a power of 3 to the horizon, which overflowed at g = 1000
+    h = tmp_path / "h.edges"
+    write_edge_list(WeightedGraph(12, [(*sorted((i, (i + s) % 12)), 1.0) for i in range(12) for s in (1, 2)]), h)
+    assert run_cli(["certify", "--h-file", h, "--g", "1000", "--d", "4", "--out", tmp_path / "cert.json"]) == 0
+    assert json.loads((tmp_path / "cert.json").read_text())["identity_checks_ok"] is True
+    out = tmp_path / "sep.json"
+    assert run_cli(["separation", "--n", "40", "--big-degree", "8", "--d", "4", "--g", "1000", "--out", out]) == 0
+    assert all(r["identity_checks_ok"] for r in json.loads(out.read_text())["records"])
+
+
 def _one_error_line(capsys, *phrases):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -320,6 +321,41 @@ class TestPersistence:
         path.write_text("\n".join(self._GOOD + [bad]) + "\n")
         with pytest.raises(ParseError, match=f"^line 10: {message}"):
             read_edge_list(path)
+
+    def test_a_pair_past_n_is_out_of_range_not_a_repeat(self, tmp_path):
+        # 0 * 6 + 8 is the key of the good line "1 2 0.5 2", 1 * 6 + 2: the range check comes first
+        path = tmp_path / "bad.edges"
+        path.write_text("\n".join(self._GOOD + ["0 8 1.0 1"]) + "\n")
+        with pytest.raises(ParseError, match="^line 10: edge \\(0, 8\\) violates 0 <= u < v < n=6$"):
+            read_edge_list(path)
+
+    def test_a_multiplicity_past_int64_does_not_hide_a_later_bad_line(self, tmp_path):
+        path = tmp_path / "bad.edges"
+        path.write_text("\n".join(self._GOOD + [f"0 5 1.0 {2**64}", "0 x 1.0 1"]) + "\n")
+        with pytest.raises(ParseError, match="^line 11: unparseable edge fields"):
+            read_edge_list(path)
+
+    def test_reading_keeps_no_record_per_line(self, tmp_path):
+        # about 2e4 bundles; a tuple per line in a list and a pair per line in a set peaked at 430 B a line
+        g = sample_regular_multigraph(5000, 8, seed=0)
+        path = tmp_path / "g.edges"
+        write_edge_list(g, path)
+        read_edge_list(path)  # imports done before tracing
+        tracemalloc.start()
+        try:
+            read = read_edge_list(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert read == g
+        assert peak <= 300 * (g.num_bundles + 1), f"{peak / (g.num_bundles + 1):.0f} B a line"
+
+    def test_written_lines_are_the_bundles_in_order(self, tmp_path):
+        g = WeightedGraph(7, [(0, 6, 0.1, 3), (2, 3, 5e-324, 1), (1, 4, 1.7976931348623157e308, 2), (0, 1, 1 / 3, 1)])
+        path = tmp_path / "g.edges"
+        write_edge_list(g, path)
+        lines = [f"{e.u} {e.v} {e.weight!r} {e.multiplicity}\n" for e in g.edges()]
+        assert path.read_text() == "n 7\n" + "".join(lines)
 
     def test_good_lines_between_comments_and_blanks_read_as_one_graph(self, tmp_path):
         path = tmp_path / "good.edges"

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparselab.errors import DegenerateInputError, InvalidArgumentError, UnsupportedInputError
@@ -31,6 +31,7 @@ from helpers import (
     ball_flags_oracle,
     bfs_depths,
     certificate_sums_oracle,
+    certificate_work_oracle,
     cpus,
     nb_walk_probabilities,
     pseudo_girth_scan_oracle,
@@ -689,6 +690,33 @@ class TestParallelRoots:
         with cpus(2), mock.patch.object(nbwalk, "_girth_flags", _fail_in_worker):
             with pytest.raises(DegenerateInputError, match=f"process {os.getpid()}$"):
                 pseudo_girth(graph, 3)
+
+    def test_work_estimate_keeps_the_old_bits(self):
+        # the estimate decides whether the certificate forks, so it must not move by a bit where the
+        # old expression had a value; the graphs are the four benchmark workloads' certificate views
+        n = 1000
+        separation = first_matchings_subgraph(sample_regular_multigraph(n, 16, derive_seed(0, 0)), 4)
+        graphs = [
+            collapse_multiedges(scale_weights(separation, (n - 1) / (4 * n))),
+            collapse_multiedges(sample_regular_multigraph(24, 8, derive_seed(0, 0))),
+            collapse_multiedges(sample_regular_multigraph(2000, 8, 0)),
+            collapse_multiedges(sample_regular_multigraph(200, 16, 0)),
+        ]
+        for graph in graphs:
+            n, dbar = graph.n, graph.csr()[1].size / graph.n
+            for g in range(1, 13):
+                old = 32 * n * dbar * (1 + sum(min(n, dbar * (dbar - 1) ** (ell - 1)) for ell in range(1, g)))
+                assert nbwalk.certificate_work(graph, g) == old
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph=walk_graphs(), g=st.integers(1, 3000))
+    @example(graph=collapse_multiedges(first_matchings_subgraph(sample_regular_multigraph(40, 8, 1), 4)), g=1000)
+    @example(graph=make_cycle(30), g=3000)  # a count of 2 at every depth
+    @example(graph=WeightedGraph(5, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)]), g=3000)  # falling counts
+    def test_work_estimate_at_deep_horizons_adds_one_count_per_depth(self, graph, g):
+        # the old power overflowed from g = 647 on a 4-regular graph; counts that stop changing are
+        # added without a step per depth, with the bits of one addition per depth
+        assert nbwalk.certificate_work(graph, g) == certificate_work_oracle(graph, g)
 
     def test_certificates_above_ten_thousand_vertices_fork(self):
         # 12 000 vertices of degree 4 at g = 2 make about 2.4e5 walk entries, above the floor
