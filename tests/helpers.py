@@ -569,8 +569,8 @@ def certificate_sums_oracle(terms: np.ndarray, g: int, vprime: np.ndarray):
 
 
 def certificate_work_oracle(graph: WeightedGraph, g: int) -> float:
-    """``nbwalk.certificate_work`` with one ``sum`` term per depth: its old expression, with a
-    count that reached n kept at n instead of raising the power that can overflow."""
+    """``nbwalk.certificate_work`` as one ``sum`` term per depth, with a count that reached n kept
+    at n so that the power cannot overflow."""
     n = graph.n
     dbar = graph.csr()[1].size / n
     counts = []
