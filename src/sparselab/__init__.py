@@ -12,7 +12,6 @@ from .bounds import (
     RSBound,
     TailBound,
     azuma_fan_bound,
-    erf,
     erf_inv,
     main_constant,
     phi_matching,
@@ -29,8 +28,6 @@ from .cuts import (
     cut_error_exhaustive,
     cut_error_sampled,
     cut_profile,
-    cut_value,
-    interior_edge_weight,
 )
 from .errors import (
     DegenerateInputError,
@@ -44,7 +41,6 @@ from .errors import (
 )
 from .graph import (
     Clique,
-    Edge,
     WeightedGraph,
     collapse_multiedges,
     first_matchings_subgraph,

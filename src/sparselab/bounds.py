@@ -22,11 +22,6 @@ _SQRT_PI = math.sqrt(math.pi)
 # -- special functions ---------------------------------------------------------
 
 
-def erf(x: float) -> float:
-    """Gauss error function (C library implementation, correctly rounded to ~1 ulp)."""
-    return math.erf(float(x))
-
-
 def _inv_norm_seed(y: float) -> float:
     # Winitzki's approximation of erf^-1, good to ~2e-3; Newton polishes the rest.
     a = 0.147

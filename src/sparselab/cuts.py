@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -95,34 +95,6 @@ class CutProfile:
         for r in self.rows:
             lines.append(f"{r.k},{r.alpha!r},{r.max_dev!r},{r.min_dev!r},{r.mode},{r.subsets_examined}")
         return "\n".join(lines) + "\n"
-
-
-# -- pointwise cut evaluation -------------------------------------------------
-
-
-def _membership(n: int, subset: Iterable[int]) -> np.ndarray:
-    mask = np.zeros(n, dtype=bool)
-    for v in subset:
-        if not 0 <= v < n:
-            raise InvalidArgumentError(f"vertex {v} out of range for n={n}")
-        mask[v] = True
-    return mask
-
-
-def cut_value(graph: WeightedGraph, subset: Iterable[int]) -> float:
-    """Total weight of bundles with exactly one endpoint in the subset."""
-    mask = _membership(graph.n, subset)
-    us, vs, ws, _ = graph.edge_arrays()
-    crossing = mask[us] ^ mask[vs]
-    return float(ws[crossing].sum())
-
-
-def interior_edge_weight(graph: WeightedGraph, subset: Iterable[int]) -> float:
-    """Total weight of bundles with both endpoints in the subset."""
-    mask = _membership(graph.n, subset)
-    us, vs, ws, _ = graph.edge_arrays()
-    inside = mask[us] & mask[vs]
-    return float(ws[inside].sum())
 
 
 # -- split enumeration ---------------------------------------------------------
@@ -334,7 +306,7 @@ def _require_connected_reference(g: WeightedGraph | Clique) -> None:
         )
 
 
-def cut_error_exhaustive(h: WeightedGraph, g: WeightedGraph | Clique, cap: int = EXHAUSTIVE_CAP) -> CutErrorReport:
+def cut_error_exhaustive(h: WeightedGraph, g: WeightedGraph | Clique) -> CutErrorReport:
     """Exact worst relative cut deviation max_S |cut_H(S)/cut_G(S) - 1|.
 
     Visits all 2^(n-1) - 1 unordered nonempty proper cuts.  The witness is
@@ -344,8 +316,8 @@ def cut_error_exhaustive(h: WeightedGraph, g: WeightedGraph | Clique, cap: int =
     n = h.n
     if n < 2:
         raise InvalidArgumentError("need at least 2 vertices for a proper cut")
-    if n > cap:
-        raise SizeLimitError(f"n={n} exceeds exhaustive cap {cap}; use cut_error_sampled")
+    if n > EXHAUSTIVE_CAP:
+        raise SizeLimitError(f"n={n} exceeds exhaustive cap {EXHAUSTIVE_CAP}; use cut_error_sampled")
     _require_connected_reference(g)
 
     if isinstance(g, Clique):
@@ -550,14 +522,13 @@ def cut_profile(
     h: WeightedGraph,
     d: int,
     reference: str = REF_DENSITY,
-    cap: int = EXHAUSTIVE_CAP,
     samples_per_size: int = 200,
     seed: int = 0,
     argmax_cap: int = 4,
 ) -> CutProfile:
     """Extremal signed relative cut deviations per subset size k in [1, n/2].
 
-    Exhaustive for n <= cap (every unordered cut once, attributed to its
+    Exhaustive for n <= EXHAUSTIVE_CAP (every unordered cut once, attributed to its
     smaller side; balanced cuts counted once via the vertex-0 convention),
     sampled otherwise.  The reference value for size k is d*k*(n-k)/n by
     default, or the exact matching-model expectation d*k*(n-k)/(n-1).
@@ -567,7 +538,7 @@ def cut_profile(
     if kmax < 1:
         raise InvalidArgumentError("profile needs n >= 2")
     refs = _profile_references(n, d, reference)
-    if n <= cap:
+    if n <= EXHAUSTIVE_CAP:
         split = _SplitCuts(n, (h,))
         return CutProfile(n=n, d=d, reference=reference, rows=_profile_rows(split, *split.extremes(), refs, argmax_cap))
 

@@ -23,22 +23,14 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import InvalidArgumentError, ParseError, UnsupportedInputError
 from .rng import make_generator
 
-
-@dataclass(frozen=True)
-class Edge:
-    """One bundle of parallel edges between u < v."""
-
-    u: int
-    v: int
-    weight: float
-    multiplicity: int
+MAX_VERTICES = math.isqrt(2**63 - 1)  # n up to this keeps every pair key u * n + v inside int64
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -50,10 +42,10 @@ def _coalesce(n: int, us, vs, ws, ms) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """Validate edge records and merge repeated pairs into sorted bundles.
 
     The first bad record raises InvalidArgumentError, and so does a total
-    weight that overflows to infinity.  Weights and multiplicities of a
-    repeated pair are summed in input order (``bincount`` adds sequentially),
-    so they equal a record-by-record accumulation bit for bit; a pairwise
-    reduction would not.
+    weight that overflows to infinity.  Weights of a repeated pair are summed
+    in input order (``bincount`` adds sequentially), so they equal a
+    record-by-record accumulation bit for bit; a pairwise reduction would
+    not.  Multiplicities are summed as integers, exact to 2^63.
     """
     us = np.asarray(us, dtype=np.int64).ravel()
     vs = np.asarray(vs, dtype=np.int64).ravel()
@@ -69,13 +61,14 @@ def _coalesce(n: int, us, vs, ws, ms) -> tuple[np.ndarray, np.ndarray, np.ndarra
         raise InvalidArgumentError(f"edge ({u}, {v}) {reason[int(np.argmax(bad[:, i]))]}")
     keys, inv = np.unique(us * n + vs, return_inverse=True)
     ws = np.bincount(inv, weights=ws, minlength=keys.size).astype(np.float64, copy=False)  # int64 when empty
-    ms = np.bincount(inv, weights=ms, minlength=keys.size).astype(np.int64)
+    counts = np.zeros(keys.size, dtype=np.int64)
+    np.add.at(counts, inv, ms)  # a float bincount would round multiplicities past 2^53
     with np.errstate(over="ignore"):
         total = ws.sum()
     if not np.isfinite(total):
         # cut sums would overflow too, and inf/inf ratios have no witness
         raise InvalidArgumentError(f"total edge weight {total} is not finite")
-    return keys // n, keys % n, ws, ms
+    return keys // n, keys % n, ws, counts
 
 
 def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -122,8 +115,8 @@ class WeightedGraph:
         return graph
 
     def _store(self, n, us, vs, ws, ms, matchings) -> None:
-        if not isinstance(n, (int, np.integer)) or n <= 0:
-            raise InvalidArgumentError(f"vertex count must be a positive integer, got {n!r}")
+        if not isinstance(n, (int, np.integer)) or not 0 < n <= MAX_VERTICES:
+            raise InvalidArgumentError(f"vertex count must be an integer in [1, {MAX_VERTICES}], got {n!r}")
         self.n = int(n)
         self._us, self._vs, self._ws, self._ms = map(_readonly, _coalesce(self.n, us, vs, ws, ms))
         self.matchings = (
@@ -132,10 +125,6 @@ class WeightedGraph:
         self._csr = self._wdeg = None
 
     # -- basic views --------------------------------------------------------
-
-    def edges(self) -> Iterator[Edge]:
-        for u, v, w, m in zip(self._us.tolist(), self._vs.tolist(), self._ws.tolist(), self._ms.tolist()):
-            yield Edge(u, v, w, m)
 
     @property
     def num_bundles(self) -> int:
@@ -148,18 +137,6 @@ class WeightedGraph:
     @property
     def is_simple(self) -> bool:
         return bool(np.all(self._ms == 1))
-
-    def bundle(self, u: int, v: int) -> tuple[float, int]:
-        """(weight, multiplicity) of the bundle between u and v, or (0.0, 0)."""
-        key = min(u, v) * self.n + max(u, v)
-        keys = self._us * self.n + self._vs
-        i = int(np.searchsorted(keys, key))
-        if i < keys.size and keys[i] == key:
-            return float(self._ws[i]), int(self._ms[i])
-        return 0.0, 0
-
-    def weight(self, u: int, v: int) -> float:
-        return self.bundle(u, v)[0]
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(us, vs, weights, multiplicities) in sorted bundle order; read-only."""
@@ -411,7 +388,6 @@ def read_edge_list(path) -> WeightedGraph:
     n = None
     us, vs, ws, ms = array("q"), array("q"), array("d"), array("q")  # no Python record outlives its line
     seen: set[int] = set()
-    too_big = None  # a value beyond int64 is raised after the loop, so a later ParseError comes first
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -426,8 +402,8 @@ def read_edge_list(path) -> WeightedGraph:
                         n = int(parts[1])
                     except ValueError:
                         raise ParseError(f"bad vertex count {parts[1]!r}", lineno) from None
-                    if n <= 0:
-                        raise ParseError(f"vertex count must be positive, got {n}", lineno)
+                    if not 0 < n <= MAX_VERTICES:
+                        raise ParseError(f"vertex count must be in [1, {MAX_VERTICES}], got {n}", lineno)
                     continue
                 if len(parts) != 4:
                     raise ParseError(f"expected 'u v weight mult', got {len(parts)} fields", lineno)
@@ -441,22 +417,18 @@ def read_edge_list(path) -> WeightedGraph:
                     raise ParseError(f"edge ({u}, {v}) violates 0 <= u < v < n={n}", lineno)
                 if w < 0 or not math.isfinite(w):
                     raise ParseError(f"invalid weight {w}", lineno)
-                if m < 1:
+                if not 1 <= m < 2**63:  # an int64 column
                     raise ParseError(f"invalid multiplicity {m}", lineno)
                 if (key := u * n + v) in seen:  # after the range check, so that distinct pairs have distinct keys
                     raise ParseError(f"duplicate pair ({u}, {v})", lineno)
                 seen.add(key)
-                try:
-                    us.append(u)
-                    vs.append(v)
-                    ws.append(w)
-                    ms.append(m)
-                except OverflowError as exc:
-                    too_big = too_big or exc
+                us.append(u)
+                vs.append(v)
+                ws.append(w)
+                ms.append(m)
     except (OSError, UnicodeDecodeError) as exc:  # a missing, unreadable or non-UTF-8 file
         raise ParseError(f"cannot read {path}: {exc}") from None
     if n is None:
         raise ParseError("missing 'n <count>' header")
-    if too_big:
-        raise too_big
+    del seen  # before the columns are coalesced
     return WeightedGraph.from_arrays(n, us, vs, ws, ms)

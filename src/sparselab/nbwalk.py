@@ -455,9 +455,9 @@ def _girth_flags(graph: WeightedGraph, g: int, roots: np.ndarray) -> tuple[np.nd
     return _concat_balls(balls)
 
 
-def _pseudo_girth_scan(graph: WeightedGraph, g: int) -> tuple[PseudoGirthReport, np.ndarray]:
-    """The report, and the flags of roots whose radius-g ball is acyclic,
-    with the roots split by :func:`split_ranges`."""
+def pseudo_girth(graph: WeightedGraph, g: int) -> PseudoGirthReport:
+    """Cycle-free-ball counts at radii g and 2g, and the largest radius-g ball, with the roots
+    split by :func:`split_ranges`."""
     if g < 0:
         raise InvalidArgumentError(f"radius must be nonnegative, got {g}")
     if not graph.is_simple:
@@ -465,12 +465,7 @@ def _pseudo_girth_scan(graph: WeightedGraph, g: int) -> tuple[PseudoGirthReport,
     n = graph.n
     work = n * max(n, graph.csr()[1].size) * g // 8  # _fork._PARALLEL_WORK has the units
     balls = split_ranges(lambda lo, hi: _girth_flags(graph, g, np.arange(lo, hi)), n, work)
-    return _girth_report(n, g, balls)
-
-
-def pseudo_girth(graph: WeightedGraph, g: int) -> PseudoGirthReport:
-    """Cycle-free-ball counts at radii g and 2g, and the largest radius-g ball."""
-    return _pseudo_girth_scan(graph, g)[0]
+    return _girth_report(n, g, balls)[0]
 
 
 # -- the certificate ----------------------------------------------------------------
@@ -533,27 +528,19 @@ def _walk_terms(space: _EdgeSpace, g: int, first_step: str, lo: int, hi: int) ->
 
 def certificate_work(graph: WeightedGraph, g: int) -> float:
     """The certificate's work in ``_fork._PARALLEL_WORK`` units, 32 per expected walk entry: a
-    tree-like ball of mean degree dbar has min(n, dbar (dbar - 1)^(ell - 1)) cells at depth ell,
-    and each one below depth g fans out dbar entries.
+    tree-like ball of mean degree dbar has min(n, dbar q^(ell - 1)) cells at depth ell, with
+    q = dbar - 1, and each one below depth g fans out dbar entries.
 
-    The counts go to ``sum`` in depth order.  A count that reaches n stays n, without the power
-    that could overflow.  A run of one whole count goes as multiples that keep the running sum
-    below its next power of two and 2^53: those additions are exact, so a plain or a compensated
-    ``sum`` has the bits of one count per depth, with no step per depth.
+    The counts are a geometric series in q up to depth k, the last below n: ceil(log_q(n / dbar))
+    if q > 1, else g - 1; each deeper depth adds n.  Near q = 1, q^k - 1 loses digits, but the
+    relative error stays below about n * 1e-16, since |q - 1| >= 2/n when q != 1.
     """
     n = graph.n
     dbar = graph.csr()[1].size / n
-    counts, total, last, ell = [], 0.0, None, 1
-    while ell < g:
-        count = n if last == n else min(n, dbar * (dbar - 1) ** (ell - 1))
-        if count == 0:  # so is every later count
-            break
-        k = 1
-        if count == last == round(count) and total < 2**53:
-            k = max(1, min(g - ell, -int(-(2.0 ** math.frexp(total)[1] - total) // count) - 1))
-        counts.append(k * count)
-        total, last, ell = total + k * count, count, ell + k
-    return 32 * n * dbar * (1 + sum(counts))
+    q, depths = dbar - 1, max(g - 1, 0)
+    k = min(depths, math.ceil(math.log(n / dbar, q))) if q > 1 else depths
+    series = k if q == 1 else (q**k - 1) / (q - 1)
+    return 32 * n * dbar * (1 + dbar * series + (depths - k) * n)
 
 
 def certify_lower_bound(

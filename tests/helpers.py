@@ -21,6 +21,7 @@ from sparselab.cuts import CutErrorReport, CutProfile, CutProfileRow, _profile_r
 from sparselab.errors import DegenerateInputError, InvalidArgumentError, SizeLimitError
 from sparselab.graph import Clique, WeightedGraph, _concat_ranges
 from sparselab.nbwalk import FIRST_STEP_UNIFORM, FIRST_STEP_WEIGHT, PseudoGirthReport, _EdgeSpace, _support_vectors, _walk_levels
+from sparselab import nbwalk
 from sparselab.rng import derive_seed, make_generator
 
 DENSE_CAP = 4000  # the dense oracles stop at this many vertices
@@ -72,13 +73,25 @@ def dict_coalesce(records) -> list[tuple[int, int, float, int]]:
     return [(u, v, w, m) for (u, v), (w, m) in sorted(bundles.items())]
 
 
+def bundles(graph: WeightedGraph) -> list[tuple[int, int, float, int]]:
+    """The graph's (u, v, weight, multiplicity) bundles as Python numbers, in stored order."""
+    return list(zip(*(a.tolist() for a in graph.edge_arrays())))
+
+
 def brute_cut(graph: WeightedGraph, subset) -> float:
+    """Total weight of the bundles with exactly one end in the subset."""
     inside = set(subset)
     total = 0.0
-    for e in graph.edges():
-        if (e.u in inside) != (e.v in inside):
-            total += e.weight
+    for u, v, w, _ in bundles(graph):
+        if (u in inside) != (v in inside):
+            total += w
     return total
+
+
+def brute_interior(graph: WeightedGraph, subset) -> float:
+    """Total weight of the bundles with both ends in the subset."""
+    inside = set(subset)
+    return sum((w for u, v, w, _ in bundles(graph) if u in inside and v in inside), 0.0)
 
 
 def brute_cut_error(h: WeightedGraph, g: WeightedGraph) -> tuple[float, tuple[int, ...]]:
@@ -628,8 +641,18 @@ def ball_flags_oracle(graph: WeightedGraph, g: int, roots: np.ndarray):
     return flags_g, flags_2g, bmax
 
 
+def pseudo_girth_with_flags(graph: WeightedGraph, g: int):
+    """``nbwalk.pseudo_girth``'s report and the radius-g flags it computed on the way."""
+    made, real = [], nbwalk._girth_report
+    with mock.patch.object(nbwalk, "_girth_report", lambda *args: made.append(real(*args)) or made[-1]):
+        report = nbwalk.pseudo_girth(graph, g)
+    (pair,) = made
+    assert pair[0] == report
+    return pair
+
+
 def pseudo_girth_scan_oracle(graph: WeightedGraph, g: int):
-    """The report and radius-g flags of ``nbwalk._pseudo_girth_scan``, one root at a time."""
+    """The report and radius-g flags of :func:`pseudo_girth_with_flags`, one root at a time."""
     n = graph.n
     flags_g, flags_2g, bmax = ball_flags_oracle(graph, g, np.arange(n))
     report = PseudoGirthReport(

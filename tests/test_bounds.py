@@ -1,11 +1,11 @@
 import math
+from math import erf
 
 import numpy as np
 import pytest
 
 from sparselab.bounds import (
     azuma_fan_bound,
-    erf,
     erf_inv,
     main_constant,
     phi_matching,

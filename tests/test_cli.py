@@ -176,6 +176,17 @@ class TestUnreadableAndUnwritableFiles:
         assert run_cli(["certify", "--h-file", path, "--g", "2", "--d", "2"]) == 2
         _one_error_line(capsys, "cannot read")
 
+    @pytest.mark.parametrize("text, phrase", [
+        (f"n {2**64}\n0 1 1.0 1\n1 2 1.0 1\n", f"line 1: vertex count must be in [1, 3037000499], got {2**64}"),
+        (f"n 4\n0 1 1.0 1\n1 2 1.0 {2**64}\n2 3 1.0 1\n", f"line 3: invalid multiplicity {2**64}"),
+        ("n 4000000000\n3999999997 3999999999 1.0 1\n3999999998 3999999999 2.0 1\n", "line 1: vertex count must be in"),
+    ], ids=["n_2_64", "multiplicity_2_64", "n_4e9"])
+    def test_integers_past_int64_exit_2(self, text, phrase, tmp_path, capsys):
+        path = tmp_path / "big.edges"
+        path.write_text(text)
+        assert run_cli(["certify", "--h-file", path, "--g", "2", "--d", "4"]) == 2
+        _one_error_line(capsys, phrase)
+
     @pytest.mark.parametrize("flag", ["--out", "--trace-out"])
     def test_unwritable_output_exits_2(self, flag, tmp_path, capsys):
         dest = tmp_path / "missing" / "x.json"

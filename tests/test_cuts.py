@@ -16,10 +16,8 @@ from sparselab.cuts import (
     cut_error_exhaustive,
     cut_error_sampled,
     cut_profile,
-    cut_value,
     extreme_cuts_at_size,
     extreme_cuts_at_sizes,
-    interior_edge_weight,
     regular_vs_clique_exhaustive,
 )
 from sparselab.errors import DegenerateInputError, InvalidArgumentError, SizeLimitError
@@ -39,6 +37,7 @@ from helpers import (
     IncrementalCut,
     brute_cut,
     brute_cut_error,
+    brute_interior,
     clique_pairs_oracle,
     connected_graphs,
     cut_error_exhaustive_oracle,
@@ -50,6 +49,11 @@ from helpers import (
     random_connected_graph,
     regular_vs_clique_oracle,
 )
+
+
+def cut_value(graph: WeightedGraph, subset) -> float:
+    """cut(S) through the sampled mode's batch kernel."""
+    return float(cuts._subset_cuts(graph, np.array([list(subset)], dtype=np.int64))[0])
 
 
 class TestCutValue:
@@ -76,17 +80,17 @@ class TestCutValue:
 
 class TestInteriorEdgeWeight:
     def test_k4_triple(self):
-        assert interior_edge_weight(make_clique(4, 1.0), [0, 1, 2]) == pytest.approx(3.0)
+        assert brute_interior(make_clique(4, 1.0), [0, 1, 2]) == pytest.approx(3.0)
 
     def test_small_sets_trivial(self):
         g = make_clique(6, 1.0)
-        assert interior_edge_weight(g, []) == 0.0
-        assert interior_edge_weight(g, [3]) == 0.0
+        assert brute_interior(g, []) == 0.0
+        assert brute_interior(g, [3]) == 0.0
 
     def test_regularity_identity(self):
         g = sample_regular_multigraph(20, 5, seed=1)
         s = range(10)
-        assert cut_value(g, s) + 2 * interior_edge_weight(g, s) == pytest.approx(10 * 5)
+        assert cut_value(g, s) + 2 * brute_interior(g, s) == pytest.approx(10 * 5)
 
     def test_regularity_identity_every_size(self):
         g = sample_regular_multigraph(16, 4, seed=8)
@@ -94,7 +98,7 @@ class TestInteriorEdgeWeight:
         for _ in range(50):
             k = int(rng.integers(1, 16))
             s = rng.choice(16, size=k, replace=False)
-            assert cut_value(g, s) + 2 * interior_edge_weight(g, s) == pytest.approx(k * 4)
+            assert cut_value(g, s) + 2 * brute_interior(g, s) == pytest.approx(k * 4)
 
 
 class TestExhaustiveError:
@@ -310,7 +314,7 @@ class TestCutProfile:
         for row in prof.rows:
             assert row.argmax_subset is not None
             ref = d * row.k * (n - row.k) / n
-            assert cut_value(h, row.argmax_subset) / ref - 1.0 == pytest.approx(row.max_dev, rel=1e-12)
+            assert brute_cut(h, row.argmax_subset) / ref - 1.0 == pytest.approx(row.max_dev, rel=1e-12)
 
     def test_sampled_mode_beyond_cap(self):
         h = sample_regular_multigraph(40, 4, seed=3)
@@ -629,7 +633,7 @@ class TestSubsetSampling:
         h = random_connected_graph(make_generator(12), 40, 80)
         subsets = cuts._size_k_subsets(40, 7, 300, make_generator(3))
         got = cuts._subset_cuts(h, subsets)
-        assert got.tolist() == pytest.approx([cut_value(h, s) for s in subsets.tolist()], rel=1e-12)
+        assert got.tolist() == pytest.approx([brute_cut(h, s) for s in subsets.tolist()], rel=1e-12)
 
 
 class TestReferenceProperties:

@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 from sparselab import _fork, martingale
 from sparselab.bounds import phi_matching
 from sparselab.cli import main
-from sparselab.cuts import interior_edge_weight
 from sparselab.errors import InvalidArgumentError, SizeLimitError
 from sparselab.graph import union_of_matchings
 from sparselab.martingale import binomial_tail_ge, empirical_tail, simulate_reveal
 from sparselab.rng import derive_seed, make_generator
 
 from helpers import check_reveal_invariants as check_increment_bounds
-from helpers import cpus, empirical_tail_oracle, sample_matching_oracle
+from helpers import brute_interior, cpus, empirical_tail_oracle, sample_matching_oracle
 
 
 class TestSimulateReveal:
@@ -41,7 +40,7 @@ class TestSimulateReveal:
     def test_terminal_value_is_realized_interior_count(self):
         for seed in range(20):
             tr = simulate_reveal(24, 7, 4, seed=seed)
-            realized = interior_edge_weight(union_of_matchings(tr.matchings), range(7))
+            realized = brute_interior(union_of_matchings(tr.matchings), range(7))
             assert tr.x[-1] == pytest.approx(realized, abs=1e-9)
             assert tr.x[-1] == pytest.approx(round(tr.x[-1]), abs=1e-9)  # integer-valued
 

@@ -35,6 +35,7 @@ from helpers import (
     cpus,
     nb_walk_probabilities,
     pseudo_girth_scan_oracle,
+    pseudo_girth_with_flags,
     random_connected_graph,
     root_terms_difference_oracle,
     vectors_oracle,
@@ -510,7 +511,7 @@ class TestBlockEngineProperties:
     @given(graph=st.one_of(walk_graphs(), walk_graphs(connected=False)), g=st.integers(0, 3), roots=_roots_per_block)
     def test_pseudo_girth_equals_per_root_bfs(self, graph, g, roots):
         with _blocks_of(graph, roots):
-            report, flags = nbwalk._pseudo_girth_scan(graph, g)
+            report, flags = pseudo_girth_with_flags(graph, g)
         oracle_report, oracle_flags = pseudo_girth_scan_oracle(graph, g)
         assert report == oracle_report
         assert np.array_equal(flags, oracle_flags)
@@ -523,7 +524,7 @@ class TestBlockEngineProperties:
         with _blocks_of(graph, roots):
             cert = _certify(graph, g, 3.0, first_step=first_step)
             _, balls = nbwalk._walk_terms(nbwalk._EdgeSpace(graph), g, first_step, 0, graph.n)
-            report, flags = nbwalk._pseudo_girth_scan(graph, g)
+            report, flags = pseudo_girth_with_flags(graph, g)
         if isinstance(cert, nbwalk.CertificateReport):
             assert cert.pseudo_girth == pseudo_girth(graph, g)
         chunk_report, chunk_flags = nbwalk._girth_report(graph.n, g, [balls])
@@ -658,10 +659,10 @@ class TestParallelRoots:
     @given(graph=st.one_of(walk_graphs(), walk_graphs(connected=False)), g=st.integers(0, 3), roots=_roots_per_block)
     def test_worker_count_does_not_change_pseudo_girth(self, graph, g, roots):
         with _blocks_of(graph, roots):
-            report, flags = nbwalk._pseudo_girth_scan(graph, g)
+            report, flags = pseudo_girth_with_flags(graph, g)
             for workers in (1, 2, 3):
                 with cpus(workers), mock.patch.object(_fork, "_PARALLEL_WORK", 0):
-                    split_report, split_flags = nbwalk._pseudo_girth_scan(graph, g)
+                    split_report, split_flags = pseudo_girth_with_flags(graph, g)
                 assert split_report == report
                 assert np.array_equal(split_flags, flags)
 
@@ -691,9 +692,9 @@ class TestParallelRoots:
             with pytest.raises(DegenerateInputError, match=f"process {os.getpid()}$"):
                 pseudo_girth(graph, 3)
 
-    def test_work_estimate_keeps_the_old_bits(self):
-        # the estimate decides whether the certificate forks, so it must not move by a bit where the
-        # old expression had a value; the graphs are the four benchmark workloads' certificate views
+    def test_work_estimate_matches_the_per_depth_sum_on_benchmark_views(self):
+        # the estimate decides whether the certificate forks: on the four benchmark workloads' certificate
+        # views the closed form stays within rounding of one count per depth and decides the same
         n = 1000
         separation = first_matchings_subgraph(sample_regular_multigraph(n, 16, derive_seed(0, 0)), 4)
         graphs = [
@@ -703,10 +704,10 @@ class TestParallelRoots:
             collapse_multiedges(sample_regular_multigraph(200, 16, 0)),
         ]
         for graph in graphs:
-            n, dbar = graph.n, graph.csr()[1].size / graph.n
             for g in range(1, 13):
-                old = 32 * n * dbar * (1 + sum(min(n, dbar * (dbar - 1) ** (ell - 1)) for ell in range(1, g)))
-                assert nbwalk.certificate_work(graph, g) == old
+                work, oracle = nbwalk.certificate_work(graph, g), certificate_work_oracle(graph, g)
+                assert work == pytest.approx(oracle, rel=1e-12)
+                assert (work < _fork._PARALLEL_WORK) == (oracle < _fork._PARALLEL_WORK)
 
     @settings(max_examples=60, deadline=None)
     @given(graph=walk_graphs(), g=st.integers(1, 3000))
@@ -714,9 +715,16 @@ class TestParallelRoots:
     @example(graph=make_cycle(30), g=3000)  # a count of 2 at every depth
     @example(graph=WeightedGraph(5, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)]), g=3000)  # falling counts
     def test_work_estimate_at_deep_horizons_adds_one_count_per_depth(self, graph, g):
-        # the old power overflowed from g = 647 on a 4-regular graph; counts that stop changing are
-        # added without a step per depth, with the bits of one addition per depth
-        assert nbwalk.certificate_work(graph, g) == certificate_work_oracle(graph, g)
+        # the old power overflowed from g = 647 on a 4-regular graph; the closed form takes no step per
+        # depth: a geometric series, then n for each saturated depth
+        assert nbwalk.certificate_work(graph, g) == pytest.approx(certificate_work_oracle(graph, g), rel=1e-12)
+
+    def test_work_estimate_of_a_long_path_at_a_huge_horizon(self):
+        # counts fall by q = dbar - 1 < 1 per depth; a step per depth took seconds at g = 1e7
+        n = 20_000
+        path = WeightedGraph.from_arrays(n, np.arange(n - 1), np.arange(1, n), np.ones(n - 1))
+        dbar = 2 * (n - 1) / n
+        assert nbwalk.certificate_work(path, 10**9) == pytest.approx(32 * n * dbar * (1 + dbar / (2 - dbar)), rel=1e-12)
 
     def test_certificates_above_ten_thousand_vertices_fork(self):
         # 12 000 vertices of degree 4 at g = 2 make about 2.4e5 walk entries, above the floor
