@@ -10,8 +10,7 @@ split relies on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import InvalidArgumentError, OutOfRegimeError
 
@@ -57,8 +56,7 @@ def erf_inv(y: float) -> float:
 # -- replica-symmetric ground-state bound ---------------------------------------
 
 
-@dataclass(frozen=True)
-class RSBound:
+class RSBound(NamedTuple):
     """Replica-symmetric bound on extremal size-alpha*n cut deviations.
 
     ground_state_bound = 4 sqrt(T) phi(sqrt(2) erf_inv(M)) with T = 4a(1-a),
@@ -107,8 +105,7 @@ def main_constant() -> float:
     return 2.0 * math.sqrt(2.0 / math.pi)
 
 
-@dataclass(frozen=True)
-class RamanujanBound:
+class RamanujanBound(NamedTuple):
     asymptotic: float  # 2/sqrt(d)
     exact: float  # 2 sqrt(d-1)/d
 
@@ -122,8 +119,7 @@ def ramanujan_epsilon(d: int) -> RamanujanBound:
 # -- martingale tail bounds ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TailBound:
+class TailBound(NamedTuple):
     """Evaluated deviation-probability bound with its intermediate quantities."""
 
     n: int
@@ -222,8 +218,7 @@ def azuma_fan_bound(x: float, nu2: float) -> float:
 # -- appendix inequalities --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AppendixReport:
+class AppendixReport(NamedTuple):
     checked_taylor: int
     violations_taylor: tuple[tuple[float, float], ...]
     min_slack_taylor: float

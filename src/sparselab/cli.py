@@ -66,92 +66,104 @@ def _parse_tail_grid(text: str) -> list[tuple[int, int, int]]:
     return triples
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = (
+    "generate", "cut-error", "spectral-error", "certify", "bounds", "martingale", "concentration", "clique-sparsify",
+    "separation",
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command or, for one of COMMANDS, of that command alone;
+    its usage line still lists them all, so each message reads the same."""
     parser = argparse.ArgumentParser(prog="sparselab", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    one = command in COMMANDS
+    sub = parser.add_subparsers(dest="command", required=True, metavar="{%s}" % ",".join(COMMANDS) if one else None)
 
-    p = sub.add_parser("generate", help="sample a random regular multigraph and write its edge list")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
+    def add(name: str, help: str) -> argparse.ArgumentParser | None:
+        return sub.add_parser(name, help=help) if not one or name == command else None
 
-    p = sub.add_parser("cut-error", help="cut-sparsification error of H against G")
-    p.add_argument("--h-file", required=True)
-    p.add_argument("--g-file", required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--exhaustive", action="store_true")
-    group.add_argument("--samples", type=int, default=None, help="samples per subset size")
-    p.add_argument("--sizes", type=_parse_sizes, default=None, help="comma-separated subset sizes")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
+    if p := add("generate", "sample a random regular multigraph and write its edge list"):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", default=None)
 
-    p = sub.add_parser("spectral-error", help="spectral-sparsification error of H against G")
-    p.add_argument("--h-file", required=True)
-    p.add_argument("--g-file", required=True)
-    p.add_argument("--out", default=None)
+    if p := add("cut-error", "cut-sparsification error of H against G"):
+        p.add_argument("--h-file", required=True)
+        p.add_argument("--g-file", required=True)
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--exhaustive", action="store_true")
+        group.add_argument("--samples", type=int, default=None, help="samples per subset size")
+        p.add_argument("--sizes", type=_parse_sizes, default=None, help="comma-separated subset sizes")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", default=None)
 
-    p = sub.add_parser("certify", help="walk-certificate lower bound against the 1/n clique")
-    p.add_argument("--h-file", required=True)
-    p.add_argument("--g", type=int, required=True, help="walk horizon")
-    p.add_argument("--d", type=float, required=True, help="nominal average degree")
-    p.add_argument("--first-step", choices=["weight", "uniform"], default="weight")
-    p.add_argument("--out", default=None)
+    if p := add("spectral-error", "spectral-sparsification error of H against G"):
+        p.add_argument("--h-file", required=True)
+        p.add_argument("--g-file", required=True)
+        p.add_argument("--out", default=None)
 
-    p = sub.add_parser("bounds", help="emit analytic bound tables as CSV")
-    p.add_argument("--alphas", type=_parse_floats, default=[])
-    p.add_argument("--tail-grid", type=_parse_tail_grid, default=[], help="semicolon-separated n,k,d triples")
-    p.add_argument("--ramanujan-ds", type=_parse_sizes, default=[])
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out", default=None)
+    if p := add("certify", "walk-certificate lower bound against the 1/n clique"):
+        p.add_argument("--h-file", required=True)
+        p.add_argument("--g", type=int, required=True, help="walk horizon")
+        p.add_argument("--d", type=float, required=True, help="nominal average degree")
+        p.add_argument("--first-step", choices=["weight", "uniform"], default="weight")
+        p.add_argument("--out", default=None)
 
-    p = sub.add_parser("martingale", help="simulate the reveal martingale; optional tail estimate")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=0)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--trace-out", default=None, help="write the per-step trace as CSV")
-    p.add_argument("--out", default=None)
+    if p := add("bounds", "emit analytic bound tables as CSV"):
+        p.add_argument("--alphas", type=_parse_floats, default=[])
+        p.add_argument("--tail-grid", type=_parse_tail_grid, default=[], help="semicolon-separated n,k,d triples")
+        p.add_argument("--ramanujan-ds", type=_parse_sizes, default=[])
+        p.add_argument("--format", choices=["csv", "json"], default="csv")
+        p.add_argument("--out", default=None)
 
-    p = sub.add_parser("concentration", help="spread of the per-size maximum cut across seeds")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alphas", type=_parse_floats, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--seeds", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=["auto", "exhaustive", "sampled"], default="auto")
-    p.add_argument("--samples", type=int, default=500)
-    p.add_argument("--out", default=None)
+    if p := add("martingale", "simulate the reveal martingale; optional tail estimate"):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--trials", type=int, default=0)
+        p.add_argument("--delta", type=float, default=None)
+        p.add_argument("--trace-out", default=None, help="write the per-step trace as CSV")
+        p.add_argument("--out", default=None)
 
-    p = sub.add_parser("clique-sparsify", help="random regular graph as a clique sparsifier")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--seeds", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cut-mode", choices=["exhaustive", "sampled"], default="exhaustive")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument(
-        "--profile-reference",
-        choices=["density", "expectation"],
-        default="density",
-        help="per-size reference: d*k*(n-k)/n or the matching-model mean d*k*(n-k)/(n-1)",
-    )
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out", default=None)
+    if p := add("concentration", "spread of the per-size maximum cut across seeds"):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--alphas", type=_parse_floats, required=True)
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--seeds", type=int, default=50)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--mode", choices=["auto", "exhaustive", "sampled"], default="auto")
+        p.add_argument("--samples", type=int, default=500)
+        p.add_argument("--out", default=None)
 
-    p = sub.add_parser("separation", help="prefix-of-matchings sparsifier with certificate")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--big-degree", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--seeds", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--g", type=int, default=2)
-    p.add_argument("--target", choices=["clique", "parent"], default="clique")
-    p.add_argument("--cut-mode", choices=["auto", "exhaustive", "sampled"], default="auto")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--out", default=None)
+    if p := add("clique-sparsify", "random regular graph as a clique sparsifier"):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--seeds", type=int, default=1)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--cut-mode", choices=["exhaustive", "sampled"], default="exhaustive")
+        p.add_argument("--samples", type=int, default=200)
+        p.add_argument(
+            "--profile-reference",
+            choices=["density", "expectation"],
+            default="density",
+            help="per-size reference: d*k*(n-k)/n or the matching-model mean d*k*(n-k)/(n-1)",
+        )
+        p.add_argument("--format", choices=["json", "csv"], default="json")
+        p.add_argument("--out", default=None)
+
+    if p := add("separation", "prefix-of-matchings sparsifier with certificate"):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--big-degree", type=int, required=True)
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--seeds", type=int, default=1)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--g", type=int, default=2)
+        p.add_argument("--target", choices=["clique", "parent"], default="clique")
+        p.add_argument("--cut-mode", choices=["auto", "exhaustive", "sampled"], default="auto")
+        p.add_argument("--samples", type=int, default=200)
+        p.add_argument("--out", default=None)
 
     return parser
 
@@ -225,8 +237,8 @@ def _dispatch(args: argparse.Namespace) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         _dispatch(args)
     except SparselabError as exc:

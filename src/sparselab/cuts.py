@@ -19,9 +19,8 @@ cuts come from its closed form w*k*(n-k), so it is never enumerated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,8 +40,7 @@ REF_EXPECTATION = "expectation"
 _SLAB_CELLS = 1 << 17
 
 
-@dataclass(frozen=True)
-class CutErrorReport:
+class CutErrorReport(NamedTuple):
     """Worst relative cut deviation of H against reference graph G."""
 
     epsilon: float
@@ -53,18 +51,10 @@ class CutErrorReport:
     lower_bound: bool  # sampled mode can only certify a lower bound on the true error
 
     def to_json_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "witness": list(self.witness) if self.witness is not None else None,
-            "mode": self.mode,
-            "subsets_examined": self.subsets_examined,
-            "n": self.n,
-            "lower_bound": self.lower_bound,
-        }
+        return {**self._asdict(), "witness": list(self.witness) if self.witness is not None else None}
 
 
-@dataclass(frozen=True)
-class CutProfileRow:
+class CutProfileRow(NamedTuple):
     k: int
     alpha: float
     max_dev: float
@@ -74,12 +64,11 @@ class CutProfileRow:
     mode: str
 
 
-@dataclass(frozen=True)
-class CutProfile:
+class CutProfile(NamedTuple):
     n: int
     d: int
     reference: str
-    rows: tuple[CutProfileRow, ...] = field(default_factory=tuple)
+    rows: tuple[CutProfileRow, ...] = ()
 
     def row(self, k: int) -> CutProfileRow:
         for r in self.rows:

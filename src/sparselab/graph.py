@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from .errors import InvalidArgumentError, ParseError, UnsupportedInputError
 from .rng import make_generator
 
 MAX_VERTICES = math.isqrt(2**63 - 1)  # n up to this keeps every pair key u * n + v inside int64
+MAX_MULTIPLICITY = 2**63 - 1  # a bundle's multiplicity is an int64
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -42,17 +42,23 @@ def _coalesce(n: int, us, vs, ws, ms) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """Validate edge records and merge repeated pairs into sorted bundles.
 
     The first bad record raises InvalidArgumentError, and so does a total
-    weight that overflows to infinity.  Weights of a repeated pair are summed
-    in input order (``bincount`` adds sequentially), so they equal a
-    record-by-record accumulation bit for bit; a pairwise reduction would
-    not.  Multiplicities are summed as integers, exact to 2^63.
+    weight that overflows to infinity or a pair whose multiplicities sum past
+    MAX_MULTIPLICITY.  Weights of a repeated pair are summed in input order
+    (``bincount`` adds sequentially), so they equal a record-by-record
+    accumulation bit for bit; a pairwise reduction would not.
     """
     us = np.asarray(us, dtype=np.int64).ravel()
     vs = np.asarray(vs, dtype=np.int64).ravel()
     ws = np.asarray(ws, dtype=np.float64).ravel()
-    ms = np.ones(us.size, dtype=np.int64) if ms is None else np.asarray(ms, dtype=np.int64).ravel()
+    try:
+        ms = np.ones(us.size, dtype=np.int64) if ms is None else np.asarray(ms, dtype=np.int64).ravel()
+    except OverflowError:  # a Python int past int64, named once the lengths are checked
+        ms = np.asarray(ms, dtype=object).ravel()
     if not us.size == vs.size == ws.size == ms.size:
         raise InvalidArgumentError(f"edge arrays differ in length: {us.size}, {vs.size}, {ws.size}, {ms.size}")
+    if ms.dtype == object:
+        i = int(np.flatnonzero((ms < 1) | (ms > MAX_MULTIPLICITY))[0])
+        raise InvalidArgumentError(f"edge ({us[i]}, {vs[i]}) has multiplicity {ms[i]} outside [1, 2^63 - 1]")
     bad = np.stack([~((0 <= us) & (us < vs) & (vs < n)), ~(np.isfinite(ws) & (ws >= 0.0)), ms < 1])
     if bad.any():
         i = int(np.flatnonzero(bad.any(axis=0))[0])
@@ -61,6 +67,13 @@ def _coalesce(n: int, us, vs, ws, ms) -> tuple[np.ndarray, np.ndarray, np.ndarra
         raise InvalidArgumentError(f"edge ({u}, {v}) {reason[int(np.argmax(bad[:, i]))]}")
     keys, inv = np.unique(us * n + vs, return_inverse=True)
     ws = np.bincount(inv, weights=ws, minlength=keys.size).astype(np.float64, copy=False)  # int64 when empty
+    if ms.sum(dtype=np.float64) >= 2.0**62:  # a pair's sum may pass int64, which wraps: sum Python ints
+        exact = np.zeros(keys.size, dtype=object)
+        np.add.at(exact, inv, ms.astype(object))
+        i = int(np.argmax(exact > MAX_MULTIPLICITY))
+        if exact[i] > MAX_MULTIPLICITY:
+            u, v = divmod(int(keys[i]), n)
+            raise InvalidArgumentError(f"edge ({u}, {v}) has total multiplicity {exact[i]} > 2^63 - 1")
     counts = np.zeros(keys.size, dtype=np.int64)
     np.add.at(counts, inv, ms)  # a float bincount would round multiplicities past 2^53
     with np.errstate(over="ignore"):
@@ -178,8 +191,12 @@ class WeightedGraph:
         return f"WeightedGraph(n={self.n}, bundles={self.num_bundles}, total_weight={self.total_weight:g})"
 
 
-@dataclass(frozen=True)
-class Clique:
+class _CliqueFields(NamedTuple):
+    n: int
+    w: float
+
+
+class Clique(_CliqueFields):
     """The complete graph K_n with every edge at weight w, as a value.
 
     Measurements against a clique read it through closed forms (a size-k
@@ -187,16 +204,18 @@ class Clique:
     all-ones vector), so its n(n-1)/2 bundles are never built.
     """
 
-    n: int
-    w: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 2:
-            raise InvalidArgumentError(f"clique needs n >= 2, got {self.n!r}")
-        if not 0 < self.w < np.inf:
-            raise InvalidArgumentError(f"clique weight must be positive and finite, got {self.w}")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "w", float(self.w))
+    def __new__(cls, n: int, w: float):
+        if not isinstance(n, (int, np.integer)) or n < 2:
+            raise InvalidArgumentError(f"clique needs n >= 2, got {n!r}")
+        if not 0 < w < np.inf:
+            raise InvalidArgumentError(f"clique weight must be positive and finite, got {w}")
+        return super().__new__(cls, int(n), float(w))
+
+    @classmethod
+    def _make(cls, fields) -> Clique:  # _replace builds through _make, so it checks too
+        return cls(*fields)
 
     def cut(self, k):
         """Cut value of any size-k vertex subset; k may be an array of sizes."""
@@ -417,7 +436,7 @@ def read_edge_list(path) -> WeightedGraph:
                     raise ParseError(f"edge ({u}, {v}) violates 0 <= u < v < n={n}", lineno)
                 if w < 0 or not math.isfinite(w):
                     raise ParseError(f"invalid weight {w}", lineno)
-                if not 1 <= m < 2**63:  # an int64 column
+                if not 1 <= m <= MAX_MULTIPLICITY:
                     raise ParseError(f"invalid multiplicity {m}", lineno)
                 if (key := u * n + v) in seen:  # after the range check, so that distinct pairs have distinct keys
                     raise ParseError(f"duplicate pair ({u}, {v})", lineno)

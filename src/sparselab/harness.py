@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import datetime
 import math
-import statistics
 from functools import partial
 from typing import Sequence
 
@@ -37,7 +36,10 @@ def _base_report(subcommand: str, config: dict) -> dict:
 
 
 def _median(xs) -> float:
-    return float(statistics.median(xs))
+    """statistics.median's value, without its import of decimal and fractions."""
+    xs = sorted(xs)
+    mid = len(xs) // 2
+    return float(xs[mid] if len(xs) % 2 else (xs[mid - 1] + xs[mid]) / 2)
 
 
 def _references(d: int) -> dict:
@@ -277,18 +279,7 @@ def run_bounds_table(
     """Rows of evaluated bounds over explicit grids; empty grids give no rows."""
     rows: list[dict] = []
     for alpha in alphas:
-        rs = bounds.rs_bound(alpha)
-        rows.append(
-            {
-                "kind": "rs",
-                "alpha": rs.alpha,
-                "T": rs.T,
-                "M": rs.M,
-                "lambda_hat": rs.lambda_hat,
-                "ground_state_bound": rs.ground_state_bound,
-                "relative_error_bound": rs.relative_error_bound,
-            }
-        )
+        rows.append({"kind": "rs", **bounds.rs_bound(alpha)._asdict()})
     for n, k, d in tail_grid:
         delta = bounds.small_cut_delta(n, k, d)
         generic = bounds.tail_bound_generic(n, k, d, delta)

@@ -23,8 +23,8 @@ CPU, and the children's integer counts are added in chunk order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +35,7 @@ from .graph import _shuffled_rows, sample_matching_partners
 from .rng import derived_generators, make_generator
 
 
-@dataclass(frozen=True)
-class RevealTrace:
+class RevealTrace(NamedTuple):
     """One full reveal of d matchings against S = {0..k-1}.
 
     Arrays are indexed by step ell = 1..N with N = d(k-1); x0 is the
@@ -60,7 +59,10 @@ class RevealTrace:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RevealTrace):
             return NotImplemented
-        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(map(np.array_equal, self, other))
+
+    def __ne__(self, other) -> bool:  # tuple's own != would compare the arrays element by element
+        return not self == other
 
     @property
     def steps(self) -> int:
@@ -154,8 +156,7 @@ def simulate_reveal(n: int, k: int, d: int, seed: int) -> RevealTrace:
     )
 
 
-@dataclass(frozen=True)
-class EmpiricalTail:
+class EmpiricalTail(NamedTuple):
     n: int
     k: int
     d: int

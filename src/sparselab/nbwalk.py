@@ -33,8 +33,8 @@ giving the unconditional bound eps >= (R - 1)/(R + 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +46,7 @@ FIRST_STEP_WEIGHT = "weight"  # first edge chosen proportionally to weight
 FIRST_STEP_UNIFORM = "uniform"  # first edge uniform over incident edges
 
 
-@dataclass(frozen=True)
-class PseudoGirthReport:
+class PseudoGirthReport(NamedTuple):
     g: int
     n: int
     acyclic_g: int  # |V'|: roots whose radius-g ball is cycle-free
@@ -57,19 +56,12 @@ class PseudoGirthReport:
     violating: tuple[int, ...]  # the first 32 V''-violating vertices
 
     def to_json_dict(self) -> dict:
-        return {
-            "g": self.g,
-            "n": self.n,
-            "acyclic_g": self.acyclic_g,
-            "acyclic_2g": self.acyclic_2g,
-            "F": self.F,
-            "B": self.B,
-            "violating_sample": list(self.violating),
-        }
+        out = self._asdict()
+        out["violating_sample"] = list(out.pop("violating"))
+        return out
 
 
-@dataclass(frozen=True)
-class IdentityChecks:
+class IdentityChecks(NamedTuple):
     """Numeric checks of the norm and trace identities behind the certificate.
 
     On an acyclic-ball root every vertex is reached at a single walk length,
@@ -99,8 +91,7 @@ class IdentityChecks:
         return self.vprime_norms_ok and self.norm_cap_ok and self.traces_ok and self.y_dot_j_ok
 
 
-@dataclass(frozen=True)
-class AssumptionChecks:
+class AssumptionChecks(NamedTuple):
     """Diagnostics for the degree and weight conditions the sizing argument uses.
 
     These gate nothing: the certificate is sound for any graph, the
@@ -117,8 +108,7 @@ class AssumptionChecks:
     edge_weight_ok: bool  # <= 4/sqrt(d)
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(NamedTuple):
     n: int
     g: int
     d: float
@@ -153,15 +143,7 @@ class CertificateReport:
             "epsilon_lb": self.epsilon_lb,
             "pseudo_girth": self.pseudo_girth.to_json_dict(),
             "identity_checks_ok": self.identity_checks.ok,
-            "assumptions": {
-                "min_combinatorial_degree": self.assumptions.min_combinatorial_degree,
-                "combinatorial_ok": self.assumptions.combinatorial_ok,
-                "min_weighted_degree": self.assumptions.min_weighted_degree,
-                "max_weighted_degree": self.assumptions.max_weighted_degree,
-                "weighted_ok": self.assumptions.weighted_ok,
-                "max_edge_weight": self.assumptions.max_edge_weight,
-                "edge_weight_ok": self.assumptions.edge_weight_ok,
-            },
+            "assumptions": {k: v for k, v in self.assumptions._asdict().items() if k != "d"},
         }
 
 

@@ -13,7 +13,7 @@ gradients (Hestenes and Stiefel, 1952) for a :class:`WeightedGraph`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ _CG_RTOL = 1e-14  # backward error at which a conjugate-gradient solve stops
 _CG_STEPS_PER_VERTEX = 10  # a conjugate-gradient solve that takes more steps per vertex than this fails
 
 
-@dataclass(frozen=True)
-class SpectralReport:
+class SpectralReport(NamedTuple):
     """The spectral error, and solver data that stays out of the JSON: ``method``
     ("clique", or "cg" for a graph's conjugate-gradient L_G^+), Lanczos steps over
     all restarts, and the larger extreme Ritz residual relative to max ||L_G^+ L_H v||."""

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparselab import cuts, errors, harness, martingale, spectral
-from sparselab.cli import main
+from sparselab.cli import COMMANDS, build_parser, main
 from sparselab.graph import (
     Clique,
     WeightedGraph,
@@ -484,6 +484,83 @@ def test_measurements_leave_numpy_ma_unloaded(tmp_path):
     code = "import json, sys; from sparselab.cli import main; print([main(a) for a in json.loads(sys.argv[1])], 'numpy.ma' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.split() == ["[0,", "0,", "0,", "0,", "0]", "False"]
+
+
+def test_cli_import_loads_no_record_or_statistics_machinery():
+    # records are NamedTuples and the median is a sorted one, so dataclasses, statistics and the decimal and
+    # fractions modules it loads stay out. The bound counts what sparselab adds over numpy, whose own count
+    # differs between the versions CI installs; with numpy 2.4 on Python 3.11 the total is 229 modules
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = "import sys, numpy; before = set(sys.modules); import sparselab.cli; print(' '.join(sorted(set(sys.modules) - before)))"
+    added = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert not {"dataclasses", "statistics", "decimal", "_decimal", "fractions"} & set(added)
+    assert len(added) <= 20, added  # sparselab's 12 modules, argparse, gettext, json and its 5, __future__
+
+
+@pytest.mark.parametrize("seeds", [2, 3])
+def test_clique_sparsify_medians_equal_statistics_median(seeds, tmp_path):
+    import statistics
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = "import sys; from sparselab.cli import main; main(sys.argv[1:]); print('numpy.ma' in sys.modules)"
+    out = tmp_path / "report.json"
+    argv = ["clique-sparsify", "--n", "12", "--d", "4", "--seeds", str(seeds), "--out", str(out)]
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
+    report = json.loads(out.read_text())
+    assert report["medians"] == {
+        name: statistics.median(r[name] for r in report["records"]) for name in ("eps_cut", "eps_spec", "balanced_max_abs_dev")
+    }
+
+
+# per command: the options it needs, and an option given a value of the wrong type or no value
+_ARGV = {
+    "generate": (["--n", "4", "--d", "2"], ["--n", "x"]),
+    "cut-error": (["--h-file", "h", "--g-file", "g"], ["--samples", "x"]),
+    "spectral-error": (["--h-file", "h", "--g-file", "g"], ["--out"]),
+    "certify": (["--h-file", "h", "--g", "2", "--d", "2"], ["--g", "2.5"]),
+    "bounds": ([], ["--alphas", "x"]),
+    "martingale": (["--n", "4", "--k", "2", "--d", "1"], ["--delta", "x"]),
+    "concentration": (["--n", "4", "--alphas", "0.5", "--d", "1"], ["--mode", "x"]),
+    "clique-sparsify": (["--n", "4", "--d", "2"], ["--seeds", "x"]),
+    "separation": (["--n", "4", "--big-degree", "2", "--d", "1"], ["--target", "x"]),
+}
+
+
+def _run(call, argv):
+    """(stdout, stderr, result) of call(argv); the result of an argparse exit is ("exit", code)."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            result = call(argv)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return stdout.getvalue(), stderr.getvalue(), result
+
+
+@pytest.mark.parametrize("columns", ["80", "250"])
+@pytest.mark.parametrize("command", sorted(_ARGV))
+def test_one_command_parser_prints_what_the_full_parser_prints(command, columns, monkeypatch):
+    monkeypatch.setenv("COLUMNS", columns)  # a usage line that wraps, and one that does not
+    every = f"{{{','.join(COMMANDS)}}}"
+    assert set(COMMANDS) == set(_ARGV) and every in build_parser().format_usage()
+    needed, bad = _ARGV[command]
+    cases = [[command, "--help"], [command], [command, *needed], [command, *bad], [command, *needed, *bad]]
+    cases += [[command, *needed, "--bogus"], [command, *needed, "extra"]]  # the top-level parser reports these
+    for argv in cases:
+        full = _run(build_parser().parse_args, argv)
+        assert _run(build_parser(command).parse_args, argv) == full, argv
+        if isinstance(full[2], tuple):  # the command never runs: main prints exactly this
+            assert _run(main, argv) == full, argv
+    assert every in full[1] and full[1].startswith("usage: sparselab [-h]")
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["nope"], ["-h", "certify"], ["--n", "4"]])
+def test_without_a_known_command_main_uses_the_full_parser(argv):
+    full = _run(build_parser().parse_args, argv)
+    assert full[2][0] == "exit" and _run(main, argv) == full
 
 
 def test_fork_helper_adds_no_other_module_to_the_import():

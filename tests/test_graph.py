@@ -69,6 +69,25 @@ class TestWeightedGraph:
                 build()
         assert WeightedGraph(3, [(0, 1, 1e308), (1, 2, 7e307)]).total_weight == 1.7e308
 
+    def test_rejects_summed_multiplicities_past_int64(self):
+        # two bundles of 2^62 on one pair sum to 2^63, which an int64 sum stores as -2^63
+        for build in (
+            lambda: WeightedGraph(3, [(0, 1, 1.0, 2**62), (1, 2, 1.0, 1), (0, 1, 1.0, 2**62)]),
+            lambda: WeightedGraph.from_arrays(3, [0, 0], [1, 1], [1.0, 1.0], np.array([2**62, 2**62])),
+        ):
+            with pytest.raises(InvalidArgumentError, match=rf"^edge \(0, 1\) has total multiplicity {2**63} > 2\^63 - 1$"):
+                build()
+        top = WeightedGraph(3, [(0, 1, 1.0, 2**62), (0, 1, 1.0, 2**62 - 1), (0, 2, 1.0, 2**62)])
+        assert bundles(top) == [(0, 1, 2.0, 2**63 - 1), (0, 2, 1.0, 2**62)]
+
+    def test_rejects_a_multiplicity_past_int64(self):
+        # numpy refuses such an int with a bare OverflowError
+        for m in (2**63, 2**64, -(2**64)):
+            with pytest.raises(InvalidArgumentError, match=rf"^edge \(1, 2\) has multiplicity {m} outside \[1, 2\^63 - 1\]$"):
+                WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0, m)])
+        with pytest.raises(InvalidArgumentError, match="edge arrays differ in length: 1, 1, 1, 2"):
+            WeightedGraph.from_arrays(3, [0], [1], [1.0], [1, 2**64])
+
     def test_handshake_identity(self):
         g = sample_regular_multigraph(20, 5, seed=3)
         assert g.weighted_degrees().sum() == pytest.approx(2 * g.total_weight, rel=1e-12)

@@ -1,9 +1,12 @@
 import json
 import os
+import statistics
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sparselab import _fork, cuts, harness, nbwalk, spectral
 from sparselab.cli import main
@@ -17,6 +20,11 @@ from sparselab.harness import (
 )
 
 from helpers import cpus
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=9))
+def test_median_equals_statistics_median_bit_for_bit(xs):
+    assert harness._median(iter(xs)).hex() == float(statistics.median(xs)).hex()
 
 
 class TestCliqueSparsify:

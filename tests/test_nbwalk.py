@@ -1,6 +1,5 @@
 import math
 import os
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -451,9 +450,9 @@ def _assert_close_to_oracle(report, oracle, g):
         assert abs(getattr(checks, name) - getattr(want, name)) <= 1e-12 * scale, name
     ratio = (report.x_dot_lh / report.x_dot_lk) * (report.y_dot_lk / report.y_dot_lh)
     assert (report.ratio, report.epsilon_lb) == (ratio, max(0.0, (ratio - 1.0) / (ratio + 1.0)))
-    same_checks = replace(checks, **{name: getattr(want, name) for name in check_scales})
+    same_checks = checks._replace(**{name: getattr(want, name) for name in check_scales})
     same_sums = {name: getattr(oracle, name) for name in [*scales, "ratio", "epsilon_lb"]}
-    assert replace(report, identity_checks=same_checks, **same_sums) == oracle
+    assert report._replace(identity_checks=same_checks, **same_sums) == oracle
 
 
 def _assert_python_sums(report, graph, g, first_step):
