@@ -59,7 +59,6 @@ class CutProfileRow(NamedTuple):
     alpha: float
     max_dev: float
     min_dev: float
-    argmax_subset: tuple[int, ...] | None
     subsets_examined: int
     mode: str
 
@@ -75,15 +74,6 @@ class CutProfile(NamedTuple):
             if r.k == k:
                 return r
         raise KeyError(k)
-
-    def max_abs_deviation(self) -> float:
-        return max(max(abs(r.max_dev), abs(r.min_dev)) for r in self.rows)
-
-    def to_csv(self) -> str:
-        lines = ["k,alpha,max_dev,min_dev,mode,samples"]
-        for r in self.rows:
-            lines.append(f"{r.k},{r.alpha!r},{r.max_dev!r},{r.min_dev!r},{r.mode},{r.subsets_examined}")
-        return "\n".join(lines) + "\n"
 
 
 # -- split enumeration ---------------------------------------------------------
@@ -222,17 +212,14 @@ class _SplitCuts:
         return best[1]
 
 
-def _mask_to_subset(mask: int, n: int) -> tuple[int, ...]:
-    return tuple(v for v in range(n) if (mask >> v) & 1)
-
-
 def _ratio_dev(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.abs(np.divide(num, den, dtype=np.float64) - 1.0)
 
 
 def _exhaustive_report(split: _SplitCuts, best: float, mask: int) -> CutErrorReport:
     n = split.n
-    return CutErrorReport(float(best), _mask_to_subset(mask, n), "exhaustive", 2 ** (n - 1) - 1, n, lower_bound=False)
+    witness = tuple(v for v in range(n) if mask >> v & 1)
+    return CutErrorReport(float(best), witness, "exhaustive", 2 ** (n - 1) - 1, n, lower_bound=False)
 
 
 def _least_where(pred, dtype: np.dtype, shape) -> np.ndarray:
@@ -264,21 +251,10 @@ def _clique_ratio(split: _SplitCuts, hi: np.ndarray, lo: np.ndarray, scale: floa
     return _exhaustive_report(split, best, mask)
 
 
-def _profile_rows(split: _SplitCuts, hi: np.ndarray, lo: np.ndarray, refs: np.ndarray, argmax_cap: int):
-    """Per smaller-side size k: extreme deviations from the raw cut extremes, and the first argmax."""
-    n = split.n
-    rows = []
-    for k in range(1, n // 2 + 1):
-        sel = split.kside == k
-        top, bottom = hi[sel].max(), lo[sel].min()
-        sub = None
-        if k <= argmax_cap:
-            sub = _mask_to_subset(split.first(sel & (hi == top), lambda size, cuts: cuts[0] == top), n)
-            if len(sub) != k:  # the maximizer is the large side; report the smaller
-                sub = tuple(v for v in range(n) if v not in sub)
-        max_dev, min_dev = float(top / refs[k] - 1.0), float(bottom / refs[k] - 1.0)
-        rows.append(CutProfileRow(k, k / n, max_dev, min_dev, sub, int(split.count[sel].sum()), "exhaustive"))
-    return tuple(rows)
+def _block_extremes(split: _SplitCuts, hi: np.ndarray, lo: np.ndarray, ks) -> list[tuple[float, float, int]]:
+    """Per smaller-side size k in ks: the raw max and min cut over its valid blocks, and their cell count."""
+    sels = (split.kside == k for k in ks)
+    return [(float(hi[sel].max()), float(lo[sel].min()), int(split.count[sel].sum())) for sel in sels]
 
 
 def _require_same_vertices(h: WeightedGraph, g: WeightedGraph | Clique) -> None:
@@ -481,18 +457,10 @@ def cut_error_sampled(
         cg = np.full(len(subsets), g.cut(k), dtype=np.float64) if isinstance(g, Clique) else _subset_cuts(g, subsets)
         dev = np.abs(ch / cg - 1.0)
         examined += len(subsets)
-        j = int(np.argmax(dev)) if len(subsets) else 0
-        if len(subsets) and dev[j] > best:
-            best = float(dev[j])
-            witness = tuple(subsets[j].tolist())
-    return CutErrorReport(
-        epsilon=best,
-        witness=witness,
-        mode="sampled",
-        subsets_examined=examined,
-        n=n,
-        lower_bound=True,
-    )
+        j = int(np.argmax(dev))  # a size has at least one subset
+        if dev[j] > best:
+            best, witness = float(dev[j]), tuple(subsets[j].tolist())
+    return CutErrorReport(best, witness, "sampled", examined, n, lower_bound=True)
 
 
 # -- per-size deviation profile ------------------------------------------------
@@ -507,13 +475,46 @@ def _profile_references(n: int, d: int, reference: str) -> np.ndarray:
     raise InvalidArgumentError(f"unknown reference {reference!r}")
 
 
+def size_extremes(
+    h: WeightedGraph, ks: Sequence[int], exhaustive: bool, samples: int = 0, seed: int = 0
+) -> list[tuple[float, float, int]]:
+    """(max cut, min cut, subsets examined) over the subsets of each size k in ks, 1 <= k <= n/2.
+
+    Exhaustive: every unordered cut whose smaller side has size k, once (a balanced cut by its
+    vertex-0 side), from one enumeration that evaluates only the blocks of the sizes in ks.
+    Sampled: ``samples`` uniform size-k subsets drawn with seed derive_seed(seed, k), or all of them
+    when there are no more.
+    """
+    n = h.n
+    for k in ks:
+        if not 1 <= k <= n // 2:
+            raise InvalidArgumentError(f"size {k} not in [1, n/2]")
+    if exhaustive:
+        if n > EXHAUSTIVE_CAP:
+            raise SizeLimitError(f"n={n} exceeds exhaustive cap {EXHAUSTIVE_CAP}")
+        split = _SplitCuts(n, (h,))
+        return _block_extremes(split, *split.extremes(np.isin(split.kside, ks)), ks)
+    if samples < 1:
+        raise InvalidArgumentError(f"sampled profile needs at least one sample per size, got {samples}")
+    out = []
+    for k in ks:
+        cut = _subset_cuts(h, _size_k_subsets(n, k, samples, make_generator(derive_seed(seed, k))))
+        out.append((float(cut.max()), float(cut.min()), cut.size))
+    return out
+
+
+def _profile(n: int, d: int, reference: str, refs: np.ndarray, extremes, mode: str) -> CutProfile:
+    """Rows k = 1, 2, ... from per-size raw cut extremes: x -> x/ref - 1 is monotone under rounding,
+    so max(cut/ref - 1) == max(cut)/ref - 1 exactly."""
+    rows = tuple(
+        CutProfileRow(k, k / n, float(top / refs[k] - 1.0), float(bottom / refs[k] - 1.0), count, mode)
+        for k, (top, bottom, count) in enumerate(extremes, start=1)
+    )
+    return CutProfile(n, d, reference, rows)
+
+
 def cut_profile(
-    h: WeightedGraph,
-    d: int,
-    reference: str = REF_DENSITY,
-    samples_per_size: int = 200,
-    seed: int = 0,
-    argmax_cap: int = 4,
+    h: WeightedGraph, d: int, reference: str = REF_DENSITY, samples_per_size: int = 200, seed: int = 0
 ) -> CutProfile:
     """Extremal signed relative cut deviations per subset size k in [1, n/2].
 
@@ -523,30 +524,16 @@ def cut_profile(
     default, or the exact matching-model expectation d*k*(n-k)/(n-1).
     """
     n = h.n
-    kmax = n // 2
-    if kmax < 1:
+    if n < 2:
         raise InvalidArgumentError("profile needs n >= 2")
     refs = _profile_references(n, d, reference)
-    if n <= EXHAUSTIVE_CAP:
-        split = _SplitCuts(n, (h,))
-        return CutProfile(n=n, d=d, reference=reference, rows=_profile_rows(split, *split.extremes(), refs, argmax_cap))
-
-    if samples_per_size < 1:
-        raise InvalidArgumentError(f"sampled profile needs at least one sample per size, got {samples_per_size}")
-    rows = []
-    for k in range(1, kmax + 1):
-        subsets = _size_k_subsets(n, k, samples_per_size, make_generator(derive_seed(seed, k)))
-        dev = _subset_cuts(h, subsets) / refs[k] - 1.0
-        argmax = tuple(subsets[int(np.argmax(dev))].tolist()) if k <= argmax_cap else None
-        rows.append(CutProfileRow(k, k / n, float(dev.max()), float(dev.min()), argmax, len(subsets), "sampled"))
-    return CutProfile(n=n, d=d, reference=reference, rows=tuple(rows))
+    exhaustive = n <= EXHAUSTIVE_CAP
+    extremes = size_extremes(h, range(1, n // 2 + 1), exhaustive, samples_per_size, seed)
+    return _profile(n, d, reference, refs, extremes, "exhaustive" if exhaustive else "sampled")
 
 
 def regular_vs_clique_exhaustive(
-    h_raw: WeightedGraph,
-    d: int,
-    reference: str = REF_DENSITY,
-    argmax_cap: int = 4,
+    h_raw: WeightedGraph, d: int, reference: str = REF_DENSITY
 ) -> tuple[CutErrorReport, CutProfile]:
     """One exhaustive pass producing both clique-sparsifier measurements.
 
@@ -560,30 +547,5 @@ def regular_vs_clique_exhaustive(
     refs = _profile_references(n, d, reference)
     split = _SplitCuts(n, (h_raw,))
     hi, lo = split.extremes()
-    profile = CutProfile(n=n, d=d, reference=reference, rows=_profile_rows(split, hi, lo, refs, argmax_cap))
+    profile = _profile(n, d, reference, refs, _block_extremes(split, hi, lo, range(1, n // 2 + 1)), "exhaustive")
     return _clique_ratio(split, hi, lo, (n - 1) / d, Clique(n, 1.0).cut(np.arange(n + 1.0))), profile
-
-
-def extreme_cuts_at_sizes(h: WeightedGraph, ks: Sequence[int]) -> list[tuple[float, float]]:
-    """(max, min) cut value over subsets of each size in ks, from one exhaustive enumeration."""
-    n = h.n
-    for k in ks:
-        if not 1 <= k <= n // 2:
-            raise InvalidArgumentError(f"size {k} not in [1, n/2]")
-    if n > EXHAUSTIVE_CAP:
-        raise SizeLimitError(f"n={n} exceeds exhaustive cap {EXHAUSTIVE_CAP}")
-    split = _SplitCuts(n, (h,))
-    hi, lo = split.extremes(np.isin(split.kside, ks))
-    return [(float(hi[split.kside == k].max()), float(lo[split.kside == k].min())) for k in ks]
-
-
-def extreme_cuts_at_size(h: WeightedGraph, k: int, samples: int, seed: int = 0) -> tuple[float, float]:
-    """(max, min) cut value over `samples` random subsets of size k; extreme_cuts_at_sizes is exhaustive."""
-    n = h.n
-    if not 1 <= k <= n // 2:
-        raise InvalidArgumentError(f"size {k} not in [1, n/2]")
-    if samples < 1:
-        raise InvalidArgumentError("sampled extremes need at least one sample")
-    subsets = _size_k_subsets(n, k, samples, make_generator(seed))
-    vals = _subset_cuts(h, subsets)
-    return float(vals.max()), float(vals.min())

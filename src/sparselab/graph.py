@@ -38,27 +38,41 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _is_int64(x) -> bool:
+    return x % 1 == 0 and -(2**63) <= x <= MAX_MULTIPLICITY  # False for NaN and infinities
+
+
+def _int64(x) -> np.ndarray:
+    """x as a flat int64 array; as a flat array of its exact values, dtype object, when one of them is not
+    an integer inside int64.  Integer arrays and buffers, and lists of such ints, are converted as they are."""
+    a = np.asarray(x).ravel()
+    if a.dtype.kind in "bi":
+        return a.astype(np.int64, copy=False)
+    a = np.asarray(x, dtype=object).ravel()
+    return a.astype(np.int64) if all(map(_is_int64, a)) else a
+
+
 def _coalesce(n: int, us, vs, ws, ms) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Validate edge records and merge repeated pairs into sorted bundles.
 
     The first bad record raises InvalidArgumentError, and so does a total
     weight that overflows to infinity or a pair whose multiplicities sum past
-    MAX_MULTIPLICITY.  Weights of a repeated pair are summed in input order
-    (``bincount`` adds sequentially), so they equal a record-by-record
+    MAX_MULTIPLICITY.  Vertices and multiplicities must be integers: 2.5 is
+    refused, not truncated.  Weights of a repeated pair are summed in input
+    order (``bincount`` adds sequentially), so they equal a record-by-record
     accumulation bit for bit; a pairwise reduction would not.
     """
-    us = np.asarray(us, dtype=np.int64).ravel()
-    vs = np.asarray(vs, dtype=np.int64).ravel()
+    us, vs = _int64(us), _int64(vs)
     ws = np.asarray(ws, dtype=np.float64).ravel()
-    try:
-        ms = np.ones(us.size, dtype=np.int64) if ms is None else np.asarray(ms, dtype=np.int64).ravel()
-    except OverflowError:  # a Python int past int64, named once the lengths are checked
-        ms = np.asarray(ms, dtype=object).ravel()
+    ms = np.ones(us.size, dtype=np.int64) if ms is None else _int64(ms)
     if not us.size == vs.size == ws.size == ms.size:
         raise InvalidArgumentError(f"edge arrays differ in length: {us.size}, {vs.size}, {ws.size}, {ms.size}")
-    if ms.dtype == object:
-        i = int(np.flatnonzero((ms < 1) | (ms > MAX_MULTIPLICITY))[0])
-        raise InvalidArgumentError(f"edge ({us[i]}, {vs[i]}) has multiplicity {ms[i]} outside [1, 2^63 - 1]")
+    if object in (us.dtype, vs.dtype, ms.dtype):  # a value that is not an int64 integer: name its record
+        u, v, m = next(rec for rec in zip(us, vs, ms) if not all(map(_is_int64, rec)))
+        what = f"multiplicity {m}, not an integer" if m % 1 else f"multiplicity {m} outside [1, 2^63 - 1]"
+        if not (_is_int64(u) and _is_int64(v)):
+            what = f"a vertex that is not an integer in [0, {n})"
+        raise InvalidArgumentError(f"edge ({u}, {v}) has {what}")
     bad = np.stack([~((0 <= us) & (us < vs) & (vs < n)), ~(np.isfinite(ws) & (ws >= 0.0)), ms < 1])
     if bad.any():
         i = int(np.flatnonzero(bad.any(axis=0))[0])

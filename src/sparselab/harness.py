@@ -354,15 +354,8 @@ def run_concentration(
     tops: list[list[float]] = [[] for _ in ks]
     for t in range(seeds if ks else 0):
         seed = derive_seed(master_seed, t)
-        h = sample_regular_multigraph(n, d, seed)
-        if exhaustive:
-            extremes = cuts.extreme_cuts_at_sizes(h, ks)
-        else:
-            extremes = [
-                cuts.extreme_cuts_at_size(h, k, samples_per_seed, derive_seed(seed, k))
-                for k in ks
-            ]
-        for column, (top, _) in zip(tops, extremes):
+        extremes = cuts.size_extremes(sample_regular_multigraph(n, d, seed), ks, exhaustive, samples_per_seed, seed)
+        for column, (top, _, _) in zip(tops, extremes):
             column.append(top / n)
     per_alpha = []
     for alpha, k, maxima in zip(alphas, ks, tops):

@@ -96,7 +96,7 @@ def _cg_solver(g: WeightedGraph, project):
     return solve
 
 
-def _lanczos_extremes(lh, solve, project, u: np.ndarray, rank: int, cap: int) -> tuple[float, float, int, float]:
+def _lanczos_extremes(lh, solve, project, u: np.ndarray, rank: int) -> tuple[float, float, int, float]:
     """Smallest and largest eigenvalue of A = L_G^+ L_H on range(L_G), of dimension rank.
 
     Thick-restart Lanczos (Wu and Simon, 2000) from u = L_G w, w in range(L_G).
@@ -105,8 +105,8 @@ def _lanczos_extremes(lh, solve, project, u: np.ndarray, rank: int, cap: int) ->
     first Gram-Schmidt pass gives the new column of T = V L_H V'.  Both passes
     act on the new direction's image u, minus the rows' images; component
     means, which the L_G norm does not see, leave u; w = L_G^+ u has L_G norm
-    beta = sqrt(w'u).  When V is full (63 rows, or cap**2 numbers with the
-    images) or beta nears breakdown, Ritz pairs of T have residuals
+    beta = sqrt(w'u).  When V is full (63 rows, or BASIS_CAP**2 numbers with
+    the images) or beta nears breakdown, Ritz pairs of T have residuals
     beta |s_last|; it returns once both extreme ones are at most _LANCZOS_RTOL
     * max ||A v||, else keeps _KEEP Ritz vectors at each end (at most a quarter
     of the rows) and goes on from w, so the Lanczos relation holds.  Dots are
@@ -114,10 +114,10 @@ def _lanczos_extremes(lh, solve, project, u: np.ndarray, rank: int, cap: int) ->
     the same on any number of CPUs.  Returns (theta_min, theta_max, steps, residual / norm).
     """
     n = u.size
-    rows = min(rank, _BASIS_ROWS, cap * cap // (2 * n))
+    rows = min(rank, _BASIS_ROWS, BASIS_CAP * BASIS_CAP // (2 * n))
     ends = min(_KEEP, rows // 4)
     if rows < rank and ends < 1:
-        raise SizeLimitError(f"cap {cap} leaves {rows} Lanczos rows at n={n}, too few to restart")
+        raise SizeLimitError(f"cap {BASIS_CAP} leaves {rows} Lanczos rows at n={n}, too few to restart")
     basis, images, t = np.zeros((rows, n)), np.zeros((rows, n)), np.zeros((rows, rows))  # T in its lower triangle
     w = solve(u, math.sqrt(_dot(u, u)))
     b = math.sqrt(max(_dot(w, u), 0.0))
@@ -146,12 +146,12 @@ def _lanczos_extremes(lh, solve, project, u: np.ndarray, rank: int, cap: int) ->
         norm = max(norm, math.sqrt(_dot(c, c) + b * b))
 
 
-def spectral_error(h: WeightedGraph, g: WeightedGraph | Clique, cap: int = BASIS_CAP) -> SpectralReport:
+def spectral_error(h: WeightedGraph, g: WeightedGraph | Clique) -> SpectralReport:
     """Relative spectral error: max |lambda - 1| over generalized eigenvalues
     of (L_H, L_G) on range(L_G).
 
-    ``cap`` bounds the Lanczos basis and its images at cap**2 numbers.  Raises
-    SizeLimitError when cap leaves too few rows to restart, or the Lanczos or a
+    BASIS_CAP bounds the Lanczos basis and its images at BASIS_CAP**2 numbers.
+    Raises SizeLimitError when it leaves too few rows to restart, or the Lanczos or a
     conjugate-gradient solve runs past its step budget, so no unconverged value
     is reported.  kernel(L_G) is spanned by the indicators of G's components, so
     raises NotComparableError exactly when a positive-weight bundle of H joins
@@ -179,6 +179,6 @@ def spectral_error(h: WeightedGraph, g: WeightedGraph | Clique, cap: int = BASIS
     clique = isinstance(g, Clique)
     solve = (lambda y, scale: y / (g.w * n)) if clique else _cg_solver(g, project)
     start = project(make_generator(_LANCZOS_SEED).standard_normal(n))
-    lo, hi, steps, residual = _lanczos_extremes(_laplacian_product(h), solve, project, start, n - size.size, cap)
+    lo, hi, steps, residual = _lanczos_extremes(_laplacian_product(h), solve, project, start, n - size.size)
     return SpectralReport(epsilon=max(abs(lo - 1.0), abs(hi - 1.0)), lambda_min=lo, lambda_max=hi, n=n,
                           method="clique" if clique else "cg", iterations=steps, residual=residual)

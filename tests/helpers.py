@@ -832,7 +832,7 @@ class WorstRatioOracle:
 
 
 class SizeExtremesOracle:
-    """Per smaller-side size k: raw max and min cut, first argmax mask, and count.
+    """Per smaller-side size k: raw max and min cut, and count.
 
     Deviations are derived once per k at the end: x -> x/ref - 1 is monotone
     under rounding, so max(cut/ref - 1) == max(cut)/ref - 1 exactly.
@@ -843,44 +843,33 @@ class SizeExtremesOracle:
         kmax = n // 2
         self.hi = np.full(kmax + 1, -np.inf)
         self.lo = np.full(kmax + 1, np.inf)
-        self.argmax: list[int | None] = [None] * (kmax + 1)
         self.count = np.zeros(kmax + 1, dtype=np.int64)
 
-    def add(self, masks: np.ndarray, sizes: np.ndarray, cuts: np.ndarray) -> None:
+    def add(self, sizes: np.ndarray, cuts: np.ndarray) -> None:
         ksides = np.minimum(sizes, self.n - sizes)
         for k in range(1, self.n // 2 + 1):
-            sel = ksides == k
-            vals = cuts[sel]
-            if not vals.size:
-                continue
-            self.count[k] += vals.size
-            j = int(np.argmax(vals))
-            if vals[j] > self.hi[k]:
-                self.hi[k] = vals[j]
-                self.argmax[k] = int(masks[sel][j])
-            self.lo[k] = min(self.lo[k], vals.min())
+            vals = cuts[ksides == k]
+            if vals.size:
+                self.count[k] += vals.size
+                self.hi[k] = max(self.hi[k], vals.max())
+                self.lo[k] = min(self.lo[k], vals.min())
 
-    def rows(self, refs: np.ndarray, argmax_cap: int) -> tuple[CutProfileRow, ...]:
+    def extremes(self, ks) -> list[tuple[float, float, int]]:
+        return [(float(self.hi[k]), float(self.lo[k]), int(self.count[k])) for k in ks]
+
+    def rows(self, refs: np.ndarray) -> tuple[CutProfileRow, ...]:
         n = self.n
-        rows = []
-        for k in range(1, n // 2 + 1):
-            sub = None
-            if k <= argmax_cap:
-                sub = _mask_to_subset(self.argmax[k], n)
-                if len(sub) != k:  # stored mask was the large side; report the smaller
-                    sub = tuple(v for v in range(n) if v not in sub)
-            rows.append(
-                CutProfileRow(
-                    k=k,
-                    alpha=k / n,
-                    max_dev=float(self.hi[k] / refs[k] - 1.0),
-                    min_dev=float(self.lo[k] / refs[k] - 1.0),
-                    argmax_subset=sub,
-                    subsets_examined=int(self.count[k]),
-                    mode="exhaustive",
-                )
+        return tuple(
+            CutProfileRow(
+                k=k,
+                alpha=k / n,
+                max_dev=float(self.hi[k] / refs[k] - 1.0),
+                min_dev=float(self.lo[k] / refs[k] - 1.0),
+                subsets_examined=int(self.count[k]),
+                mode="exhaustive",
             )
-        return tuple(rows)
+            for k in range(1, n // 2 + 1)
+        )
 
 
 def cut_error_exhaustive_oracle(h: WeightedGraph, g: WeightedGraph | Clique) -> CutErrorReport:
@@ -894,17 +883,17 @@ def cut_error_exhaustive_oracle(h: WeightedGraph, g: WeightedGraph | Clique) -> 
     return worst.report(n)
 
 
-def cut_profile_oracle(h: WeightedGraph, d: int, reference: str, argmax_cap: int) -> CutProfile:
+def cut_profile_oracle(h: WeightedGraph, d: int, reference: str) -> CutProfile:
     """Exhaustive ``cut_profile`` over the Gray blocks."""
     n = h.n
     extremes = SizeExtremesOracle(n)
-    for masks, sizes, (cut_h,) in gray_scan_oracle(n, h):
-        extremes.add(masks, sizes, cut_h)
+    for _, sizes, (cut_h,) in gray_scan_oracle(n, h):
+        extremes.add(sizes, cut_h)
     refs = _profile_references(n, d, reference)
-    return CutProfile(n=n, d=d, reference=reference, rows=extremes.rows(refs, argmax_cap))
+    return CutProfile(n=n, d=d, reference=reference, rows=extremes.rows(refs))
 
 
-def regular_vs_clique_oracle(h_raw: WeightedGraph, d: int, reference: str, argmax_cap: int):
+def regular_vs_clique_oracle(h_raw: WeightedGraph, d: int, reference: str):
     """``regular_vs_clique_exhaustive`` over the Gray blocks."""
     n = h_raw.n
     refs = _profile_references(n, d, reference)
@@ -914,13 +903,13 @@ def regular_vs_clique_oracle(h_raw: WeightedGraph, d: int, reference: str, argma
     for masks, sizes, (cut_h,) in gray_scan_oracle(n, h_raw):
         sz = sizes.astype(np.float64)
         worst.add(masks, scale * cut_h, sz * (n - sz))
-        extremes.add(masks, sizes, cut_h)
-    return worst.report(n), CutProfile(n=n, d=d, reference=reference, rows=extremes.rows(refs, argmax_cap))
+        extremes.add(sizes, cut_h)
+    return worst.report(n), CutProfile(n=n, d=d, reference=reference, rows=extremes.rows(refs))
 
 
-def extreme_cuts_oracle(h: WeightedGraph, ks) -> list[tuple[float, float]]:
-    """``extreme_cuts_at_sizes`` over the Gray blocks, skipping sizes not asked for."""
+def extreme_cuts_oracle(h: WeightedGraph, ks) -> list[tuple[float, float, int]]:
+    """Exhaustive ``size_extremes`` over the Gray blocks, skipping sizes not asked for."""
     extremes = SizeExtremesOracle(h.n)
-    for masks, sizes, (cut_h,) in gray_scan_oracle(h.n, h, ksides=ks):
-        extremes.add(masks, sizes, cut_h)
-    return [(float(extremes.hi[k]), float(extremes.lo[k])) for k in ks]
+    for _, sizes, (cut_h,) in gray_scan_oracle(h.n, h, ksides=ks):
+        extremes.add(sizes, cut_h)
+    return extremes.extremes(ks)

@@ -363,6 +363,12 @@ class TestExperimentsCli:
         err = capsys.readouterr().err
         assert err.startswith("error: sampled profile needs at least one sample") and "Traceback" not in err
 
+    def test_concentration_sampled_without_samples_exits_2(self, capsys):
+        # the sampled per-size extremes are the profile's, so the refusal reads the same
+        args = ["concentration", "--n", "40", "--alphas", "0.5", "--d", "4", "--mode", "sampled", "--samples", "0"]
+        assert run_cli(args) == 2
+        assert capsys.readouterr().err == "error: sampled profile needs at least one sample per size, got 0\n"
+
     def test_separation_smoke(self, tmp_path):
         out = tmp_path / "sep.json"
         code = run_cli([

@@ -16,9 +16,8 @@ from sparselab.cuts import (
     cut_error_exhaustive,
     cut_error_sampled,
     cut_profile,
-    extreme_cuts_at_size,
-    extreme_cuts_at_sizes,
     regular_vs_clique_exhaustive,
+    size_extremes,
 )
 from sparselab.errors import DegenerateInputError, InvalidArgumentError, SizeLimitError
 from sparselab.graph import (
@@ -54,6 +53,10 @@ from helpers import (
 def cut_value(graph: WeightedGraph, subset) -> float:
     """cut(S) through the sampled mode's batch kernel."""
     return float(cuts._subset_cuts(graph, np.array([list(subset)], dtype=np.int64))[0])
+
+
+def max_abs_deviation(profile) -> float:
+    return max(max(abs(r.max_dev), abs(r.min_dev)) for r in profile.rows)
 
 
 class TestCutValue:
@@ -127,7 +130,7 @@ class TestExhaustiveError:
         h = scale_weights(h_raw, 15 / 4)
         rep = cut_error_exhaustive(h, Clique(16, 1.0))
         prof = cut_profile(h_raw, 4, reference=REF_EXPECTATION)
-        assert rep.epsilon == pytest.approx(prof.max_abs_deviation(), rel=1e-12)
+        assert rep.epsilon == pytest.approx(max_abs_deviation(prof), rel=1e-12)
 
     def test_vertex_mismatch(self):
         with pytest.raises(InvalidArgumentError):
@@ -307,26 +310,26 @@ class TestCutProfile:
             expected = math.comb(n, row.k) if row.k < n // 2 else math.comb(n, row.k) // 2
             assert row.subsets_examined == expected
 
-    def test_argmax_subset_reproduces_deviation(self):
-        n, d = 14, 4
-        h = sample_regular_multigraph(n, d, seed=6)
-        prof = cut_profile(h, d, argmax_cap=7)
-        for row in prof.rows:
-            assert row.argmax_subset is not None
-            ref = d * row.k * (n - row.k) / n
-            assert brute_cut(h, row.argmax_subset) / ref - 1.0 == pytest.approx(row.max_dev, rel=1e-12)
-
     def test_sampled_mode_beyond_cap(self):
         h = sample_regular_multigraph(40, 4, seed=3)
         prof = cut_profile(h, 4, samples_per_size=30, seed=9)
         assert all(r.mode == "sampled" for r in prof.rows)
         assert len(prof.rows) == 20
 
-    def test_csv_shape(self):
-        prof = cut_profile(sample_regular_multigraph(8, 3, seed=1), 3)
-        lines = prof.to_csv().strip().splitlines()
-        assert lines[0] == "k,alpha,max_dev,min_dev,mode,samples"
-        assert len(lines) == 5
+    @pytest.mark.parametrize("reference", [REF_DENSITY, REF_EXPECTATION])
+    def test_sampled_rows_are_the_extremes_of_the_drawn_deviations(self, reference):
+        # the rows come from the raw cut extremes; they must equal, bit for bit, the extremes of
+        # cut/ref - 1 over the subsets that size k draws with derive_seed(seed, k)
+        n, d, samples, seed = 40, 4, 30, 9
+        h = sample_regular_multigraph(n, d, seed=3)
+        prof = cut_profile(h, d, reference=reference, samples_per_size=samples, seed=seed)
+        refs = cuts._profile_references(n, d, reference)
+        for row in prof.rows:
+            k = row.k
+            subsets = cuts._size_k_subsets(n, k, samples, make_generator(derive_seed(seed, k)))
+            dev = cuts._subset_cuts(h, subsets) / refs[k] - 1.0
+            assert (row.max_dev, row.min_dev) == (float(dev.max()), float(dev.min()))
+            assert row.subsets_examined == len(subsets) == min(samples, math.comb(n, k))
 
 
 class TestCombinedScan:
@@ -336,7 +339,7 @@ class TestCombinedScan:
         err, prof = regular_vs_clique_exhaustive(h_raw, d, reference=REF_EXPECTATION)
         separate = cut_error_exhaustive(scale_weights(h_raw, (n - 1) / d), Clique(n, 1.0))
         assert err.epsilon == pytest.approx(separate.epsilon, rel=1e-12)
-        assert err.epsilon == pytest.approx(prof.max_abs_deviation(), rel=1e-12)
+        assert err.epsilon == pytest.approx(max_abs_deviation(prof), rel=1e-12)
         sep_prof = cut_profile(h_raw, d, reference=REF_EXPECTATION)
         for a, b in zip(prof.rows, sep_prof.rows):
             assert a.max_dev == pytest.approx(b.max_dev, rel=1e-12)
@@ -347,20 +350,26 @@ class TestExtremeCuts:
     def test_exhaustive_matches_enumeration(self):
         h = sample_regular_multigraph(12, 4, seed=7)
         for k in (2, 4, 6):
-            hi, lo = extreme_cuts_at_sizes(h, [k])[0]
+            ((hi, lo, count),) = size_extremes(h, [k], True)
             vals = [brute_cut(h, s) for s in combinations(range(12), k)]
-            if k == 6:  # balanced cuts are halved; both sides give the same value
-                assert hi == pytest.approx(max(vals))
-                assert lo == pytest.approx(min(vals))
-            else:
-                assert hi == pytest.approx(max(vals))
-                assert lo == pytest.approx(min(vals))
+            # balanced cuts are counted once; both sides give the same value
+            assert count == (len(vals) if k < 6 else len(vals) // 2)
+            assert hi == pytest.approx(max(vals))
+            assert lo == pytest.approx(min(vals))
 
     def test_sampled_within_exhaustive(self):
         h = sample_regular_multigraph(18, 5, seed=11)
-        hi_e, lo_e = extreme_cuts_at_sizes(h, [9])[0]
-        hi_s, lo_s = extreme_cuts_at_size(h, 9, samples=200, seed=1)
+        ((hi_e, lo_e, _),) = size_extremes(h, [9], True)
+        ((hi_s, lo_s, count),) = size_extremes(h, [9], False, samples=200, seed=1)
         assert lo_e - 1e-12 <= lo_s and hi_s <= hi_e + 1e-12
+        assert count == 200
+
+    @pytest.mark.parametrize("exhaustive", [True, False])
+    def test_rejects_sizes_outside_half(self, exhaustive):
+        h = sample_regular_multigraph(12, 4, seed=7)
+        for k in (0, 7):
+            with pytest.raises(InvalidArgumentError, match=rf"size {k} not in \[1, n/2\]"):
+                size_extremes(h, [1, k], exhaustive, samples=5)
 
 
 def test_gray_visit_matches_incremental_stream():
@@ -454,21 +463,19 @@ class TestExhaustiveProperties:
     def test_size_extremes_match_brute_force(self, h, d, reference, split):
         n = h.n
         with _kernel(split):
-            prof = cut_profile(h, d, reference=reference, argmax_cap=n)
-            extremes = [extreme_cuts_at_sizes(h, [k])[0] for k in range(1, n // 2 + 1)]
+            prof = cut_profile(h, d, reference=reference)
+            extremes = [size_extremes(h, [k], True)[0] for k in range(1, n // 2 + 1)]
             ks = list(range(n // 2, 0, -2))  # one enumeration for several sizes, in any order
-            assert extreme_cuts_at_sizes(h, ks) == [extremes[k - 1] for k in ks]
+            assert size_extremes(h, ks, True) == [extremes[k - 1] for k in ks]
         assert [row.k for row in prof.rows] == list(range(1, n // 2 + 1))
-        for row, (hi, lo) in zip(prof.rows, extremes):
+        for row, (hi, lo, count) in zip(prof.rows, extremes):
             k = row.k
             vals = [brute_cut(h, s) for s in combinations(range(n), k)]
             ref = d * k * (n - k) / (n if reference == REF_DENSITY else n - 1)
             assert (hi, lo) == (_close(max(vals)), _close(min(vals)))
             assert row.max_dev == _close(max(vals) / ref - 1.0)
             assert row.min_dev == _close(min(vals) / ref - 1.0)
-            assert row.subsets_examined == (math.comb(n, k) if 2 * k < n else math.comb(n, k) // 2)
-            assert len(row.argmax_subset) == k
-            assert brute_cut(h, row.argmax_subset) == _close(max(vals))
+            assert row.subsets_examined == count == (math.comb(n, k) if 2 * k < n else math.comb(n, k) // 2)
 
     @_examples
     @given(h=connected_graphs(), d=st.integers(1, 9), reference=_references, split=_splits)
@@ -518,10 +525,9 @@ class TestKernelMatchesOracle:
         n = h.n
         ks = data.draw(st.lists(st.integers(1, n // 2), min_size=1, max_size=4))
         with _kernel(split):
-            assert cut_profile(h, d, reference, argmax_cap=n) == cut_profile_oracle(h, d, reference, n)
-            got = regular_vs_clique_exhaustive(h, d, reference, argmax_cap=n)
-            assert got == regular_vs_clique_oracle(h, d, reference, n)
-            assert extreme_cuts_at_sizes(h, ks) == extreme_cuts_oracle(h, ks)
+            assert cut_profile(h, d, reference) == cut_profile_oracle(h, d, reference)
+            assert regular_vs_clique_exhaustive(h, d, reference) == regular_vs_clique_oracle(h, d, reference)
+            assert size_extremes(h, ks, True) == extreme_cuts_oracle(h, ks)
 
     @_examples
     @given(pair=graph_pairs(weights=_large_integers), d=st.integers(1, 9), data=st.data(), split=_splits)
@@ -536,8 +542,8 @@ class TestKernelMatchesOracle:
             _assert_cells_equal_the_oracle(h)
             for reference in (Clique(n, 1.0), Clique(n, 3.5), g):
                 assert cut_error_exhaustive(h, reference) == cut_error_exhaustive_oracle(h, reference)
-            assert cut_profile(h, d, REF_DENSITY, argmax_cap=n) == cut_profile_oracle(h, d, REF_DENSITY, n)
-            assert extreme_cuts_at_sizes(h, ks) == extreme_cuts_oracle(h, ks)
+            assert cut_profile(h, d, REF_DENSITY) == cut_profile_oracle(h, d, REF_DENSITY)
+            assert size_extremes(h, ks, True) == extreme_cuts_oracle(h, ks)
 
     def test_integer_total_above_the_float32_limit(self):
         # odd weights near 2^22: many cuts exceed 2^24 and are odd, so float32
@@ -576,7 +582,8 @@ class TestKernelMatchesOracle:
     def test_the_benchmark_graph_at_n_24(self):
         # the witness scan there covers one wide block of 638 154 cells; the examples above stop at n = 10
         h = sample_regular_multigraph(24, 8, derive_seed(0, 0))
-        assert regular_vs_clique_exhaustive(h, 8) == regular_vs_clique_oracle(h, 8, REF_DENSITY, 4)
+        assert regular_vs_clique_exhaustive(h, 8) == regular_vs_clique_oracle(h, 8, REF_DENSITY)
+        assert size_extremes(h, range(1, 13), True) == extreme_cuts_oracle(h, range(1, 13))
 
     @pytest.mark.parametrize("w", [1e20, 1e-20])
     def test_extreme_clique_weights(self, w):

@@ -88,6 +88,28 @@ class TestWeightedGraph:
         with pytest.raises(InvalidArgumentError, match="edge arrays differ in length: 1, 1, 1, 2"):
             WeightedGraph.from_arrays(3, [0], [1], [1.0], [1, 2**64])
 
+    def test_rejects_non_integer_vertices_and_multiplicities(self):
+        # numpy's int64 cast would truncate them: 2.5 to 2, the pair (0.7, 1.9) to (0, 1)
+        for build, message in (
+            (lambda: WeightedGraph(3, [(0, 1, 1.0, 2.5)]), r"edge \(0, 1\) has multiplicity 2.5, not an integer"),
+            (lambda: WeightedGraph(3, [(0.7, 1.9, 1.0)]), r"edge \(0.7, 1.9\) has a vertex that is not an integer in \[0, 3\)"),
+            (lambda: WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0, float("nan"))]), r"edge \(1, 2\) has multiplicity nan"),
+            (
+                lambda: WeightedGraph.from_arrays(3, np.array([0, 1]), np.array([1.0, 2.5]), np.ones(2)),
+                r"edge \(1, 2.5\) has a vertex that is not an integer",
+            ),
+            (
+                lambda: WeightedGraph.from_arrays(3, [0], [1], [1.0], np.array([2.5])),
+                r"edge \(0, 1\) has multiplicity 2.5, not an integer",
+            ),
+        ):
+            with pytest.raises(InvalidArgumentError, match=f"^{message}"):
+                build()
+        # integer values in float columns are integers; integer arrays pass through uncopied
+        assert bundles(WeightedGraph(3, [(0.0, 1.0, 1.0, 2.0)])) == [(0, 1, 1.0, 2)]
+        us = np.array([0, 1], dtype=np.int64)
+        assert np.shares_memory(graph._int64(us), us)
+
     def test_handshake_identity(self):
         g = sample_regular_multigraph(20, 5, seed=3)
         assert g.weighted_degrees().sum() == pytest.approx(2 * g.total_weight, rel=1e-12)

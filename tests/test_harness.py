@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from sparselab import _fork, cuts, harness, nbwalk, spectral
 from sparselab.cli import main
 from sparselab.errors import DegenerateInputError, InvalidArgumentError, SizeLimitError
+from sparselab.graph import sample_regular_multigraph
 from sparselab.harness import (
     bounds_table_csv,
     run_bounds_table,
@@ -18,6 +19,7 @@ from sparselab.harness import (
     run_concentration,
     run_separation,
 )
+from sparselab.rng import derive_seed, make_generator
 
 from helpers import cpus
 
@@ -239,6 +241,18 @@ class TestConcentration:
         assert len(enumerations) == (3 if mode == "exhaustive" else 0)
         apart = [run_concentration(n, [a], 4, seeds=3, master_seed=4, mode=mode, samples_per_seed=20) for a in (0.25, 0.5)]
         assert both["per_alpha"] == [rep["per_alpha"][0] for rep in apart]
+
+    def test_sampled_maxima_are_the_largest_drawn_cuts(self):
+        # seed t's graph draws, for size k, the subsets of derive_seed(seed_t, k); its maximum is the largest of their cuts over n
+        n, d, samples = 40, 4, 30
+        rep = run_concentration(n, [0.1, 0.5], d, seeds=3, master_seed=7, mode="sampled", samples_per_seed=samples)
+        for block in rep["per_alpha"]:
+            k, expected = block["k"], []
+            for t in range(3):
+                seed = derive_seed(7, t)
+                subsets = cuts._size_k_subsets(n, k, samples, make_generator(derive_seed(seed, k)))
+                expected.append(float(cuts._subset_cuts(sample_regular_multigraph(n, d, seed), subsets).max()) / n)
+            assert block["maxima"] == expected
 
     def test_sampled_mode_larger_n(self):
         rep = run_concentration(100, [0.5], 8, seeds=5, master_seed=2, samples_per_seed=50)

@@ -20,7 +20,7 @@ RECORD_FIELDS = {
         "checked_loglinear", "violations_loglinear", "min_slack_loglinear",
     ),
     "CutErrorReport": ("epsilon", "witness", "mode", "subsets_examined", "n", "lower_bound"),
-    "CutProfileRow": ("k", "alpha", "max_dev", "min_dev", "argmax_subset", "subsets_examined", "mode"),
+    "CutProfileRow": ("k", "alpha", "max_dev", "min_dev", "subsets_examined", "mode"),
     "CutProfile": ("n", "d", "reference", "rows"),
     "Clique": ("n", "w"),
     "RevealTrace": ("n", "k", "d", "seed", "x0", "z", "w", "x", "y", "a", "b", "quad_char", "matchings"),

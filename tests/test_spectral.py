@@ -1,5 +1,5 @@
-import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -233,6 +233,12 @@ def _cap_for_rows(n: int, rows: int) -> int:
     return math.isqrt(2 * n * rows - 1) + 1
 
 
+def _capped(h, g, cap: int):
+    """spectral_error with its Lanczos basis and images held to cap**2 numbers."""
+    with mock.patch.object(spectral, "BASIS_CAP", cap):
+        return spectral_error(h, g)
+
+
 def _budget(n: int) -> int:
     return spectral._STEPS_PER_VERTEX * n
 
@@ -243,7 +249,7 @@ class TestLanczos:
     def test_extremes_match_the_dense_oracle(self, h, w, rows):
         # a cap that leaves 18-30 basis rows restarts on the larger graphs
         cap = spectral.BASIS_CAP if rows is None else _cap_for_rows(h.n, rows)
-        rep = spectral_error(h, Clique(h.n, w), cap=cap)
+        rep = _capped(h, Clique(h.n, w), cap)
         norm = max(2.0 * float(h.weighted_degrees().max()), np.finfo(float).tiny)
         tol = 1e-10 * norm / (w * h.n)
         lo, hi = spectral_extremes_oracle(h, Clique(h.n, w))
@@ -297,7 +303,7 @@ class TestLanczos:
         n = 1000
         h = scale_weights(first_matchings_subgraph(sample_regular_multigraph(n, 16, 0), 4), (n - 1) / 4)
         full = spectral_error(h, Clique(n, 1.0))
-        restarted = spectral_error(h, Clique(n, 1.0), cap=300)
+        restarted = _capped(h, Clique(n, 1.0), 300)
         assert 44 < restarted.iterations < n  # a restart that dropped the residual direction took 52 740
         tol = 1e-10 * 2.0 * float(h.weighted_degrees().max()) / n
         assert abs(restarted.lambda_min - full.lambda_min) <= tol
@@ -305,9 +311,9 @@ class TestLanczos:
 
     def test_unconverged_solve_is_a_size_limit(self, monkeypatch):
         h = make_cycle(200, 0.5)
-        assert spectral_error(h, Clique(200, 1.0), cap=_cap_for_rows(200, 18)).residual <= spectral._LANCZOS_RTOL
+        assert _capped(h, Clique(200, 1.0), _cap_for_rows(200, 18)).residual <= spectral._LANCZOS_RTOL
         with pytest.raises(SizeLimitError, match="too few to restart"):  # 3 rows keep no Ritz vector at either end
-            spectral_error(h, Clique(200, 1.0), cap=_cap_for_rows(200, 4) - 1)
+            _capped(h, Clique(200, 1.0), _cap_for_rows(200, 4) - 1)
         path = WeightedGraph(400, [(i, i + 1, 1.0) for i in range(399)])
         assert spectral_error(path, Clique(400, 1.0)).iterations > 400
         monkeypatch.setattr(spectral, "_STEPS_PER_VERTEX", 1)
@@ -318,14 +324,14 @@ class TestLanczos:
         h, g = tmp_path / "h.edges", tmp_path / "g.edges"
         write_edge_list(make_cycle(200, 0.5), h)
         write_edge_list(make_clique(200, 1.0), g)
-        monkeypatch.setattr(spectral, "spectral_error", functools.partial(spectral.spectral_error, cap=30))
+        monkeypatch.setattr(spectral, "BASIS_CAP", 30)
         assert main(["spectral-error", "--h-file", str(h), "--g-file", str(g)]) == 3
         assert "too few to restart" in capsys.readouterr().err
 
     def test_graph_reference_above_the_cap_matches_the_clique(self):
         # cap 40 leaves 16 rows at n = 50, so both solves restart
         h = make_cycle(50, 1.0)
-        a, b = spectral_error(h, Clique(50, 1.0), cap=40), spectral_error(h, make_clique(50, 1.0), cap=40)
+        a, b = _capped(h, Clique(50, 1.0), 40), _capped(h, make_clique(50, 1.0), 40)
         assert (a.method, b.method) == ("clique", "cg")
         assert abs(a.lambda_min - b.lambda_min) <= 1e-10 * a.lambda_max
         assert abs(a.lambda_max - b.lambda_max) <= 1e-10 * a.lambda_max
